@@ -2,8 +2,7 @@
 
 These functions turn a :class:`~repro.core.estimate.CountingOutcome` into a
 pass/fail verdict phrased the way the paper states its guarantees, with the
-constants made explicit.  The default bands are documented in EXPERIMENTS.md:
-at simulable scales the decided values track ``log_d n + O(1)`` (between the
+constants made explicit.  At simulable scales the decided values track ``log_d n + O(1)`` (between the
 paper's lower bound ρ and its upper bound ``⌈ln n⌉ + 1``), so the default
 acceptance band is ``[0.35·ln n, 1.6·ln n]`` -- a fixed constant-factor band
 independent of ``n``, which is exactly what Definition 2 requires.
@@ -152,8 +151,8 @@ def corollary1_check(
     """Corollary 1 (benign case): estimates are bounded above by ``⌈ln n⌉ + slack``.
 
     At asymptotic scale the decided value is exactly ``⌈ln n⌉``; at simulable
-    scale the decisions land between ``log_d n`` and ``⌈ln n⌉`` (see
-    EXPERIMENTS.md), so the check enforces the upper bound of Remark 2 plus
+    scale the decisions land between ``log_d n`` and ``⌈ln n⌉``, so the
+    check enforces the upper bound of Remark 2 plus
     the constant-factor lower bound of the default band.
     """
     upper_abs = math.ceil(outcome.log_n) + upper_slack

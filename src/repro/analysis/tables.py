@@ -1,8 +1,9 @@
 """Plain-text table rendering for the experiment harness and benchmarks.
 
 Every experiment prints one or more tables; these helpers keep the format
-uniform (fixed-width columns, ``None`` rendered as ``-``, floats rounded)
-so the EXPERIMENTS.md extracts are easy to regenerate.
+uniform (fixed-width columns, ``None`` rendered as ``-``, floats rounded),
+so the committed table goldens under ``tests/golden/`` compare byte for
+byte.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Theorem 1: on a bounded-degree graph with constant vertex expansion and up to
 ``diam(G) + 1``, i.e. a constant-factor approximation of ``log n``, within
 ``O(log n)`` rounds.
 
-Implementation notes (also summarized in DESIGN.md §2.3)
----------------------------------------------------------
+Implementation notes
+--------------------
 * **Expansion check family.**  Line 9 of the pseudocode checks *every* subset
   of the local view -- exponential local computation, which the LOCAL model
   permits but a simulator cannot afford for views of thousands of vertices.
@@ -42,22 +42,32 @@ Implementation notes (also summarized in DESIGN.md §2.3)
   same decisions there.  An unbounded adversary willing to fabricate a fake
   region whose *frontier* grows as Ω(α′·n) fresh vertices per round can evade
   the polynomial family (but not the exhaustive one); the experiment suite
-  measures the shipped adversaries, which are caught (see EXPERIMENTS.md).
+  measures the shipped adversaries, which are caught (the ``fake-topology``
+  attack of experiment E9 is among them).
 * **Delta gossip.**  Honest nodes broadcast only the part of their view that
   is new since the previous round; re-broadcasting the full view every round
   carries no additional information in a synchronous network and would make
   large simulations needlessly slow.  Message sizes still grow with the
   frontier (Θ(Δ^i) identifiers), preserving the paper's point that
   Algorithm 1 is *not* a small-message algorithm (experiment E10).
+* **Shared claim geometry.**  Every view of a run receives the same claims,
+  so a run's :class:`ClaimInterner` parses each claim value once and places
+  it in one run-wide vertex slot space (edge mask, reverse-adjacency masks,
+  and which nodes made conflicting claims).  A :class:`LocalView` only
+  records which vertices it knows and which claims it settled; the BFS
+  layers, interior and out-boundary the expansion check reads are derived
+  from those, at most once per round, when the check asks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, KeysView, List, Optional, Sequence, Set, Tuple
+from functools import reduce
+from itertools import compress, count
+from operator import attrgetter, or_
+from typing import Dict, FrozenSet, Iterable, Iterator, KeysView, List, Optional, Sequence, Set, Tuple
 
 from repro.core.estimate import CountingOutcome, DecisionRecord
 from repro.core.parameters import LocalParameters
@@ -82,6 +92,16 @@ __all__ = [
 TopologyDelta = Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], Tuple[int, ...]]
 
 
+#: ``bytes.translate`` table turning a string of binary digits into 0/1 bytes.
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_MASK = attrgetter("mask")
+
+
+def _slots(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first (a C-level scan)."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_DIGITS))
+
+
 def _claim_accounting(node_id: int, edges: Sequence[int]) -> Tuple[int, int]:
     """Exact ``estimate_payload_bits`` cost and id count of one claim entry
     inside a delta payload (see ``LocalCountingProtocol._queue_delta``)."""
@@ -100,12 +120,18 @@ class _ClaimRecord:
 
     Every receiver of a claim needs the same derived facts -- the frozenset
     of its edge ids, the canonical sorted tuple it forwards, whether the ids
-    are well-typed, and the claim's exact delta-payload bit accounting.  All
-    of them are pure functions of the claim, so they are computed once per
-    run and shared by every :class:`LocalView` (see :class:`ClaimInterner`).
+    are well-typed, the claim's exact delta-payload bit accounting, and its
+    geometry in the run's slot space (``slot``/``bit`` of the claiming node,
+    ``mask`` of its claimed neighbors).  All of them are pure functions of
+    the claim, so they are computed once per run and shared by every
+    :class:`LocalView` (see :class:`ClaimInterner`).  Malformed records get
+    no canonical form, accounting or geometry.
     """
 
-    __slots__ = ("entry", "node_id", "edge_set", "canonical", "valid", "size", "bits", "num_ids")
+    __slots__ = (
+        "entry", "node_id", "edge_set", "canonical", "valid", "size", "bits", "num_ids",
+        "slot", "bit", "mask",
+    )
 
     def __init__(self, node_id: int, edge_ids: Iterable[int]) -> None:
         edge_set = frozenset(edge_ids)
@@ -124,9 +150,7 @@ class _ClaimRecord:
             self.entry = (node_id, canonical)
             self.bits, self.num_ids = _claim_accounting(node_id, canonical)
         else:
-            # Malformed claims are never settled or forwarded; they only need
-            # the ``valid`` verdict (sorting a mixed-type edge set may not
-            # even be possible).
+            # Sorting a mixed-type edge set may not even be possible.
             self.canonical = None
             self.entry = None
             self.bits = 0
@@ -134,60 +158,128 @@ class _ClaimRecord:
 
 
 class ClaimInterner:
-    """Hash-consing table for topology claims, shared by one run's views.
+    """Hash-consing table and shared geometry for one run's topology claims.
 
-    ``by_id`` maps ``id(record.entry)`` of the singleton payload entries to
-    their records: honest nodes forward the singleton entry object itself, so
-    a claim that already reached a view is recognized with a single identity
-    lookup, and a claim's frozenset/canonical-tuple/bit-accounting is parsed
-    once per *run* instead of once per (receiver, arrival).  The singleton
-    entries are kept alive by the table, so the ids are stable for the
-    interner's lifetime.  Byzantine payload entries that are not singletons
-    fall back to the value-keyed table (and are interned on first sight when
-    hashable), or to direct parsing when unhashable.
+    There is exactly one record per valid claim *value*: ``by_value`` maps
+    every type-pure payload entry seen so far (canonical or permuted) to it,
+    and ``by_id`` maps ``id(record.entry)`` of the canonical singleton entry
+    to it.  Honest nodes forward that singleton object itself, so a claim
+    that already reached a view is recognized with one identity lookup, and
+    its parse is done once per *run* instead of once per (receiver, arrival).
+    The table pins the singleton entries, so the ids stay stable.  Byzantine
+    entries that are not type-pure are parsed directly (raising like the
+    reference for unhashable containers) and only interned when valid.
+
+    Every vertex id the run mentions gets one run-wide slot (``slot_of`` /
+    ``ids``), and each valid record gets its geometry on registration:
+    ``grev[j]`` accumulates the bits of every node with *some* valid claim
+    naming slot ``j``, ``claimed`` marks the nodes with a valid claim, and
+    ``conflicted`` the nodes the run has seen two different valid claims
+    for.  For a node outside ``conflicted`` the one claim a view can settle
+    is the one ``grev`` recorded, so views read their reverse adjacency off
+    ``grev`` and only treat conflicted nodes claim by claim (see
+    :meth:`LocalView._derive`).
     """
 
-    __slots__ = ("by_id", "by_value")
+    __slots__ = ("by_id", "by_value", "slot_of", "ids", "grev", "claimed", "conflicted")
 
     def __init__(self) -> None:
         self.by_id: Dict[int, _ClaimRecord] = {}
         self.by_value: Dict[Tuple[int, Tuple[int, ...]], _ClaimRecord] = {}
+        self.slot_of: Dict[int, int] = {}
+        self.ids: List[int] = []
+        self.grev: List[int] = []
+        self.claimed = 0
+        self.conflicted = 0
+
+    def slot(self, node_id: int) -> int:
+        """Run-wide slot of ``node_id``, allocating one on first sight."""
+        slot = self.slot_of.get(node_id)
+        if slot is None:
+            slot = len(self.ids)
+            self.slot_of[node_id] = slot
+            self.ids.append(node_id)
+            self.grev.append(0)
+        return slot
 
     def intern(self, node_id: int, edge_ids: Iterable[int]) -> _ClaimRecord:
         """Record for a claim given by hashable components (build on miss)."""
         key = (node_id, tuple(edge_ids))
         record = self.by_value.get(key)
         if record is None:
-            record = _ClaimRecord(node_id, key[1])
+            record = self._register(_ClaimRecord(node_id, key[1]))
             self.by_value[key] = record
-            if record.valid:
-                # Invalid records have ``entry = None``; registering them
-                # would plant ``id(None)`` in the identity table and break
-                # raise-parity for payloads containing a literal None entry.
-                self.by_value.setdefault(record.entry, record)
-                self.by_id[id(record.entry)] = record
+        return record
+
+    def resolve(self, entry) -> _ClaimRecord:
+        """Record for one payload entry that missed the identity table."""
+        node_id, edge_ids = entry
+        # Only *type-pure* entries (int id, tuple of ints) may touch the
+        # value-keyed table: numerically equal but differently typed claims
+        # (float ids) hash like the int claim and would alias its record,
+        # dodging the malformed-payload check.
+        if (
+            isinstance(node_id, int)
+            and type(edge_ids) is tuple
+            and all(map(int.__instancecheck__, edge_ids))
+        ):
+            record = self.by_value.get(entry)
+            if record is None:
+                record = self._register(_ClaimRecord(node_id, edge_ids))
+                self.by_value[entry] = record
+            return record
+        return self._register(_ClaimRecord(node_id, edge_ids))
+
+    def _register(self, record: _ClaimRecord) -> _ClaimRecord:
+        """The canonical record of ``record``'s value, placing it if new."""
+        if not record.valid:
+            return record
+        existing = self.by_value.get(record.entry)
+        if existing is not None:
+            return existing
+        self.by_value[record.entry] = record
+        self.by_id[id(record.entry)] = record
+        place = self.slot
+        slot = place(record.node_id)
+        bit = 1 << slot
+        grev = self.grev
+        mask = 0
+        for v in record.canonical:
+            j = place(v)
+            mask |= 1 << j
+            grev[j] |= bit
+        record.slot = slot
+        record.bit = bit
+        record.mask = mask
+        if self.claimed & bit:
+            self.conflicted |= bit
+        else:
+            self.claimed |= bit
         return record
 
 
 class LocalView:
     """A node's evolving approximation ``B̂(u, i)`` of the network.
 
-    Tracks the vertices seen so far and, for the *settled* subset of them,
-    their complete incident-edge sets (as first announced).
+    The view stores only what it has been told: the known vertices (an
+    ordered id -> run-slot dict and its ``known`` bitmask), the ``settled``
+    bitmask of the vertices whose complete incident-edge claim it has
+    accepted, and that claim's shared :class:`_ClaimRecord` per settled
+    slot.  Integrating a new claim is a few dict and big-int operations,
+    with no per-edge work beyond registering vertices seen for the first
+    time.
 
-    The storage is *columnar*: node ids are interned into a contiguous index
-    space on first sight and every per-vertex structure is a dense list slot
-    -- the symmetric adjacency, the BFS layers from the owner, the interior
-    set, and the interior's out-boundary are all Python-int bitmasks over
-    those slots.  :meth:`integrate` batches a whole delta's edge insertions
-    into mask OR-updates and runs a single distance-relaxation pass at the
-    end, and the Algorithm 1 expansion check reads popcounts
-    (``int.bit_count``) of the layer/interior masks instead of iterating
-    sets.  The classic ``Dict``/``Set``-of-ids views (``adjacency()``,
-    ``layer_prefixes()``, ``interior_set()``) are materialized lazily behind
-    an epoch-tagged cache, so callers of the old interface are untouched;
-    :class:`repro.core.local_view_reference.SetBasedLocalView` retains the
-    set-based implementation for equivalence testing.
+    Everything Algorithm 1 checks is derived from them lazily, once per
+    change, when :meth:`expansion_check_candidates` (or another query) asks:
+    the symmetric adjacency (a settled vertex's own claim, plus the settled
+    claimers of a vertex read off the run's ``grev`` masks, plus an exact
+    pass over conflicted settled claimers), the BFS layers from the owner,
+    the interior set, and the interior's out-boundary.  Layer and boundary
+    sizes are popcounts.  The dict/set views (``adjacency()``,
+    ``layer_prefixes()``, ``interior_set()``, ``edge_sets``) are built on
+    demand for tests and the exhaustive check;
+    :class:`repro.core.local_view_reference.SetBasedLocalView` is the
+    independent set-based implementation they are tested against.
     """
 
     def __init__(
@@ -198,159 +290,31 @@ class LocalView:
         interner: Optional[ClaimInterner] = None,
     ) -> None:
         self.own_id = own_id
-        # Claim interner (shared across a run's views when provided) and the
-        # set of singleton claim entries this view has already integrated.
-        self._interner = interner if interner is not None else ClaimInterner()
-        self._seen_entries: Set[int] = set()
-        # Interning: id -> slot, slot -> id, slot -> (1 << slot).
-        self._index: Dict[int, int] = {}
-        self._ids: List[int] = []
-        self._bits: List[int] = []
-        # Dense per-slot columns.
-        self._adj: List[int] = []  # adjacency mask
-        self._dist: List[int] = []  # BFS distance from owner (-1 unreachable)
-        self._claim: List[Optional[Tuple[int, ...]]] = []  # canonical settled tuple
-        # ``_layer_masks[d]``: mask of vertices at distance exactly d.
-        self._layer_masks: List[int] = []
-        self.edge_sets: Dict[int, FrozenSet[int]] = {}
-        # Interior tracking: ``_missing[s]`` counts the claimed neighbors of
-        # the settled slot s that are not settled yet; ``_waiting[w]`` lists
-        # the settled slots whose interior membership is blocked on slot w.
-        self._missing: Dict[int, int] = {}
-        self._waiting: Dict[int, List[int]] = {}
-        self._interior_mask = 0
-        self._interior_out_mask = 0
-
-        own_slot = self._intern(own_id)  # slot 0
-        self._dist[own_slot] = 0
-        self._layer_masks.append(self._bits[own_slot])
-        own_edges = frozenset(neighbor_ids)
-        self.edge_sets[own_id] = own_edges
-        self._claim[own_slot] = tuple(sorted(own_edges))
-        own_mask = 0
-        layer1 = 0
-        for v in own_edges:
-            j = self._intern(v)
-            jb = self._bits[j]
-            own_mask |= jb
-            layer1 |= jb
-            self._adj[j] = self._bits[own_slot]
-            self._dist[j] = 1
-        self._adj[own_slot] = own_mask
-        if layer1:
-            self._layer_masks.append(layer1)
-        self._settle(own_slot, own_edges)
-        # Epoch counter: bumped whenever the view changed; the materialized
-        # set/dict adapters below are rebuilt only when stale.
+        interner = interner if interner is not None else ClaimInterner()
+        self._interner = interner
+        own = interner.intern(own_id, tuple(sorted(frozenset(neighbor_ids))))
+        self._own_bit = own.bit
+        # Known vertices in first-sight order, and their mask.
+        self._index: Dict[int, int] = {own_id: own.slot}
+        for v in own.edge_set:
+            self._index[v] = interner.slot_of[v]
+        self._known = own.bit | own.mask
+        # Settled claims: slot -> record, and the mask of those slots.
+        self._rec: Dict[int, _ClaimRecord] = {own.slot: own}
+        self._settled = own.bit
+        # Claim records already integrated (superseded values stay in: claim
+        # integration is monotone per value, see :meth:`integrate`).
+        self._seen: Set[_ClaimRecord] = set()
+        # Bumped whenever the view changes; derived state is tagged with it.
         self._epoch = 1
-        self._prefix_cache_epoch = 0
-        self._prefix_cache: List[FrozenSet[int]] = []
-        self._adjacency_cache_epoch = 0
-        self._adjacency_cache: Dict[int, Set[int]] = {}
-
-    # -- interning ------------------------------------------------------- #
-    def _intern(self, node_id: int) -> int:
-        """Slot of ``node_id``, allocating a fresh one on first sight."""
-        idx = self._index.get(node_id)
-        if idx is None:
-            idx = len(self._ids)
-            self._index[node_id] = idx
-            self._ids.append(node_id)
-            self._bits.append(1 << idx)
-            self._adj.append(0)
-            self._dist.append(-1)
-            self._claim.append(None)
-        return idx
-
-    def _mask_ids(self, mask: int) -> List[int]:
-        """Materialize the node ids of the set bits of ``mask``."""
-        ids = self._ids
-        out: List[int] = []
-        while mask:
-            low = mask & -mask
-            out.append(ids[low.bit_length() - 1])
-            mask ^= low
-        return out
-
-    # -- incremental maintenance ---------------------------------------- #
-    def _settle(self, slot: int, edge_set: FrozenSet[int]) -> None:
-        """Register a newly settled slot with the interior tracker."""
-        index = self._index
-        claim = self._claim
-        waiting = self._waiting
-        missing = 0
-        for w in edge_set:
-            j = index[w]
-            if claim[j] is None:
-                missing += 1
-                waiting.setdefault(j, []).append(slot)
-        if missing:
-            self._missing[slot] = missing
-        else:
-            self._add_interior(slot)
-        blocked = waiting.pop(slot, None)
-        if blocked:
-            missing_of = self._missing
-            for v in blocked:
-                left = missing_of[v] - 1
-                if left:
-                    missing_of[v] = left
-                else:
-                    del missing_of[v]
-                    self._add_interior(v)
-
-    def _add_interior(self, slot: int) -> None:
-        interior = self._interior_mask | self._bits[slot]
-        self._interior_mask = interior
-        self._interior_out_mask = (self._interior_out_mask | self._adj[slot]) & ~interior
-
-    def _set_dist(self, slot: int, d: int) -> None:
-        old = self._dist[slot]
-        b = self._bits[slot]
-        layers = self._layer_masks
-        if old >= 0:
-            layers[old] &= ~b
-        self._dist[slot] = d
-        while len(layers) <= d:
-            layers.append(0)
-        layers[d] |= b
-
-    def _relax_batch(self, pending: List[Tuple[int, int]]) -> None:
-        """One relaxation pass over a batch of ``(slot, new_edge_mask)`` pairs.
-
-        Seeds the BFS-decrease propagation with every endpoint a new edge
-        brought closer to the owner; distances only ever decrease, so the
-        fixpoint equals a from-scratch BFS over the updated adjacency.
-        """
-        dist = self._dist
-        queue: "deque[int]" = deque()
-        for slot, mask in pending:
-            ds = dist[slot]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                j = low.bit_length() - 1
-                dj = dist[j]
-                if ds >= 0 and (dj < 0 or dj > ds + 1):
-                    self._set_dist(j, ds + 1)
-                    queue.append(j)
-                elif dj >= 0 and (ds < 0 or ds > dj + 1):
-                    ds = dj + 1
-                    self._set_dist(slot, ds)
-                    queue.append(slot)
-        adj = self._adj
-        while queue:
-            u = queue.popleft()
-            du1 = dist[u] + 1
-            mask = adj[u]
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                w = low.bit_length() - 1
-                dw = dist[w]
-                if dw < 0 or dw > du1:
-                    self._set_dist(w, du1)
-                    queue.append(w)
+        self._derived_epoch = 0
+        self._layers: List[int] = []
+        # Interior mask and the union of its members' claim masks.  Both
+        # only grow while claims are only ever added, so they carry over
+        # between derivations until a claim changes or is dropped.
+        self._interior = 0
+        self._interior_claims = 0
+        self._interior_out = 0
 
     # -- mutation ------------------------------------------------------- #
     def integrate(
@@ -364,386 +328,126 @@ class LocalView:
         """Merge received topology information.
 
         Returns ``(inconsistent, new_edge_sets, new_vertices)``; the new items
-        form next round's delta broadcast.
+        form next round's delta broadcast.  Malformed claims (non-int ids, a
+        self-loop, more than ``max_degree`` edges) and non-int vertex ids are
+        flagged inconsistent and never integrated.
 
-        With ``allow_updates=True`` (dynamic-topology runs) a claim that
-        conflicts with the settled one is accepted as a *re-announcement*
-        instead of flagged inconsistent, and the derived structures are
-        rebuilt from the settled claims (see :meth:`_integrate_dynamic`).
-        The default static path below is untouched by the dynamic feature.
+        A valid claim conflicting with the settled one for the same node is
+        flagged inconsistent (Line 18 of Algorithm 1) unless
+        ``allow_updates=True`` (dynamic-topology runs), where it replaces the
+        settled claim.  Integration is monotone per claim value: each value
+        is integrated at most once per view and a superseded value stays
+        seen, so stale echoes of an old claim can never flip a view back.
+        A node whose claim must return to an earlier value is re-spawned
+        (see the engine's join path) or set with :meth:`update_claim`.
         """
-        if allow_updates:
-            return self._integrate_dynamic(
-                reported_edges, reported_vertices, max_degree=max_degree
-            )
+        interner = self._interner
+        by_id = interner.by_id
+        slot_of = interner.slot_of
+        index = self._index
+        rec = self._rec
+        seen = self._seen
+        known = self._known
+        settled = self._settled
         inconsistent = False
+        updated = False
         new_edge_sets: List[Tuple[int, Tuple[int, ...]]] = []
         new_vertices: List[int] = []
-        index = self._index
-        bits = self._bits
-        adj = self._adj
-        claim = self._claim
-        intern = self._intern
-        waiting = self._waiting
-        by_id = self._interner.by_id
-        by_value = self._interner.by_value
-        seen = self._seen_entries
-        pending: List[Tuple[int, int]] = []
-        for entry in reported_edges:
-            record = by_id.get(id(entry))
-            if record is None:
-                node_id, edge_ids = entry
-                # Only *type-pure* entries (int id, tuple of ints) may touch
-                # the value-keyed table: numerically equal but differently
-                # typed claims (float ids) hash like the int claim and would
-                # alias its record, dodging the malformed-payload check.
-                if (
-                    isinstance(node_id, int)
-                    and type(edge_ids) is tuple
-                    and all(map(int.__instancecheck__, edge_ids))
-                ):
-                    record = by_value.get(entry)
-                    if record is None:
-                        record = _ClaimRecord(node_id, edge_ids)
-                        if record.valid:
-                            # Reuse an equivalent singleton if one was
-                            # interned already (the same claim may arrive in
-                            # non-canonical element order).
-                            existing = by_value.get(record.entry)
-                            if existing is not None:
-                                record = existing
-                            else:
-                                by_value[record.entry] = record
-                                by_id[id(record.entry)] = record
-                        by_value[entry] = record
-                else:
-                    # Malformed or exotically typed claim: parse directly
-                    # (matching the pre-interning per-arrival cost and raise
-                    # behavior for unhashable containers).  A claim that
-                    # nevertheless parses as *valid* (e.g. int edges in a
-                    # list container) must still be interned: ``seen`` stores
-                    # ``id(record.entry)``, which is only stable while the
-                    # interner pins the entry alive.
-                    record = _ClaimRecord(node_id, edge_ids)
-                    if record.valid:
-                        existing = by_value.get(record.entry)
-                        if existing is not None:
-                            record = existing
-                        else:
-                            by_value[record.entry] = record
-                            by_id[id(record.entry)] = record
-            rid = id(record.entry)
-            if rid in seen:
-                # Re-announcement of an already-integrated claim: the common
-                # case (every delta arrives once per neighbor), recognized by
-                # the singleton entry's identity alone.
-                continue
-            # Identifiers are integers in the model; anything else (as well
-            # as a self-loop claim) is malformed Byzantine data and counts as
-            # an inconsistency rather than contaminating the view.
-            if not record.valid or record.size > max_degree:
-                inconsistent = True
-                continue
-            node_id = record.node_id
-            slot = index.get(node_id)
-            if slot is not None and claim[slot] is not None:
-                if claim[slot] == record.canonical:
-                    # Same edge set re-announced under a different payload
-                    # object: silently deduplicate, like every later arrival.
-                    seen.add(rid)
-                else:
-                    # Conflicting incident-edge claims for a node we already
-                    # know about (Line 18 of Algorithm 1).
+        try:
+            for entry in reported_edges:
+                # Honest forwarders re-broadcast the interned singleton
+                # entries, so almost every entry resolves by identity.
+                record = by_id.get(id(entry))
+                if record is None:
+                    record = interner.resolve(entry)
+                if record in seen:
+                    # The common case: every delta arrives once per neighbor.
+                    continue
+                if not record.valid or record.size > max_degree:
                     inconsistent = True
-                continue
-            seen.add(rid)
-            if slot is None:
-                slot = intern(node_id)
-                new_vertices.append(node_id)
-            edge_set = record.edge_set
-            self.edge_sets[node_id] = edge_set
-            claim[slot] = record.canonical
-            new_edge_sets.append(record.entry)
-            slot_bit = bits[slot]
-            adj_slot = adj[slot]
-            interior = self._interior_mask
-            interior_out = self._interior_out_mask
-            edge_mask = 0
-            missing = 0
-            for v in edge_set:
-                j = index.get(v)
-                if j is None:
-                    j = intern(v)
-                    new_vertices.append(v)
-                if claim[j] is None:
-                    missing += 1
-                    waiting.setdefault(j, []).append(slot)
-                jb = bits[j]
-                if adj_slot & jb:
                     continue
-                edge_mask |= jb
-                adj[j] |= slot_bit
-                # A fresh edge can attach a non-interior vertex to the
-                # interior (claims about interior vertices arrive late).
-                if interior & jb:
-                    interior_out |= slot_bit
-            adj[slot] = adj_slot | edge_mask
-            self._interior_out_mask = interior_out
-            if edge_mask:
-                pending.append((slot, edge_mask))
-            # Interior settlement (the mask analogue of the set-based
-            # ``_settle``; the missing count was accumulated above).
-            if missing:
-                self._missing[slot] = missing
-            else:
-                self._add_interior(slot)
-            blocked = waiting.pop(slot, None)
-            if blocked:
-                missing_of = self._missing
-                for w in blocked:
-                    left = missing_of[w] - 1
-                    if left:
-                        missing_of[w] = left
-                    else:
-                        del missing_of[w]
-                        self._add_interior(w)
-        for node_id in reported_vertices:
-            if not isinstance(node_id, int):
-                inconsistent = True
-                continue
-            if node_id not in index:
-                intern(node_id)
-                new_vertices.append(node_id)
-        if pending:
-            self._relax_batch(pending)
-        if new_edge_sets or new_vertices:
-            self._epoch += 1
-        return inconsistent, new_edge_sets, new_vertices
-
-    # -- dynamic topology (churn) ---------------------------------------- #
-    def _resolve_record(self, entry) -> _ClaimRecord:
-        """Interner resolution of one payload entry (the static path inlines
-        this logic; the dynamic path shares it here)."""
-        by_id = self._interner.by_id
-        record = by_id.get(id(entry))
-        if record is not None:
-            return record
-        by_value = self._interner.by_value
-        node_id, edge_ids = entry
-        if (
-            isinstance(node_id, int)
-            and type(edge_ids) is tuple
-            and all(map(int.__instancecheck__, edge_ids))
-        ):
-            record = by_value.get(entry)
-            if record is None:
-                record = _ClaimRecord(node_id, edge_ids)
-                if record.valid:
-                    existing = by_value.get(record.entry)
-                    if existing is not None:
-                        record = existing
-                    else:
-                        by_value[record.entry] = record
-                        by_id[id(record.entry)] = record
-                by_value[entry] = record
-        else:
-            record = _ClaimRecord(node_id, edge_ids)
-            if record.valid:
-                existing = by_value.get(record.entry)
-                if existing is not None:
-                    record = existing
-                else:
-                    by_value[record.entry] = record
-                    by_id[id(record.entry)] = record
-        return record
-
-    def _integrate_dynamic(
-        self,
-        reported_edges: Sequence[Tuple[int, Tuple[int, ...]]],
-        reported_vertices: Sequence[int],
-        *,
-        max_degree: int,
-    ) -> Tuple[bool, List[Tuple[int, Tuple[int, ...]]], List[int]]:
-        """Integrate under churn semantics.
-
-        Differences from the static path: a conflicting claim for an
-        already-settled node is accepted as an update (nodes legitimately
-        re-announce changed edge sets; equivocation detection via Line 18 is
-        therefore downgraded in dynamic runs), and instead of incremental
-        adjacency/interior/distance maintenance -- which is unsound once
-        settled facts can be *retracted* mid-call -- every structure is
-        rebuilt from the settled claims at the end when anything changed (the
-        bounded rebuild-from-epoch fallback).
-
-        Claim integration stays monotone per *value*: each distinct claim
-        value is integrated at most once per view (the superseded value stays
-        in the seen set), so stale echoes of an old claim can never flip a
-        view back and re-propagate in waves.  The price is that a claim
-        flipping back to an exact earlier value is ignored; schedules that
-        need a node's claim restored re-spawn the node (see the engine's
-        join path) rather than re-announcing an old value.
-        """
-        inconsistent = False
-        new_edge_sets: List[Tuple[int, Tuple[int, ...]]] = []
-        new_vertices: List[int] = []
-        index = self._index
-        claim = self._claim
-        intern = self._intern
-        seen = self._seen_entries
-        changed = False
-        for entry in reported_edges:
-            record = self._resolve_record(entry)
-            rid = id(record.entry)
-            if rid in seen:
-                continue
-            if not record.valid or record.size > max_degree:
-                inconsistent = True
-                continue
-            node_id = record.node_id
-            slot = index.get(node_id)
-            if slot is not None and claim[slot] is not None:
-                if claim[slot] == record.canonical:
-                    seen.add(rid)
+                slot = record.slot
+                current = rec.get(slot)
+                if current is record:
+                    seen.add(record)
                     continue
-                # Changed claim: accept the newer announcement.  The old
-                # canonical stays seen so replays of it are ignored.
-                seen.add(rid)
-            else:
-                seen.add(rid)
-                if slot is None:
-                    slot = intern(node_id)
+                if current is not None:
+                    if not allow_updates:
+                        inconsistent = True
+                        continue
+                    updated = True
+                seen.add(record)
+                rec[slot] = record
+                settled |= record.bit
+                new_edge_sets.append(record.entry)
+                if record.node_id not in index:
+                    index[record.node_id] = slot
+                    known |= record.bit
+                    new_vertices.append(record.node_id)
+                fresh = record.mask & ~known
+                if fresh:
+                    known |= fresh
+                    for v in record.edge_set:
+                        if v not in index:
+                            index[v] = slot_of[v]
+                            new_vertices.append(v)
+            for node_id in reported_vertices:
+                if not isinstance(node_id, int):
+                    inconsistent = True
+                    continue
+                if node_id not in index:
+                    slot = interner.slot(node_id)
+                    index[node_id] = slot
+                    known |= 1 << slot
                     new_vertices.append(node_id)
-            self.edge_sets[node_id] = record.edge_set
-            claim[slot] = record.canonical
-            new_edge_sets.append(record.entry)
-            for v in record.edge_set:
-                if v not in index:
-                    intern(v)
-                    new_vertices.append(v)
-            changed = True
-        for node_id in reported_vertices:
-            if not isinstance(node_id, int):
-                inconsistent = True
-                continue
-            if node_id not in index:
-                intern(node_id)
-                new_vertices.append(node_id)
-                changed = True
-        if changed:
-            self._rebuild_all()
-            self._epoch += 1
+        finally:
+            # A raising entry (unhashable edge container) keeps every claim
+            # integrated before it, like the reference implementation.
+            self._known = known
+            self._settled = settled
+            if updated:
+                self._claims_changed()
+            elif new_edge_sets or new_vertices:
+                self._epoch += 1
         return inconsistent, new_edge_sets, new_vertices
 
-    def _rebuild_all(self) -> None:
-        """Recompute every derived structure from the settled claims.
+    def _claims_changed(self) -> None:
+        """A settled claim changed or was dropped: the interior may shrink."""
+        self._interior = self._interior_claims = 0
+        self._epoch += 1
 
-        Adjacency masks (symmetrized), BFS layers/distances from the owner,
-        and the interior bookkeeping are all pure functions of the claims;
-        after a retraction the incremental counters cannot be repaired
-        soundly, so the dynamic paths pay one O(view) rebuild instead.
-        """
+    def _put_claim(self, record: _ClaimRecord) -> None:
+        """Force ``record`` as its node's settled claim (the dynamic ops)."""
         index = self._index
-        bits = self._bits
-        claim = self._claim
-        nslots = len(self._ids)
-        adj = [0] * nslots
-        for slot in range(nslots):
-            canonical = claim[slot]
-            if canonical is None:
-                continue
-            sb = bits[slot]
-            acc = adj[slot]
-            for v in canonical:
-                j = index[v]
-                adj[j] |= sb
-                acc |= bits[j]
-            adj[slot] = acc
-        self._adj = adj
-        # BFS from the owner (slot 0) over the rebuilt adjacency.
-        dist = [-1] * nslots
-        dist[0] = 0
-        visited = bits[0]
-        layer_masks = [bits[0]]
-        current = bits[0]
-        d = 0
-        while True:
-            nxt = 0
-            m = current
-            while m:
-                low = m & -m
-                m ^= low
-                nxt |= adj[low.bit_length() - 1]
-            nxt &= ~visited
-            if not nxt:
-                break
-            d += 1
-            visited |= nxt
-            layer_masks.append(nxt)
-            m = nxt
-            while m:
-                low = m & -m
-                m ^= low
-                dist[low.bit_length() - 1] = d
-            current = nxt
-        self._dist = dist
-        self._layer_masks = layer_masks
-        # Interior bookkeeping from scratch.
-        missing: Dict[int, int] = {}
-        waiting: Dict[int, List[int]] = {}
-        interior = 0
-        for slot in range(nslots):
-            canonical = claim[slot]
-            if canonical is None:
-                continue
-            miss = 0
-            for v in canonical:
-                j = index[v]
-                if claim[j] is None:
-                    miss += 1
-                    waiting.setdefault(j, []).append(slot)
-            if miss:
-                missing[slot] = miss
-            else:
-                interior |= bits[slot]
-        self._missing = missing
-        self._waiting = waiting
-        self._interior_mask = interior
-        out = 0
-        m = interior
-        while m:
-            low = m & -m
-            m ^= low
-            out |= adj[low.bit_length() - 1]
-        self._interior_out_mask = out & ~interior
+        slot_of = self._interner.slot_of
+        for v in (record.node_id, *record.edge_set):
+            if v not in index:
+                index[v] = slot_of[v]
+        self._known |= record.bit | record.mask
+        self._rec[record.slot] = record
+        self._settled |= record.bit
+        self._seen.add(record)
 
     def delete_edge(self, a: int, b: int) -> bool:
         """Remove edge ``{a, b}`` from both endpoints' settled claims.
 
         Called when the owner *knows* the edge is gone (an engine-level
-        topology change on an incident edge).  Each shrunk claim's canonical
-        is marked seen, so a later announcement of the same shrunk set
-        deduplicates; the old full canonicals also stay seen (stale echoes of
-        the pre-deletion claims are ignored -- see :meth:`_integrate_dynamic`
-        on monotone-per-value integration).  Returns whether anything changed.
+        topology change on an incident edge).  Each shrunk claim is marked
+        seen, so a later announcement of the same shrunk set deduplicates;
+        the old full claims also stay seen (stale echoes of the pre-deletion
+        claims are ignored -- see :meth:`integrate` on monotone-per-value
+        integration).  Returns whether anything changed.
         """
+        interner = self._interner
         changed = False
-        index = self._index
-        claim = self._claim
         for x, y in ((a, b), (b, a)):
-            slot = index.get(x)
-            if slot is None or claim[slot] is None:
+            record = self._rec.get(interner.slot_of.get(x))
+            if record is None or y not in record.edge_set:
                 continue
-            edge_set = self.edge_sets[x]
-            if y not in edge_set:
-                continue
-            record = self._interner.intern(x, tuple(sorted(edge_set - {y})))
-            self.edge_sets[x] = record.edge_set
-            claim[slot] = record.canonical
-            self._seen_entries.add(id(record.entry))
+            self._put_claim(interner.intern(x, tuple(sorted(record.edge_set - {y}))))
             changed = True
         if changed:
-            self._rebuild_all()
-            self._epoch += 1
+            self._claims_changed()
         return changed
 
     def retract_claim(self, node_id: int) -> bool:
@@ -754,17 +458,12 @@ class LocalView:
         itself stays known (vertices are never forgotten).  Returns whether
         a settled claim was dropped.
         """
-        slot = self._index.get(node_id)
-        if slot is None or self._claim[slot] is None:
+        record = self._rec.pop(self._interner.slot_of.get(node_id), None)
+        if record is None:
             return False
-        canonical = self._claim[slot]
-        record = self._interner.by_value.get((node_id, canonical))
-        if record is not None and record.entry is not None:
-            self._seen_entries.discard(id(record.entry))
-        self._claim[slot] = None
-        del self.edge_sets[node_id]
-        self._rebuild_all()
-        self._epoch += 1
+        self._seen.discard(record)
+        self._settled &= ~record.bit
+        self._claims_changed()
         return True
 
     def update_claim(self, node_id: int, edge_ids: Iterable[int]) -> bool:
@@ -776,31 +475,76 @@ class LocalView:
         the settled claim changed.
         """
         record = self._interner.intern(node_id, tuple(sorted(edge_ids)))
-        slot = self._index.get(node_id)
-        if slot is None:
-            slot = self._intern(node_id)
-        self._seen_entries.add(id(record.entry))
-        if self._claim[slot] == record.canonical:
+        if self._rec.get(record.slot) is record:
+            self._seen.add(record)
             return False
-        for v in record.edge_set:
-            if v not in self._index:
-                self._intern(v)
-        self.edge_sets[node_id] = record.edge_set
-        self._claim[slot] = record.canonical
-        self._rebuild_all()
-        self._epoch += 1
+        self._put_claim(record)
+        self._claims_changed()
         return True
 
     def settled_entries(self) -> List[Tuple[int, Tuple[int, ...]]]:
         """Interned payload entries of every settled claim (bootstrap dump)."""
-        intern = self._interner.intern
-        claim = self._claim
-        out: List[Tuple[int, Tuple[int, ...]]] = []
-        for node_id, slot in self._index.items():
-            canonical = claim[slot]
-            if canonical is not None:
-                out.append(intern(node_id, canonical).entry)
-        return out
+        rec = self._rec
+        return [rec[slot].entry for slot in self._index.values() if slot in rec]
+
+    # -- derived structure ---------------------------------------------- #
+    def _mask_ids(self, mask: int) -> List[int]:
+        """Materialize the node ids of the set bits of ``mask``."""
+        return list(map(self._interner.ids.__getitem__, _slots(mask)))
+
+    def _conflicted_claims(self) -> List[_ClaimRecord]:
+        """Settled claims of the nodes the run has seen conflicting claims for."""
+        return list(map(self._rec.__getitem__, _slots(self._interner.conflicted & self._settled)))
+
+    def _derive(self) -> None:
+        """Recompute BFS layers, interior and out-boundary if the view changed."""
+        if self._derived_epoch == self._epoch:
+            return
+        rec = self._rec
+        grev = self._interner.grev
+        settled = self._settled
+        conflicted = self._conflicted_claims()
+        # Settled nodes whose only claim in the run is the one settled here:
+        # ``grev`` names exactly those of them that claim a given vertex.
+        plain = settled & ~self._interner.conflicted
+        # BFS from the owner: a frontier vertex reaches its own claim's
+        # neighbors and every settled node claiming it.
+        visited = frontier = self._own_bit
+        layers = [frontier]
+        while True:
+            slots = list(_slots(frontier))
+            reach = reduce(or_, map(grev.__getitem__, slots), 0) & plain
+            reach = reduce(or_, map(_MASK, filter(None, map(rec.get, slots))), reach)
+            for record in conflicted:
+                if record.mask & frontier:
+                    reach |= record.bit
+            frontier = reach & ~visited
+            if not frontier:
+                break
+            visited |= frontier
+            layers.append(frontier)
+        self._layers = layers
+        # Interior: settled vertices whose claim is all settled.  Its
+        # out-boundary is settled too: the claim neighbors of interior
+        # vertices, plus settled vertices claiming an interior vertex.
+        interior = self._interior
+        interior_claims = self._interior_claims
+        unsettled = ~settled
+        pending: List[_ClaimRecord] = []
+        for record in map(rec.__getitem__, _slots(settled & ~interior)):
+            if record.mask & unsettled:
+                pending.append(record)
+            else:
+                interior |= record.bit
+                interior_claims |= record.mask
+        out = interior_claims & ~interior
+        for record in pending:
+            if record.mask & interior:
+                out |= record.bit
+        self._interior = interior
+        self._interior_claims = interior_claims
+        self._interior_out = out
+        self._derived_epoch = self._epoch
 
     # -- structure queries ---------------------------------------------- #
     @property
@@ -808,49 +552,48 @@ class LocalView:
         """All known vertex ids (a live, set-like view of the intern table)."""
         return self._index.keys()
 
+    @property
+    def edge_sets(self) -> Dict[int, FrozenSet[int]]:
+        """Settled incident-edge sets by node id (a fresh dict per call)."""
+        return {record.node_id: record.edge_set for record in self._rec.values()}
+
     def adjacency(self) -> Dict[int, Set[int]]:
         """Symmetric adjacency over all known vertices (from known edge sets).
 
-        Materialized lazily from the adjacency bitmasks behind an epoch-tagged
-        cache; callers must treat the returned structure as read-only.
+        Built fresh on every call (tests and the exhaustive check only).
         """
-        if self._adjacency_cache_epoch != self._epoch:
-            mask_ids = self._mask_ids
-            self._adjacency_cache = {
-                node_id: set(mask_ids(self._adj[slot]))
-                for node_id, slot in self._index.items()
-            }
-            self._adjacency_cache_epoch = self._epoch
-        return self._adjacency_cache
+        rec = self._rec
+        grev = self._interner.grev
+        plain = self._settled & ~self._interner.conflicted
+        conflicted = self._conflicted_claims()
+        adjacency: Dict[int, Set[int]] = {}
+        for node_id, slot in self._index.items():
+            record = rec.get(slot)
+            mask = (record.mask if record is not None else 0) | (grev[slot] & plain)
+            for claimer in conflicted:
+                if claimer.mask >> slot & 1:
+                    mask |= claimer.bit
+            adjacency[node_id] = set(self._mask_ids(mask))
+        return adjacency
 
     def layer_prefixes(self, adj: Optional[Dict[int, Set[int]]] = None) -> List[FrozenSet[int]]:
         """BFS-layer prefixes ``B̂(u, 0) ⊆ B̂(u, 1) ⊆ ...`` from the owner.
 
-        The prefixes are served from an epoch-tagged cache that is rebuilt
-        only when :meth:`integrate` actually changed the view; the ``adj``
-        argument is retained for backwards compatibility and ignored (the
-        prefixes always describe this view's own adjacency).
+        The ``adj`` argument is retained for backwards compatibility and
+        ignored (the prefixes always describe this view's own adjacency).
         """
-        if self._prefix_cache_epoch != self._epoch:
-            prefixes: List[FrozenSet[int]] = []
-            running = 0
-            for layer in self._layer_masks:
-                if not layer:
-                    break
-                running |= layer
-                prefixes.append(frozenset(self._mask_ids(running)))
-            self._prefix_cache = prefixes
-            self._prefix_cache_epoch = self._epoch
-        return self._prefix_cache
+        self._derive()
+        prefixes: List[FrozenSet[int]] = []
+        running = 0
+        for layer in self._layers:
+            running |= layer
+            prefixes.append(frozenset(self._mask_ids(running)))
+        return prefixes
 
     def layer_sizes(self) -> List[int]:
         """Sizes of the (contiguous, nonempty) BFS layers from the owner."""
-        sizes: List[int] = []
-        for layer in self._layer_masks:
-            if not layer:
-                break
-            sizes.append(layer.bit_count())
-        return sizes
+        self._derive()
+        return [layer.bit_count() for layer in self._layers]
 
     def interior_set(self) -> Set[int]:
         """Settled vertices all of whose claimed neighbors are settled.
@@ -858,18 +601,17 @@ class LocalView:
         Once the honest part of the network has been fully explored, every
         honest vertex is interior, so the interior set contains the honest
         region ``R`` of Lemma 5; its out-boundary is then exactly the layer of
-        vertices the adversary is still expanding.  Maintained incrementally
-        (as a bitmask) by :meth:`integrate`; a materialized copy is returned.
+        vertices the adversary is still expanding.
         """
-        return set(self._mask_ids(self._interior_mask))
+        self._derive()
+        return set(self._mask_ids(self._interior))
 
     def expansion_check_candidates(self) -> List[Tuple[int, int]]:
         """``(|S|, |Out(S)|)`` for every subset the practical check inspects.
 
         Lists every BFS-layer prefix (whose out-boundary in the view graph is
-        exactly the next BFS layer) followed by the interior set (whose
-        out-boundary is maintained incrementally).  All counts are popcounts
-        of live masks, so producing them is O(view depth) per round.
+        exactly the next BFS layer) followed by the interior set and its
+        out-boundary.  All counts are popcounts of the derived masks.
         """
         candidates: List[Tuple[int, int]] = []
         sizes = self.layer_sizes()
@@ -878,11 +620,9 @@ class LocalView:
         for j, layer_size in enumerate(sizes):
             prefix += layer_size
             candidates.append((prefix, sizes[j + 1] if j < last else 0))
-        interior = self._interior_mask
+        interior = self._interior
         if interior:
-            candidates.append(
-                (interior.bit_count(), self._interior_out_mask.bit_count())
-            )
+            candidates.append((interior.bit_count(), self._interior_out.bit_count()))
         return candidates
 
     @staticmethod
@@ -899,7 +639,7 @@ class LocalView:
 
     def size(self) -> int:
         """Number of known vertices."""
-        return len(self._ids)
+        return len(self._index)
 
 
 class LocalCountingProtocol(Protocol):

@@ -1,11 +1,10 @@
 """Experiment harness.
 
-One module per experiment of the DESIGN.md index (E1-E12).  Every module
-exposes ``run_experiment(...) -> ExperimentResult`` with keyword knobs for the
-network sizes and trial counts, a small default configuration that finishes in
+One module per experiment (E1-E12).  Every module exposes
+``run_experiment(...) -> ExperimentResult`` with keyword knobs for the network
+sizes and trial counts, a small default configuration that finishes in
 seconds (used by the test suite), and a larger configuration used by the
-benchmarks (``benchmarks/bench_e*.py``) whose printed tables are recorded in
-EXPERIMENTS.md.
+benchmarks (``benchmarks/bench_e*.py``).
 """
 
 from repro.experiments.common import ExperimentResult

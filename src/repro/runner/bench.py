@@ -116,7 +116,7 @@ def _bench_local_churn(
     mid-run, re-joins spawn fresh protocol instances, and every surviving
     node's ``LocalView`` re-converges through the dynamic integrate path.
     The deterministic counters therefore cover the churn delta application
-    and the view-rebuild fallback, not just the static hot path.
+    and the claim updates and retractions, not just the static hot path.
     """
     from repro.core.local_counting import run_local_counting
     from repro.core.parameters import LocalParameters
@@ -487,7 +487,7 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
     ),
     # Appended with the dynamic-topology subsystem (PR 6): an E12-style
     # Algorithm 1 run under a seeded leave/re-join schedule (the dynamic
-    # integrate + view-rebuild path at 256 nodes), and an E2-style congest
+    # integrate path at 256 nodes), and an E2-style congest
     # scenario under seeded edge flips through the declarative path with an
     # explicit round bound (Algorithm 2 does not adapt to churn; the bound
     # keeps the degradation measurement finite).  Pinned like every
@@ -625,6 +625,12 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
             "seed": 64,
         },
     ),
+    # Appended with the derived LocalView geometry: the E12-style Algorithm 1
+    # run at the next size up, so the trajectory shows how a view's cost
+    # scales with n (the per-round derivation is linear in the view, the
+    # whole run quadratic in n).  Pinned like every parameterization above
+    # -- append, never edit.
+    BenchScenario("e12-local-n1024", "bench.local", {"n": 1024, "degree": 8, "seed": 0}),
 )
 
 #: Reduced suite for ``make bench-smoke`` (sub-minute end to end).
@@ -750,6 +756,8 @@ def compare_reports(
     - ``faster``      improved by more than the threshold
     - ``regression``  slower by more than the threshold (a failure)
     - ``result-drift`` rounds/messages changed (a failure: determinism broke)
+    - ``schema-added`` the result gained keys and every shared key is equal
+      (not a failure: result dicts grow additively)
     - ``new``         scenario absent from the previous report
     """
     previous_by_name = {row["name"]: row for row in previous.get("scenarios", [])}
@@ -769,10 +777,19 @@ def compare_reports(
             )
             continue
         ratio = row["wall_clock_s"] / prev["wall_clock_s"] if prev["wall_clock_s"] else None
-        if prev.get("result") != row.get("result"):
+        previous_result, result = prev.get("result"), row.get("result")
+        added = (
+            previous_result != result
+            and isinstance(previous_result, dict)
+            and isinstance(result, dict)
+            and all(key in result and result[key] == value for key, value in previous_result.items())
+        )
+        if previous_result != result and not added:
             status = "result-drift"
         elif ratio is not None and ratio > 1.0 + threshold:
             status = "regression"
+        elif added:
+            status = "schema-added"
         elif ratio is not None and ratio < 1.0 - threshold:
             status = "faster"
         else:

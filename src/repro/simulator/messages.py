@@ -104,8 +104,9 @@ class Message:
         IDs", but Algorithm 2's beacon path fields hold up to ``i + 2 =
         O(log n)`` identifiers, so the operative bound for the reproduction is
         logarithmically many IDs -- still polylogarithmic bits overall and in
-        sharp contrast with Algorithm 1's poly(n)-sized views; see
-        EXPERIMENTS.md.)  ``max_ids`` defaults to ``max(8, 2·log2 n)``.
+        sharp contrast with Algorithm 1's poly(n)-sized views, which
+        experiment E10 measures.)  ``max_ids`` defaults to
+        ``max(8, 2·log2 n)``.
         """
         import math
 

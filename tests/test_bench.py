@@ -130,6 +130,23 @@ class TestCompareReports:
         assert rows[0]["status"] == "result-drift"
         assert bench.comparison_failed(rows)
 
+    def test_added_result_keys_are_not_drift(self):
+        # A result that only gained keys (shared keys equal) is reported as
+        # schema-added, which never fails; a regression still wins.
+        base = {"rounds": 5, "messages": 10}
+        grown = dict(base, churn_events=0, rounds_to_reconverge=None)
+        previous = _report([_row("a", 1.0, result=base), _row("b", 1.0, result=base)])
+        current = _report([_row("a", 1.0, result=grown), _row("b", 1.5, result=grown)])
+        rows = bench.compare_reports(current, previous, threshold=0.10)
+        assert [r["status"] for r in rows] == ["schema-added", "regression"]
+        assert not bench.comparison_failed(rows[:1])
+        # A changed shared key, or a dropped one, is still drift.
+        for changed in (dict(grown, rounds=6), {"rounds": 5, "churn_events": 0}):
+            current = _report([_row("a", 1.0, result=changed)])
+            rows = bench.compare_reports(current, _report([_row("a", 1.0, result=base)]))
+            assert rows[0]["status"] == "result-drift"
+            assert bench.comparison_failed(rows)
+
     def test_clean_comparison_passes(self):
         previous = _report([_row("a", 1.0)])
         current = _report([_row("a", 0.95)])

@@ -15,6 +15,7 @@ payloads -- and assert after every step that
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.local_counting import ClaimInterner, LocalView
 from repro.core.local_view_reference import SetBasedLocalView
@@ -515,3 +516,126 @@ class TestDynamicChurnParity:
         bitset.delete_edge(5, 7)
         reference.delete_edge(5, 7)
         assert set(bitset.settled_entries()) == set(reference.settled_entries())
+
+
+# --------------------------------------------------------------------------- #
+# Views sharing one run's ClaimInterner (and its claim geometry)
+# --------------------------------------------------------------------------- #
+class TestCanonicalClaimRecords:
+    def test_permuted_intern_returns_the_canonical_record(self):
+        interner = ClaimInterner()
+        canonical = interner.intern(5, (6, 7))
+        assert interner.intern(5, (7, 6)) is canonical
+        assert interner.resolve((5, (7, 6))) is canonical
+        assert interner.resolve((5, [7, 6])) is canonical
+
+    def test_retracted_alias_entry_reintegrates(self):
+        # A view that integrated a permuted-order alias of a claim must still
+        # be able to un-see it: retraction re-opens the claim value, so the
+        # alias entry settles again, as the reference promises.
+        interner = ClaimInterner()
+        bitset = LocalView(0, [1], interner=interner)
+        reference = SetBasedLocalView(0, [1])
+        interner.intern(5, (6, 7))
+        alias = interner.intern(5, (7, 6)).entry
+        assert drive_both_dynamic(bitset, reference, [alias], []) == (
+            False,
+            [(5, (6, 7))],
+            [5, 6, 7],
+        )
+        assert bitset.retract_claim(5) is reference.retract_claim(5) is True
+        assert drive_both_dynamic(bitset, reference, [alias], []) == (
+            False,
+            [(5, (6, 7))],
+            [],
+        )
+
+
+#: Vertex ids of the shared-interner fuzz: small, so different views settle
+#: different claims for the same node and the run marks nodes conflicted.
+POOL = tuple(range(10))
+MALFORMED = (
+    ("evil", (1, 2)),
+    (3.0, (1, 2)),
+    (4, ("x", 5)),
+    (6, (6, 7)),  # self-loop
+    (8, tuple(range(20, 20 + MAX_DEGREE + 1))),  # degree bound
+)
+
+
+@st.composite
+def pool_claims(draw):
+    node = draw(st.sampled_from(POOL))
+    edges = sorted(set(draw(st.lists(st.sampled_from(POOL), max_size=MAX_DEGREE))) - {node})
+    # Honest entries are canonical tuples; a list container takes the
+    # interner's direct-parse path.
+    return (node, list(edges) if draw(st.integers(0, 5)) == 0 else tuple(edges))
+
+
+fuzz_entries = st.lists(
+    st.one_of(pool_claims(), pool_claims(), pool_claims(), st.sampled_from(MALFORMED)),
+    max_size=4,
+)
+fuzz_vertices = st.lists(st.one_of(st.sampled_from(POOL + (11, 12)), st.just("ghost")), max_size=3)
+fuzz_ops = st.one_of(
+    st.tuples(st.just("integrate"), st.integers(0, 3), fuzz_entries, fuzz_vertices),
+    st.tuples(st.just("forward"), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("delete"), st.integers(0, 3), st.sampled_from(POOL), st.sampled_from(POOL)),
+    st.tuples(st.just("retract"), st.integers(0, 3), st.sampled_from(POOL)),
+    st.tuples(st.just("update"), st.integers(0, 3), pool_claims()),
+)
+
+
+class TestSharedInternerFuzz:
+    """2-4 views on one interner, each against its own set-based reference."""
+
+    @given(
+        allow_updates=st.booleans(),
+        owners=st.lists(
+            st.tuples(st.sampled_from(POOL), st.lists(st.sampled_from(POOL), max_size=4)),
+            min_size=2,
+            max_size=4,
+        ),
+        ops=st.lists(fuzz_ops, max_size=30),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_views_track_their_references(self, allow_updates, owners, ops):
+        interner = ClaimInterner()
+        pairs = []
+        for own, neighbors in owners:
+            neighbors = sorted(set(neighbors) - {own})
+            pairs.append(
+                (LocalView(own, neighbors, interner=interner), SetBasedLocalView(own, neighbors))
+            )
+        outgoing = [[] for _ in pairs]
+        for op in ops:
+            kind, k = op[0], op[1] % len(pairs)
+            bitset, reference = pairs[k]
+            if kind in ("integrate", "forward"):
+                if kind == "integrate":
+                    entries, vertices = op[2], op[3]
+                else:
+                    # Re-broadcast another view's singleton delta entries.
+                    entries, vertices = outgoing[op[2] % len(pairs)], []
+                got = bitset.integrate(
+                    entries, vertices, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                )
+                expected = reference.integrate(
+                    entries, vertices, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                )
+                assert got == expected
+                outgoing[k] = got[1]
+            elif kind == "retract":
+                assert bitset.retract_claim(op[2]) == reference.retract_claim(op[2])
+            elif not allow_updates:
+                # Deletions and updates supersede claim values, which only
+                # dynamic runs do (static integrate flags them as conflicts).
+                continue
+            elif kind == "delete":
+                assert bitset.delete_edge(op[2], op[3]) == reference.delete_edge(op[2], op[3])
+            else:
+                node, edges = op[2]
+                assert bitset.update_claim(node, edges) == reference.update_claim(node, edges)
+            for view, ref in pairs:
+                assert_views_equal(view, ref)
+                assert set(view.settled_entries()) == set(ref.settled_entries())
