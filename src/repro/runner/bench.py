@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runner.config import SweepConfig
 from repro.runner.registry import sweep_task
@@ -140,177 +140,50 @@ def _bench_local_churn(
     }
 
 
-@sweep_task("bench.dist_loopback")
-def _bench_dist_loopback(
-    *, n: int, degree: int, seeds: Sequence[int], workers: int
+def _bench_loopback(
+    path: str, *, n: int, degree: int, seeds: Sequence[int], workers: int
 ) -> Dict[str, Any]:
-    """An E3-style scenario suite executed through the distributed backend.
+    """An E3-style scenario suite executed through the distributed runner.
 
     Runs a benign congest scenario (compiled through the declarative
-    scenario path, like every E3 cell) over a loopback broker with
-    ``workers`` spawned worker daemons, and returns the summed deterministic
-    counters.  The individual cells are deliberately small: the wall-clock
-    the outer bench harness records is dominated by worker spawn + dispatch,
-    i.e. this scenario puts the *distributed dispatch overhead* on the
-    trajectory, not the simulation itself.
+    scenario path, like every E3 cell) over loopback with ``workers``
+    worker daemons, and returns the summed deterministic counters.  The
+    individual cells are deliberately small: the wall-clock the outer bench
+    harness records is dominated by worker spawn + dispatch, i.e. these
+    rows put the *runner's dispatch overhead* on the trajectory, not the
+    simulation itself.  ``path`` picks the runner path, one pinned task
+    each:
+
+    - ``dist`` (``bench.dist_loopback``): a private broker with spawned
+      workers.
+    - ``chaos`` (``bench.chaos_loopback``): the same with an **all-zero**
+      :class:`~repro.runner.faults.FaultPlan` -- every injection hook is
+      threaded through broker and workers and consulted on every protocol
+      line, and never fires.  The delta against ``dist`` is the chaos
+      machinery's injector-off overhead.
+    - ``hub`` (``bench.hub_loopback``): an in-process
+      :class:`~repro.runner.hub.service.SweepHub`, persistent worker
+      daemons connected to it, and a ``DistributedBackend(connect=...)``
+      client submitting over TCP.  The delta against ``dist`` is the hub's
+      submission/multiplexing overhead (client protocol, fair-share
+      ranking, per-sweep queues).
+    - ``hub-ha`` (``bench.hub_ha_loopback``): the hub with a crash-safe
+      state journal and admission control -- every completion lands an
+      atomic hub-journal write and every submit passes the capacity check.
+      The delta against ``hub`` is the HA machinery's steady-state cost.
     """
-    from repro.runner.distributed import DistributedBackend
-    from repro.runner.sweep import SweepRunner
-    from repro.scenarios.spec import Scenario
-
-    scenario = Scenario.from_dict(
-        {
-            "name": f"dist-loopback-e3-n{n}",
-            "graph": {"name": "hnd", "params": {"n": n, "degree": degree}, "seed_offset": 0},
-            "adversary": {"name": "silent", "params": {}, "seed_offset": 0},
-            "placement": {"name": "random", "params": {"count": 0}, "seed_offset": 0},
-            "protocol": {"name": "congest", "params": {"d": degree}, "seed_offset": 0},
-            "params": {},
-            "seeds": list(seeds),
-        }
-    )
-    runner = SweepRunner(
-        backend=DistributedBackend(spawn_workers=workers, quiet=True)
-    )
-    rows = runner.run(scenario.compile())
-    return {
-        "rounds": sum(row["rounds"] for row in rows),
-        "messages": sum(row["messages"] for row in rows),
-        "bits": sum(row["bits"] for row in rows),
-        "cells": len(rows),
-    }
-
-
-@sweep_task("bench.chaos_loopback")
-def _bench_chaos_loopback(
-    *, n: int, degree: int, seeds: Sequence[int], workers: int
-) -> Dict[str, Any]:
-    """``bench.dist_loopback`` with the fault-injection hooks threaded.
-
-    Identical workload, but the backend carries an **all-zero**
-    :class:`~repro.runner.faults.FaultPlan`: every injection hook is
-    constructed, threaded through broker and workers, and consulted on every
-    protocol line -- and never fires.  The wall-clock delta against
-    ``scenario-e3-dist-loopback`` is therefore the chaos machinery's
-    injector-off overhead, pinned on the trajectory so the hooks stay free
-    when disabled.
-    """
-    from repro.runner.distributed import DistributedBackend
-    from repro.runner.faults import FaultPlan
-    from repro.runner.sweep import SweepRunner
-    from repro.scenarios.spec import Scenario
-
-    scenario = Scenario.from_dict(
-        {
-            "name": f"chaos-loopback-e3-n{n}",
-            "graph": {"name": "hnd", "params": {"n": n, "degree": degree}, "seed_offset": 0},
-            "adversary": {"name": "silent", "params": {}, "seed_offset": 0},
-            "placement": {"name": "random", "params": {"count": 0}, "seed_offset": 0},
-            "protocol": {"name": "congest", "params": {"d": degree}, "seed_offset": 0},
-            "params": {},
-            "seeds": list(seeds),
-        }
-    )
-    runner = SweepRunner(
-        backend=DistributedBackend(
-            spawn_workers=workers, fault_plan=FaultPlan(seed=0), quiet=True
-        )
-    )
-    rows = runner.run(scenario.compile())
-    return {
-        "rounds": sum(row["rounds"] for row in rows),
-        "messages": sum(row["messages"] for row in rows),
-        "bits": sum(row["bits"] for row in rows),
-        "cells": len(rows),
-    }
-
-
-@sweep_task("bench.hub_loopback")
-def _bench_hub_loopback(
-    *, n: int, degree: int, seeds: Sequence[int], workers: int
-) -> Dict[str, Any]:
-    """The ``bench.dist_loopback`` workload submitted through a Sweep Hub.
-
-    Same E3-style scenario suite, but executed via the full hub path: an
-    in-process :class:`~repro.runner.hub.service.SweepHub`, ``workers``
-    persistent worker daemons connected to it, and a
-    ``DistributedBackend(connect=...)`` client submitting over TCP.  The
-    wall-clock delta against ``scenario-e3-dist-loopback`` is therefore
-    the hub's submission/multiplexing overhead (client protocol, fair-share
-    ranking, per-sweep queues), pinned on the trajectory.
-    """
-    import subprocess
-
-    from repro.runner.distributed import DistributedBackend, spawn_loopback_worker
-    from repro.runner.hub import SweepHub
-    from repro.runner.sweep import SweepRunner
-    from repro.scenarios.spec import Scenario
-
-    scenario = Scenario.from_dict(
-        {
-            "name": f"hub-loopback-e3-n{n}",
-            "graph": {"name": "hnd", "params": {"n": n, "degree": degree}, "seed_offset": 0},
-            "adversary": {"name": "silent", "params": {}, "seed_offset": 0},
-            "placement": {"name": "random", "params": {"count": 0}, "seed_offset": 0},
-            "protocol": {"name": "congest", "params": {"d": degree}, "seed_offset": 0},
-            "params": {},
-            "seeds": list(seeds),
-        }
-    )
-    hub = SweepHub(host="127.0.0.1", port=0)
-    address = hub.start()
-    procs: List["subprocess.Popen[bytes]"] = []
-    try:
-        procs.extend(
-            spawn_loopback_worker(address, exit_when_drained=False)
-            for _ in range(workers)
-        )
-        runner = SweepRunner(backend=DistributedBackend(connect=address, quiet=True))
-        rows = runner.run(scenario.compile())
-    finally:
-        for process in procs:
-            if process.poll() is None:
-                process.terminate()
-        for process in procs:
-            try:
-                process.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(timeout=5.0)
-        hub.stop()
-    return {
-        "rounds": sum(row["rounds"] for row in rows),
-        "messages": sum(row["messages"] for row in rows),
-        "bits": sum(row["bits"] for row in rows),
-        "cells": len(rows),
-    }
-
-
-@sweep_task("bench.hub_ha_loopback")
-def _bench_hub_ha_loopback(
-    *, n: int, degree: int, seeds: Sequence[int], workers: int
-) -> Dict[str, Any]:
-    """``bench.hub_loopback`` with the high-availability layer active.
-
-    Identical workload and topology, but the hub runs with a crash-safe
-    state journal (``state_dir``), admission control, and heartbeat-bearing
-    client streams -- every completion lands an atomic hub-journal write
-    and every submit passes the capacity check.  The wall-clock delta
-    against ``scenario-e3-hub-loopback`` is therefore the HA machinery's
-    steady-state overhead (no fault ever fires), pinned on the trajectory
-    so durability stays cheap.
-    """
+    import contextlib
     import subprocess
     import tempfile
 
     from repro.runner.distributed import DistributedBackend, spawn_loopback_worker
+    from repro.runner.faults import FaultPlan
     from repro.runner.hub import SweepHub
-    from repro.runner.sweep import SweepRunner
     from repro.scenarios.spec import Scenario
 
     scenario = Scenario.from_dict(
         {
-            "name": f"hub-ha-loopback-e3-n{n}",
+            "name": f"{path}-loopback-e3-n{n}",
             "graph": {"name": "hnd", "params": {"n": n, "degree": degree}, "seed_offset": 0},
             "adversary": {"name": "silent", "params": {}, "seed_offset": 0},
             "placement": {"name": "random", "params": {"count": 0}, "seed_offset": 0},
@@ -319,42 +192,61 @@ def _bench_hub_ha_loopback(
             "seeds": list(seeds),
         }
     )
-    rows = None
-    with tempfile.TemporaryDirectory(prefix="bench-hub-ha-") as state_dir:
-        hub = SweepHub(
-            host="127.0.0.1",
-            port=0,
-            state_dir=state_dir,
-            max_pending=10_000,
+    if path in ("dist", "chaos"):
+        backend = DistributedBackend(
+            spawn_workers=workers,
+            fault_plan=FaultPlan(seed=0) if path == "chaos" else None,
+            quiet=True,
         )
-        address = hub.start()
-        procs: List["subprocess.Popen[bytes]"] = []
-        try:
-            procs.extend(
-                spawn_loopback_worker(address, exit_when_drained=False)
-                for _ in range(workers)
-            )
-            runner = SweepRunner(
-                backend=DistributedBackend(connect=address, quiet=True)
-            )
-            rows = runner.run(scenario.compile())
-        finally:
-            for process in procs:
-                if process.poll() is None:
-                    process.terminate()
-            for process in procs:
-                try:
-                    process.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait(timeout=5.0)
-            hub.stop()
+        rows = SweepRunner(backend=backend).run(scenario.compile())
+    else:
+        state = (
+            tempfile.TemporaryDirectory(prefix="bench-hub-ha-")
+            if path == "hub-ha"
+            else contextlib.nullcontext()
+        )
+        with state as state_dir:
+            ha = {} if state_dir is None else {"state_dir": state_dir, "max_pending": 10_000}
+            hub = SweepHub(host="127.0.0.1", port=0, **ha)
+            address = hub.start()
+            procs: List["subprocess.Popen[bytes]"] = []
+            try:
+                procs.extend(
+                    spawn_loopback_worker(address, exit_when_drained=False)
+                    for _ in range(workers)
+                )
+                runner = SweepRunner(
+                    backend=DistributedBackend(connect=address, quiet=True)
+                )
+                rows = runner.run(scenario.compile())
+            finally:
+                for process in procs:
+                    if process.poll() is None:
+                        process.terminate()
+                for process in procs:
+                    try:
+                        process.wait(timeout=5.0)
+                    except subprocess.TimeoutExpired:
+                        process.kill()
+                        process.wait(timeout=5.0)
+                hub.stop()
     return {
         "rounds": sum(row["rounds"] for row in rows),
         "messages": sum(row["messages"] for row in rows),
         "bits": sum(row["bits"] for row in rows),
         "cells": len(rows),
     }
+
+
+def _loopback_task(path: str) -> Callable[..., Dict[str, Any]]:
+    def task(*, n: int, degree: int, seeds: Sequence[int], workers: int):
+        return _bench_loopback(path, n=n, degree=degree, seeds=seeds, workers=workers)
+
+    return task
+
+
+for _path in ("dist", "chaos", "hub", "hub-ha"):
+    sweep_task(f"bench.{_path.replace('-', '_')}_loopback")(_loopback_task(_path))
 
 
 # --------------------------------------------------------------------------- #

@@ -68,6 +68,7 @@ from repro.runner.distributed.protocol import (
     read_message,
     reader_for,
     send_message,
+    set_nodelay,
 )
 from repro.runner.faults import FaultInjector
 
@@ -555,7 +556,6 @@ class Broker:
                 if exc.errno != errno.EADDRINUSE or time.monotonic() >= deadline:
                     raise
                 time.sleep(0.2)
-        self._listener.settimeout(0.2)
         self.address = self._listener.getsockname()[:2]
         for target in (self._accept_loop, self._reaper_loop):
             thread = threading.Thread(target=target, daemon=True)
@@ -578,11 +578,7 @@ class Broker:
                     self._fail_queue_locked(
                         sweep, BrokerError("broker stopped with sweep incomplete")
                     )
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_listener()
         with self._lock:
             connections = list(self._connections)
         for conn in connections:
@@ -604,11 +600,7 @@ class Broker:
         """
         self.crashed.set()
         self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_listener()
         with self._lock:
             connections = list(self._connections)
         for conn in connections:
@@ -620,6 +612,23 @@ class Broker:
         for thread in self._threads:
             if thread is not current:
                 thread.join(timeout=2.0)
+
+    def _close_listener(self) -> None:
+        """Close the listener, waking the accept thread blocked on it.
+
+        ``close()`` alone leaves a thread blocked in ``accept()`` asleep on
+        Linux; ``shutdown`` makes that ``accept()`` fail at once.
+        """
+        if self._listener is None:
+            return
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._listener.close()
+        except OSError:
+            pass
 
     def __enter__(self) -> "Broker":
         self.start()
@@ -671,10 +680,9 @@ class Broker:
         while not self._stop.is_set():
             try:
                 conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return
+            set_nodelay(conn)
             with self._lock:
                 self._connections.append(conn)
                 self.stats["connections"] += 1

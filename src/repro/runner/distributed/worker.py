@@ -49,6 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.runner.backends import WorkItem, execute_work_item
 from repro.runner.distributed.protocol import (
     PROTOCOL_VERSION,
+    connect,
     read_message,
     reader_for,
     send_message,
@@ -232,23 +233,9 @@ class WorkerDaemon:
         # the first attempts stay snappy.
         timeout = min(10.0, 2.0 * (backoff.attempts + 1))
         try:
-            sock = socket.create_connection((self.host, self.port), timeout=timeout)
+            return connect((self.host, self.port), timeout)
         except OSError:
             return None
-        # Loopback self-connect guard: retrying against a dead broker on an
-        # ephemeral-range port can land source port == destination port (TCP
-        # simultaneous open), a socket connected to *itself*.  Left alone it
-        # would both wedge this worker (it reads back its own hello) and
-        # squat the port against the broker's restart bind.
-        try:
-            if sock.getsockname() == sock.getpeername():
-                self._log("self-connected (broker down); retrying")
-                sock.close()
-                return None
-        except OSError:
-            sock.close()
-            return None
-        return sock
 
     def _backoff_or_give_up(self, backoff: Backoff) -> bool:
         """Record one failed attempt; True when a one-shot worker gives up."""

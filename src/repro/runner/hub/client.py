@@ -42,6 +42,7 @@ from repro.runner.backends import CompletedItem, WorkItem
 from repro.runner.distributed.broker import BrokerError
 from repro.runner.distributed.protocol import (
     PROTOCOL_VERSION,
+    connect,
     read_message,
     reader_for,
     send_message,
@@ -172,31 +173,11 @@ class HubSubmission:
         heal and :class:`BrokerError` for sweep-fatal conditions.
         """
         try:
-            sock = socket.create_connection(
-                self.address, timeout=self.connect_timeout_s
-            )
+            sock = connect(self.address, self.connect_timeout_s)
         except OSError as exc:
             raise _HubUnavailable(
                 f"cannot reach hub at {self.address[0]}:{self.address[1]}: {exc}"
             ) from exc
-        # Loopback self-connect guard: retrying against a dead hub on an
-        # ephemeral-range port can land source port == destination port
-        # (TCP simultaneous open) -- a socket connected to itself, which
-        # would both hang the handshake and squat the port against the
-        # hub's restart bind.
-        try:
-            self_connected = sock.getsockname() == sock.getpeername()
-        except OSError:
-            self_connected = True
-        if self_connected:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise _HubUnavailable(
-                f"hub at {self.address[0]}:{self.address[1]} is down "
-                "(self-connected)"
-            )
         try:
             # The connect timeout also covers the submit handshake; the
             # steady-state read timeout is set from the hub's advertised
@@ -309,7 +290,7 @@ def query_hub_status(
 ) -> Dict[str, Any]:
     """One-shot ``status`` request; returns the hub's live snapshot."""
     try:
-        sock = socket.create_connection(address, timeout=timeout_s)
+        sock = connect(address, timeout_s)
     except OSError as exc:
         raise BrokerError(
             f"cannot reach hub at {address[0]}:{address[1]}: {exc}"

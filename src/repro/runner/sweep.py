@@ -24,7 +24,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, TextIO, Union
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.runner.artifacts import MISSING, ArtifactStore
 from repro.runner.backends import (
@@ -40,14 +40,22 @@ from repro.runner.registry import resolve_task
 __all__ = ["SweepRunner"]
 
 
+def _interned_dict(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    return {sys.intern(key): value for key, value in pairs}
+
+
 def _canonical_result(value: Any) -> Any:
     """Normalize a task result through a JSON round-trip.
 
     This is what makes cached and freshly computed results indistinguishable;
     it also fails fast (``TypeError``) if a task returns something that could
-    not have been persisted.
+    not have been persisted.  Dict keys are interned: a sweep's results
+    repeat the same few dozen keys, and sharing one string per key keeps a
+    long result list from holding a private copy of every key per row.
     """
-    return json.loads(json.dumps(value, allow_nan=True))
+    return json.loads(
+        json.dumps(value, allow_nan=True), object_pairs_hook=_interned_dict
+    )
 
 
 class _ProgressLine:

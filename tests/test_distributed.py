@@ -37,6 +37,9 @@ from repro.runner.distributed.protocol import (
     reader_for,
     send_message,
 )
+from repro.runner.distributed.worker import WorkerDaemon
+from repro.runner.faults import Backoff
+from repro.runner.hub import SweepHub, client
 
 
 def _work_items(configs):
@@ -110,6 +113,76 @@ class TestProtocol:
         for bad in ("nohost", "host:", "host:abc", "9876"):
             with pytest.raises(ValueError):
                 parse_address(bad)
+
+
+def _nodelay(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+def _accepted_nodelay(service):
+    """Handshake as a worker; whether the service's end sets TCP_NODELAY."""
+    with socket.create_connection(service.address, timeout=10.0) as sock:
+        send_message(
+            sock,
+            {
+                "type": "hello",
+                "worker_id": "probe",
+                "host": "probe",
+                "pid": 0,
+                "procs": 1,
+                "protocol": PROTOCOL_VERSION,
+            },
+        )
+        assert read_message(reader_for(sock))["type"] == "welcome"
+        # The accept thread records a connection before serving it, so the
+        # welcome proves the service's end is the (only) one recorded.
+        (conn,) = service._connections
+        return _nodelay(conn)
+
+
+class TestSockets:
+    """Every runner socket sends each line at once: no Nagle/delayed-ACK wait."""
+
+    def test_worker_and_broker_accepted_sockets_set_nodelay(self):
+        broker = Broker()
+        broker.start()
+        try:
+            assert _accepted_nodelay(broker)
+            sock = WorkerDaemon(*broker.address)._connect(Backoff())
+            try:
+                assert _nodelay(sock)
+            finally:
+                sock.close()
+        finally:
+            broker.stop()
+
+    def test_hub_client_and_hub_accepted_sockets_set_nodelay(self, monkeypatch):
+        sent = []
+
+        def recording_send(sock, message, **kwargs):
+            sent.append((message["type"], _nodelay(sock)))
+            send_message(sock, message, **kwargs)
+
+        monkeypatch.setattr(client, "send_message", recording_send)
+        hub = SweepHub(host="127.0.0.1", port=0)
+        address = hub.start()
+        try:
+            assert _accepted_nodelay(hub)
+            assert list(client.HubSubmission(address, [], reconnect_attempts=0)) == []
+            client.query_hub_status(address)
+        finally:
+            hub.stop()
+        assert sent == [("submit", True), ("status", True)]
+
+    @pytest.mark.parametrize("halt", ["stop", "crash"])
+    def test_halting_a_broker_ends_its_accept_thread(self, halt):
+        # The listener is blocking; only the shutdown in stop()/crash()
+        # wakes the accept() it is parked in.
+        broker = Broker()
+        broker.start()
+        getattr(broker, halt)()
+        assert broker._threads
+        assert not any(thread.is_alive() for thread in broker._threads)
 
 
 # --------------------------------------------------------------------------- #

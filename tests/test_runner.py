@@ -208,6 +208,22 @@ class TestSweepRunner:
         configs = [SweepConfig("test.echo", {"value": [1, 2]})]
         assert SweepRunner().run(configs) == [[1, 2]]
 
+    def test_results_share_their_key_strings(self, tmp_path):
+        # A fresh result and one re-read from the artifact cache hold the
+        # same key objects, nested dicts included.
+        configs = [
+            SweepConfig(
+                "test.echo",
+                {"value": {"decided_fraction": v, "stats": {"messages": v}}},
+            )
+            for v in range(2)
+        ]
+        SweepRunner(artifact_dir=tmp_path).run(configs[:1])
+        first, second = SweepRunner(artifact_dir=tmp_path).run(configs)
+        for a, b in ((first, second), (first["stats"], second["stats"])):
+            assert list(a) == list(b)
+            assert all(x is y for x, y in zip(a, b))
+
     def test_artifact_cache_hit_on_rerun(self, tmp_path):
         configs = [SweepConfig("test.echo", {"value": v}) for v in range(4)]
         runner = SweepRunner(artifact_dir=tmp_path)
