@@ -18,7 +18,7 @@
 #                        (examples/scenario_e2_small.json) end to end
 #                        (sub-minute; a prerequisite of `make test`)
 #   make dist-demo     - run a scenario sweep over the distributed backend
-#                        (loopback broker + 2 spawned worker daemons) and
+#                        (loopback broker + 2 forked worker daemons) and
 #                        assert the table is byte-identical to the serial
 #                        run (seconds; a prerequisite of `make test`)
 #   make churn-demo    - dynamic-topology gate: assert an explicit churn=none

@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="deterministic fault-injection plan (inline JSON or file path); "
-        "normally forwarded automatically by a chaos sweep's backend",
+        "loopback workers of a chaos sweep get theirs from the backend",
     )
     worker_parser.add_argument(
         "--fault-salt",
@@ -685,36 +685,24 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_worker(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
-    from repro.runner import FaultInjector
-    from repro.runner.distributed import WorkerDaemon, parse_address
+    from repro.runner.distributed import parse_address
+    from repro.runner.distributed.worker import run_worker
 
     host, port = parse_address(args.connect)
-    injector = None
-    if args.fault_plan is not None:
-        injector = FaultInjector(_parse_fault_plan(args.fault_plan), salt=args.fault_salt)
-    daemon = WorkerDaemon(
+    return run_worker(
         host,
         port,
+        fault_plan=(
+            _parse_fault_plan(args.fault_plan) if args.fault_plan is not None else None
+        ),
+        fault_salt=args.fault_salt,
         procs=args.workers,
         lease_capacity=args.lease_capacity,
         worker_id=args.worker_id,
         exit_when_drained=args.exit_when_drained,
         giveup_attempts=args.giveup_attempts,
-        injector=injector,
         verbose=args.verbose,
     )
-    # Graceful fleet scale-down: SIGTERM finishes the task in flight,
-    # abandons the unstarted rest of the lease back to the broker, and
-    # exits -- instead of dying mid-lease and costing a TTL expiry.
-    if threading.current_thread() is threading.main_thread():
-        signal.signal(signal.SIGTERM, lambda *_: daemon.request_shutdown())
-    try:
-        return daemon.run()
-    except KeyboardInterrupt:
-        return 0
 
 
 def _command_scenario_run(args: argparse.Namespace) -> int:
@@ -904,6 +892,9 @@ def _command_hub_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         injector=injector,
     )
+    # Re-adopt journaled sweeps before accepting: a client resubmitting one
+    # of them then always re-attaches to the adopted queue.
+    adopted_sweeps = hub.adopt_journaled()
     # A restarted hub re-binds its fixed port: give the previous
     # incarnation's socket a grace window to clear instead of failing.
     address = hub.start(bind_retry_s=10.0 if port else 0.0)
@@ -913,7 +904,7 @@ def _command_hub_serve(args: argparse.Namespace) -> int:
         print(f"[hub] artifact root: {store.root}", flush=True)
     if args.state:
         print(f"[hub] state dir: {args.state}", flush=True)
-        for adopted in hub.adopt_journaled():
+        for adopted in adopted_sweeps:
             print(
                 f"[hub] re-adopted sweep {adopted['sweep']} "
                 f"(identity {adopted['identity']}, "

@@ -149,13 +149,13 @@ def _bench_loopback(
     scenario path, like every E3 cell) over loopback with ``workers``
     worker daemons, and returns the summed deterministic counters.  The
     individual cells are deliberately small: the wall-clock the outer bench
-    harness records is dominated by worker spawn + dispatch, i.e. these
+    harness records is dominated by worker start-up + dispatch, i.e. these
     rows put the *runner's dispatch overhead* on the trajectory, not the
     simulation itself.  ``path`` picks the runner path, one pinned task
     each:
 
-    - ``dist`` (``bench.dist_loopback``): a private broker with spawned
-      workers.
+    - ``dist`` (``bench.dist_loopback``): a private broker with forked
+      loopback workers.
     - ``chaos`` (``bench.chaos_loopback``): the same with an **all-zero**
       :class:`~repro.runner.faults.FaultPlan` -- every injection hook is
       threaded through broker and workers and consulted on every protocol
@@ -177,6 +177,7 @@ def _bench_loopback(
     import tempfile
 
     from repro.runner.distributed import DistributedBackend, spawn_loopback_worker
+    from repro.runner.distributed.backend import LoopbackWorker
     from repro.runner.faults import FaultPlan
     from repro.runner.hub import SweepHub
     from repro.scenarios.spec import Scenario
@@ -209,7 +210,7 @@ def _bench_loopback(
             ha = {} if state_dir is None else {"state_dir": state_dir, "max_pending": 10_000}
             hub = SweepHub(host="127.0.0.1", port=0, **ha)
             address = hub.start()
-            procs: List["subprocess.Popen[bytes]"] = []
+            procs: List[LoopbackWorker] = []
             try:
                 procs.extend(
                     spawn_loopback_worker(address, exit_when_drained=False)
@@ -367,9 +368,9 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
         },
     ),
     # Appended with the distributed backend (PR 5): a small E3-style benign
-    # scenario suite executed over a loopback broker with two spawned worker
+    # scenario suite executed over a loopback broker with two loopback worker
     # daemons.  The cells are tiny on purpose -- the recorded wall-clock
-    # measures worker spawn + lease/dispatch/result overhead, so broker or
+    # measures worker start-up + lease/dispatch/result overhead, so broker or
     # protocol regressions show up on the trajectory even when simulation
     # speed is unchanged.  Pinned like every parameterization above.
     BenchScenario(

@@ -6,12 +6,14 @@ the duration of the sweep and yielding completions as workers stream them
 in.  Two modes:
 
 Loopback (``spawn_workers > 0``)
-    The backend spawns that many local worker-daemon processes
-    (``python -m repro.cli worker --connect ... --exit-when-drained``),
-    watches them while the sweep runs (a crashed worker is respawned, up to
-    a bounded budget), and terminates them when the sweep finishes.  This
-    is the one-machine fan-out path -- and what the fault-tolerance tests
-    and ``make dist-demo`` exercise.
+    The backend forks that many local worker-daemon processes from the
+    sweep process (:func:`spawn_loopback_worker`), watches them while the
+    sweep runs (a crashed worker is respawned, up to a bounded budget), and
+    terminates them when the sweep finishes.  Forked workers start at once,
+    with every module already imported, and inherit the task registry and
+    any in-process patches -- perfbench's tracer wrappers, for one -- just
+    as the fork pool's workers do.  This is the one-machine fan-out path --
+    and what the fault-tolerance tests and ``make dist-demo`` exercise.
 
 Listen (``spawn_workers == 0``)
     The backend binds ``listen`` and waits for externally started workers
@@ -31,19 +33,93 @@ Connect (``connect=(host, port)``)
 from __future__ import annotations
 
 import itertools
-import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+import threading
+import time
+from typing import Any, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.runner.backends import CompletedItem, ExecutionBackend, WorkItem
 from repro.runner.distributed.broker import Broker, BrokerError
 from repro.runner.distributed.protocol import format_address
+from repro.runner.distributed.worker import run_worker
 from repro.runner.faults import FaultInjector, FaultPlan
 
-__all__ = ["DistributedBackend", "spawn_loopback_worker"]
+__all__ = ["DistributedBackend", "LoopbackWorker", "spawn_loopback_worker"]
+
+
+class LoopbackWorker:
+    """A forked loopback worker behind the ``subprocess.Popen`` surface.
+
+    The backend's respawn watch, the hub supervisor and the bench tasks
+    manage workers through ``pid``, ``poll()``, ``wait(timeout)``,
+    ``terminate()``, ``kill()`` and ``returncode``.  Like ``Popen``, a
+    signal death reads as a negative return code.
+    """
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        self._lock = threading.Lock()
+
+    def poll(self) -> Optional[int]:
+        # One reaper at a time: a second waitpid on an already-reaped pid
+        # would lose the exit status.
+        with self._lock:
+            if self.returncode is None:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+                if pid == self.pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while True:
+            code = self.poll()
+            if code is not None:
+                return code
+            if deadline is not None and time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(f"loopback worker {self.pid}", timeout)
+            delay = min(delay * 2, 0.05)
+            time.sleep(delay)
+
+    def _signal(self, sig: int) -> None:
+        # An exited but unreaped child keeps its pid, so this never
+        # signals a stranger.
+        if self.poll() is None:
+            os.kill(self.pid, sig)
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+
+def _loopback_worker_main(address: Tuple[str, int], options: Dict[str, Any]) -> NoReturn:
+    """Body of a forked loopback worker: silence stdio, run the daemon, exit."""
+    code = 1
+    try:
+        devnull = os.open(os.devnull, os.O_RDWR)
+        for fd in (0, 1, 2):
+            os.dup2(devnull, fd)
+        os.close(devnull)
+        # Fresh stream objects too: a parent thread may have held the old
+        # ones' locks at the moment of the fork.
+        sys.stdout = sys.stderr = open(os.devnull, "w")
+        # The backend reaps this process itself, so it is no daemon even
+        # when forked from one (a pool process): a ``procs > 1`` worker
+        # may start its own pool.
+        multiprocessing.current_process().daemon = False
+        code = run_worker(*address, **options)
+    finally:
+        # Never return into the parent's stack (an exception exits 1), and
+        # skip its atexit work.
+        os._exit(code)
 
 
 def spawn_loopback_worker(
@@ -54,45 +130,37 @@ def spawn_loopback_worker(
     verbose: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     fault_salt: str = "",
-) -> "subprocess.Popen[bytes]":
-    """Start a worker-daemon process connected to ``address``.
+) -> LoopbackWorker:
+    """Fork a worker-daemon process connected to ``address``.
 
-    The child runs ``python -m repro.cli worker`` with ``PYTHONPATH``
-    extended to wherever this ``repro`` package was imported from, so the
-    loopback path works from a source checkout without installation.
-    ``fault_plan`` (with its stream-separating ``fault_salt``) is forwarded
-    on the command line so the child builds the same deterministic
-    :class:`~repro.runner.faults.FaultInjector` schedule.
+    The child shares this process's imported modules and task registry
+    and starts serving at once.  It comes from a plain ``os.fork()``, not
+    a ``multiprocessing`` process, so a daemonic pool process -- ``bench
+    --workers N`` runs the loopback rows in one -- can start it too.  It
+    is a direct child: the caller reaps it, and its CPU time and RSS count
+    in this process's ``RUSAGE_CHILDREN``.  ``fault_plan`` (with its
+    stream-separating ``fault_salt``) becomes the child's deterministic
+    :class:`~repro.runner.faults.FaultInjector` schedule.  The child's
+    stdin, stdout and stderr go to ``/dev/null``.  Platforms without
+    ``os.fork`` have no loopback workers: use listen mode and start
+    ``worker --connect`` processes instead.
     """
-    import repro
-
-    source_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        source_root if not existing else source_root + os.pathsep + existing
-    )
-    command = [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "worker",
-        "--connect",
-        format_address(address),
-        "--workers",
-        str(procs),
-    ]
-    if exit_when_drained:
-        command.append("--exit-when-drained")
-    if verbose:
-        command.append("--verbose")
-    if fault_plan is not None:
-        command.extend(["--fault-plan", json.dumps(fault_plan.to_dict())])
-        if fault_salt:
-            command.extend(["--fault-salt", fault_salt])
-    return subprocess.Popen(
-        command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-    )
+    if not hasattr(os, "fork"):
+        raise RuntimeError(
+            "loopback workers are forked and this platform cannot fork; "
+            "use --listen and start `repro-byzantine-counting worker` processes"
+        )
+    options = {
+        "procs": procs,
+        "exit_when_drained": exit_when_drained,
+        "verbose": verbose,
+        "fault_plan": fault_plan,
+        "fault_salt": fault_salt,
+    }
+    pid = os.fork()
+    if pid == 0:
+        _loopback_worker_main(tuple(address), options)
+    return LoopbackWorker(pid)
 
 
 class DistributedBackend(ExecutionBackend):
@@ -256,13 +324,13 @@ class DistributedBackend(ExecutionBackend):
             injector=broker_injector,
         )
         address = broker.start()
-        workers: List["subprocess.Popen[bytes]"] = []
+        workers: List[LoopbackWorker] = []
         respawns_left = self.respawn_factor * self.spawn_workers
         # Every spawn (initial or respawn) gets the next ordinal, so each
         # worker process draws an independent deterministic fault stream.
         spawn_ordinals = itertools.count()
 
-        def spawn_one() -> "subprocess.Popen[bytes]":
+        def spawn_one() -> LoopbackWorker:
             return spawn_loopback_worker(
                 address,
                 procs=self.worker_procs,

@@ -65,6 +65,7 @@ from repro.runner.backends import CompletedItem, WorkItem
 from repro.runner.config import SweepConfig
 from repro.runner.distributed.protocol import (
     PROTOCOL_VERSION,
+    close_in_forked_children,
     read_message,
     reader_for,
     send_message,
@@ -546,7 +547,6 @@ class Broker:
         lose the address to lingering connection state or a reconnecting
         peer's loopback self-connect.
         """
-        self._t0 = time.monotonic()
         deadline = time.monotonic() + bind_retry_s
         while True:
             try:
@@ -557,6 +557,7 @@ class Broker:
                     raise
                 time.sleep(0.2)
         self.address = self._listener.getsockname()[:2]
+        close_in_forked_children(self._listener)
         for target in (self._accept_loop, self._reaper_loop):
             thread = threading.Thread(target=target, daemon=True)
             thread.start()
@@ -683,6 +684,7 @@ class Broker:
             except OSError:
                 return
             set_nodelay(conn)
+            close_in_forked_children(conn)
             with self._lock:
                 self._connections.append(conn)
                 self.stats["connections"] += 1
@@ -1198,9 +1200,14 @@ class Broker:
         lock); the hub drops its identity mapping here."""
 
     def _fail_all_locked(self, error: BaseException) -> None:
-        """A broker-global failure (injected crash): every live sweep dies."""
+        """A broker-global failure (injected crash): every live sweep dies.
+
+        Live means not every completion is published yet: a sweep whose
+        tasks are all marked done can still have one in flight -- the very
+        one the crash swallows -- and its consumer must not wait forever.
+        """
         for sweep in list(self._queues.values()):
-            if sweep.failure is None and sweep.outstanding > 0:
+            if sweep.failure is None and len(sweep.history) < sweep.total:
                 self._fail_queue_locked(sweep, error)
 
     def _evict_history_locked(self) -> None:

@@ -77,7 +77,9 @@ the client should back off ``retry_after_s`` seconds and resubmit.
 from __future__ import annotations
 
 import json
+import os
 import socket
+import weakref
 from typing import Any, Dict, Optional, TextIO, Tuple
 
 __all__ = [
@@ -89,6 +91,7 @@ __all__ = [
     "format_address",
     "connect",
     "set_nodelay",
+    "close_in_forked_children",
 ]
 
 PROTOCOL_VERSION = 1
@@ -136,6 +139,39 @@ def set_nodelay(sock: socket.socket) -> socket.socket:
     """Send every line as soon as it is written (disable Nagle)."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
+
+
+#: The server side of this process: listeners and the connections they
+#: accepted.  A forked child must not keep copies of these.
+_PARENT_ONLY_SOCKETS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+
+def close_in_forked_children(sock: socket.socket) -> socket.socket:
+    """Have every child this process forks close its copy of ``sock``.
+
+    A forked loopback worker (or pool process) would otherwise hold the
+    broker's listener and accepted connections, the hub's, and the
+    dashboard's: a peer whose connection the parent closes would never
+    see EOF, and an orphaned child would keep a listening port bound after
+    its parent died.  The parent's socket is untouched.
+    """
+    _PARENT_ONLY_SOCKETS.add(sock)
+    return sock
+
+
+def _close_parent_only_sockets() -> None:
+    # ``detach`` + ``os.close`` frees only the child's descriptor, even
+    # while a line reader still references the socket, and never shuts the
+    # connection down under the parent.  A closed socket detaches to -1.
+    for sock in list(_PARENT_ONLY_SOCKETS):
+        try:
+            os.close(sock.detach())
+        except OSError:
+            pass
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_parent_only_sockets)
 
 
 def connect(address: Tuple[str, int], timeout: float) -> socket.socket:

@@ -35,11 +35,15 @@ tasks are regranted immediately instead of waiting out lease expiry and
 burning a retry -- and exits the daemon loop.  The multiprocessing-pool
 path finishes its in-flight lease instead (results already fan out
 unordered, so there is no single "current" task to stop after).
+
+:func:`run_worker` is the one way a process becomes a worker: the
+``worker`` CLI and the loopback workers the backend forks both call it.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import threading
 import time
@@ -54,9 +58,9 @@ from repro.runner.distributed.protocol import (
     reader_for,
     send_message,
 )
-from repro.runner.faults import CRASH_EXIT_CODE, Backoff, FaultInjector
+from repro.runner.faults import CRASH_EXIT_CODE, Backoff, FaultInjector, FaultPlan
 
-__all__ = ["WorkerDaemon", "execute_leased_item"]
+__all__ = ["WorkerDaemon", "execute_leased_item", "run_worker"]
 
 
 def execute_leased_item(item: WorkItem) -> Tuple[int, Any, Optional[Dict[str, Any]], Optional[str], Optional[str]]:
@@ -427,7 +431,9 @@ class WorkerDaemon:
         if self._pool is None:
             from repro.runner.backends import worker_context
 
-            self._pool = worker_context().Pool(processes=self.procs)
+            self._pool = worker_context().Pool(
+                processes=self.procs, initializer=_default_sigterm
+            )
         return self._pool
 
     def _close_pool(self) -> None:
@@ -443,3 +449,44 @@ class WorkerDaemon:
             stream = self.log_stream if self.log_stream is not None else sys.stderr
             stream.write(f"[worker {self.worker_id}] {text}\n")
             stream.flush()
+
+
+def _default_sigterm() -> None:
+    """Pool initializer: a pool process dies on SIGTERM.
+
+    A forked pool process inherits :func:`run_worker`'s drain handler,
+    which would leave it running: ``Pool.terminate`` would then wait on
+    it forever, and a daemon killed while waiting orphans it.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def run_worker(
+    host: str,
+    port: int,
+    *,
+    fault_plan: Optional[FaultPlan] = None,
+    fault_salt: str = "",
+    **daemon_options: Any,
+) -> int:
+    """Run a :class:`WorkerDaemon` as this process's main loop; returns
+    its exit code.
+
+    ``fault_plan`` (with its stream-separating ``fault_salt``) becomes the
+    daemon's :class:`~repro.runner.faults.FaultInjector`; every other
+    keyword goes to :class:`WorkerDaemon`.  SIGTERM is wired to
+    :meth:`WorkerDaemon.request_shutdown` -- graceful fleet scale-down
+    finishes the task in flight and abandons the unstarted rest of the
+    lease back to the broker, instead of dying mid-lease and costing a TTL
+    expiry -- and Ctrl-C exits cleanly.
+    """
+    injector = (
+        FaultInjector(fault_plan, salt=fault_salt) if fault_plan is not None else None
+    )
+    daemon = WorkerDaemon(host, port, injector=injector, **daemon_options)
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGTERM, lambda *_: daemon.request_shutdown())
+    try:
+        return daemon.run()
+    except KeyboardInterrupt:
+        return 0

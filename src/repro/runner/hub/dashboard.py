@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
+from repro.runner.distributed.protocol import close_in_forked_children
 from repro.runner.hub.resultsdb import ResultsDB
 
 __all__ = ["DashboardServer"]
@@ -155,6 +156,8 @@ class DashboardServer:
     def start(self) -> Tuple[str, int]:
         self._httpd = ThreadingHTTPServer(self._bind, _Handler)
         self._httpd.daemon_threads = True
+        # A hub's forked pool workers must not hold the dashboard port.
+        close_in_forked_children(self._httpd.socket)
         self._httpd.dashboard = self  # type: ignore[attr-defined]
         self.address = self._httpd.server_address[:2]
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)

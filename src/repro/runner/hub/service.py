@@ -181,13 +181,15 @@ class SweepHub(Broker):
             name = str(doc.get("name") or "")
             priority = int(doc.get("priority") or 0)
             force = bool(doc.get("force", False))
-            self.journal.record(
-                identity, items, name=name, priority=priority, force=force,
-                adopted=True,
-            )
             with self._lock:
                 if identity in self._identities:
+                    # Already live: its record (done list included) is
+                    # current, and rewriting it would lose completions.
                     continue
+                self.journal.record(
+                    identity, items, name=name, priority=priority, force=force,
+                    adopted=True,
+                )
                 sweep = self._submit_locked(
                     items,
                     name=name,

@@ -29,9 +29,12 @@ import math
 import subprocess
 import sys
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.runner.distributed.broker import Broker
+
+if TYPE_CHECKING:
+    from repro.runner.distributed.backend import LoopbackWorker
 
 __all__ = ["HubSupervisor"]
 
@@ -88,7 +91,7 @@ class HubSupervisor:
         self.interval_s = interval_s
         self.procs = procs
         self.verbose = verbose
-        self._pool: List["subprocess.Popen[bytes]"] = []
+        self._pool: List["LoopbackWorker"] = []
         self._last_action: Optional[str] = None
         self._last_desired: Optional[int] = None
         self._stop = threading.Event()
@@ -192,7 +195,7 @@ class HubSupervisor:
     def _reap(self) -> int:
         """Drop exited pool members (counting unexpected deaths); returns
         the live pool size."""
-        live: List["subprocess.Popen[bytes]"] = []
+        live: List["LoopbackWorker"] = []
         for proc in self._pool:
             if proc.poll() is None:
                 live.append(proc)

@@ -1,10 +1,12 @@
 """Importable support tasks for runner/backend tests and demos.
 
-The distributed worker daemon resolves tasks in a **fresh interpreter**, so
-tasks used to exercise it must live in an importable module (each work item
-ships its registering module's name; see
+A worker daemon started on its own (``repro-byzantine-counting worker``, on
+any host) resolves tasks in a **fresh interpreter**, so tasks used to
+exercise it must live in an importable module (each work item ships its
+registering module's name; see
 :func:`repro.runner.backends.execute_work_item`).  Tasks defined inside the
-test files themselves would only resolve under fork-based pools -- these
+test files themselves would only resolve in forked workers (the pool
+backend's, and the loopback workers of the distributed backend) -- these
 live here instead.
 
 They are also useful knobs on their own: ``testing.sleep_echo`` gives a

@@ -10,7 +10,9 @@ this gate kills the *hub* and requires everyone else to self-heal:
    artifact root, crash-safe hub journal) and two persistent workers
    start as subprocesses.
 3. **Two concurrent submissions.**  Both suites are submitted with
-   ``scenario run --connect``.  Once the shared store shows progress the
+   ``scenario run --connect``.  The workers start only once the hub has
+   journaled both, so neither sweep can finish, or go unsubmitted, before
+   the kill.  Once the shared store shows progress the
    hub is SIGKILLed mid-sweep -- no goodbye, no journal flush beyond the
    last atomic write -- and restarted on the **same port** with the same
    ``--state`` directory.
@@ -128,7 +130,7 @@ def main() -> int:
         artifact_dir = tmpdir / "artifacts"
         state_dir = tmpdir / "state"
 
-        print("hub-chaos-demo: starting hub (--state) + 2 persistent workers...")
+        print("hub-chaos-demo: starting hub (--state)...")
         hub: Optional[subprocess.Popen] = None
         new_hub: Optional[subprocess.Popen] = None
         workers: List[subprocess.Popen] = []
@@ -136,7 +138,6 @@ def main() -> int:
         try:
             hub, (host, port) = _start_hub(artifact_dir, state_dir)
             address = f"{host}:{port}"
-            workers = [_start_worker(address) for _ in range(2)]
 
             print("hub-chaos-demo: submitting two overlapping sweeps concurrently...")
             client_a = subprocess.Popen(
@@ -151,6 +152,23 @@ def main() -> int:
                 stderr=subprocess.PIPE,
                 cwd=str(ROOT),
             )
+
+            # The kill must find both sweeps journaled and unfinished, so
+            # the fleet joins only once the hub holds both.
+            deadline = time.monotonic() + 60.0
+            while len(list(state_dir.glob("hub-*.state.json"))) < 2:
+                if time.monotonic() >= deadline:
+                    return _fail("timed out waiting for both submissions")
+                for key, client in (("A", client_a), ("B", client_b)):
+                    if client.poll() is not None:
+                        _, err = client.communicate()
+                        return _fail(
+                            f"client {key} exited before submitting:\n"
+                            + err.decode("utf-8", "replace")[-2000:]
+                        )
+                time.sleep(0.05)
+            print("hub-chaos-demo: both sweeps journaled; starting 2 persistent workers...")
+            workers = [_start_worker(address) for _ in range(2)]
 
             # SIGKILL the hub once the shared store shows real progress.
             deadline = time.monotonic() + 120.0

@@ -92,6 +92,14 @@ class TestRunBench:
         assert bench.find_previous_report(tmp_path, exclude=newer) == older
         assert bench.find_previous_report(tmp_path, exclude=None) == newer
 
+    def test_loopback_row_runs_inside_a_pool_worker(self):
+        # ``--workers N`` runs every row in a daemonic pool process, and a
+        # loopback row must still start its worker daemons from there.
+        (row,) = [s for s in bench.SCENARIOS if s.name == "scenario-e3-dist-loopback"]
+        pooled = bench.run_bench([row], repeats=2, workers=2)
+        serial = bench.run_bench([row], repeats=1)
+        assert pooled["scenarios"][0]["result"] == serial["scenarios"][0]["result"]
+
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError):
             bench.run_bench(TINY[:1], repeats=0)

@@ -1,15 +1,18 @@
 """Tests for the distributed sweep backend (src/repro/runner/distributed/).
 
-The fault-tolerance tests spawn real worker processes (``python -m
-repro.cli worker``) against a real TCP broker on localhost, so they take a
-few seconds; the support tasks they lease live in
-:mod:`repro.runner.testing` (an importable module -- tasks defined in this
-file would not resolve inside a freshly started worker daemon).
+The fault-tolerance tests start real worker processes (forked loopback
+worker daemons) against a real TCP broker on localhost, so they take a few
+seconds; the support tasks they lease live in :mod:`repro.runner.testing`
+(an importable module, so they also resolve in a worker daemon started on
+its own with ``repro-byzantine-counting worker``).
 """
 
 import json
+import os
+import signal
 import socket
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,8 @@ from repro.runner import (
     resolve_backend,
     resolve_task,
 )
+from repro.runner import registry
+from repro.runner.backends import worker_context
 from repro.runner.distributed import spawn_loopback_worker
 from repro.runner.distributed.protocol import (
     PROTOCOL_VERSION,
@@ -40,6 +45,7 @@ from repro.runner.distributed.protocol import (
 from repro.runner.distributed.worker import WorkerDaemon
 from repro.runner.faults import Backoff
 from repro.runner.hub import SweepHub, client
+from repro.runner.hub.dashboard import DashboardServer
 
 
 def _work_items(configs):
@@ -119,25 +125,60 @@ def _nodelay(sock):
     return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
 
+def _handshake(sock):
+    """Greet a broker as a worker called ``probe``; wait for its welcome."""
+    send_message(
+        sock,
+        {
+            "type": "hello",
+            "worker_id": "probe",
+            "host": "probe",
+            "pid": 0,
+            "procs": 1,
+            "protocol": PROTOCOL_VERSION,
+        },
+    )
+    assert read_message(reader_for(sock))["type"] == "welcome"
+
+
 def _accepted_nodelay(service):
     """Handshake as a worker; whether the service's end sets TCP_NODELAY."""
     with socket.create_connection(service.address, timeout=10.0) as sock:
-        send_message(
-            sock,
-            {
-                "type": "hello",
-                "worker_id": "probe",
-                "host": "probe",
-                "pid": 0,
-                "procs": 1,
-                "protocol": PROTOCOL_VERSION,
-            },
-        )
-        assert read_message(reader_for(sock))["type"] == "welcome"
+        _handshake(sock)
         # The accept thread records a connection before serving it, so the
         # welcome proves the service's end is the (only) one recorded.
         (conn,) = service._connections
         return _nodelay(conn)
+
+
+def _socket_inodes(pid):
+    """Inodes of the sockets process ``pid`` holds open."""
+    inodes = set()
+    for entry in Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            target = os.readlink(entry)
+        except OSError:
+            continue  # closed while we looked
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:[") : -1]))
+    return inodes
+
+
+def _fork_connected_worker(broker, address):
+    """Fork a loopback worker and wait until ``broker`` sees it connect.
+
+    The at-fork hook runs in the child before its daemon starts, so the
+    connect proves the hook is done.
+    """
+    worker = spawn_loopback_worker(address, exit_when_drained=False)
+    assert _wait_until(
+        lambda: any(
+            event["event"] == "worker-connect"
+            and event["worker"].endswith(f":{worker.pid}")
+            for event in list(broker.events)
+        )
+    )
+    return worker
 
 
 class TestSockets:
@@ -183,6 +224,95 @@ class TestSockets:
         getattr(broker, halt)()
         assert broker._threads
         assert not any(thread.is_alive() for thread in broker._threads)
+
+
+def _sigterm_is_default():
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+_ECHO_CONFIGS = [SweepConfig("testing.sleep_echo", {"value": v}) for v in range(4)]
+
+
+def _two_proc_loopback_sweep(configs):
+    backend = DistributedBackend(spawn_workers=1, worker_procs=2, quiet=True)
+    return SweepRunner(backend=backend, progress=False).run(configs)
+
+
+class TestForkedWorkers:
+    """Loopback workers are forked from the sweep process."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_forked_worker_holds_no_broker_socket(self):
+        broker = Broker()
+        address = broker.start()
+        first = socket.create_connection(address, timeout=10.0)
+        worker = None
+        try:
+            _handshake(first)
+            held = {
+                os.fstat(sock.fileno()).st_ino
+                for sock in [broker._listener, *broker._connections]
+            }
+            assert len(held) == 2
+            worker = _fork_connected_worker(broker, address)
+            assert not held & _socket_inodes(worker.pid)
+        finally:
+            if worker is not None:
+                worker.terminate()
+                worker.wait(timeout=10)
+            first.close()
+            broker.stop()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_forked_worker_holds_no_dashboard_socket(self):
+        # ``hub serve --http`` starts the dashboard before its supervisor
+        # forks pool workers; an orphaned worker must not keep the port.
+        dashboard = DashboardServer()
+        dashboard.start()
+        broker = Broker()
+        address = broker.start()
+        worker = None
+        try:
+            listener = os.fstat(dashboard._httpd.fileno()).st_ino
+            worker = _fork_connected_worker(broker, address)
+            assert listener not in _socket_inodes(worker.pid)
+        finally:
+            if worker is not None:
+                worker.terminate()
+                worker.wait(timeout=10)
+            broker.stop()
+            dashboard.stop()
+
+    def test_worker_forked_from_a_pool_process_starts_its_own_pool(self):
+        # A pool process is daemonic; its loopback worker is not, so a
+        # ``procs > 1`` worker can still fan out.
+        with worker_context().Pool(1) as pool:
+            (pooled,) = pool.map(_two_proc_loopback_sweep, [_ECHO_CONFIGS])
+        assert pooled == SweepRunner(workers=1, progress=False).run(_ECHO_CONFIGS)
+
+    def test_pool_processes_die_on_sigterm_under_a_drain_handler(self):
+        # ``Pool.terminate`` SIGTERMs its processes; one that inherited the
+        # daemon's drain handler would survive, and the pool would hang.
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        daemon = WorkerDaemon("127.0.0.1", 1, procs=2)
+        try:
+            assert daemon._ensure_pool().apply(_sigterm_is_default)
+        finally:
+            daemon._close_pool()
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_forked_workers_inherit_runtime_registered_tasks(self, monkeypatch):
+        def cube(*, value):
+            return {"value": value, "cube": value**3}
+
+        # No importable module registers this task: only a worker that
+        # inherits this process's registry can run it.
+        cube.__module__ = None
+        monkeypatch.setitem(registry._TASKS, "testing.runtime-cube", cube)
+        configs = [SweepConfig("testing.runtime-cube", {"value": v}) for v in range(4)]
+        backend = DistributedBackend(spawn_workers=1, quiet=True)
+        distributed = SweepRunner(backend=backend, progress=False).run(configs)
+        assert distributed == SweepRunner(workers=1, progress=False).run(configs)
 
 
 # --------------------------------------------------------------------------- #

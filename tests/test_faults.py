@@ -21,6 +21,7 @@ from repro.experiments import e3_benign
 from repro.runner import (
     ArtifactStore,
     Backoff,
+    Broker,
     BrokerError,
     DistributedBackend,
     FaultInjector,
@@ -335,6 +336,25 @@ class TestResume:
         state = journal.load()
         assert state["complete"] and state["resumed"] == 1
         assert len(state["done"]) == len(configs)
+
+    def test_broker_crash_fails_a_sweep_whose_last_task_is_in_flight(self):
+        # Two workers finish the last two tasks together: both are marked
+        # done before the first result reaches the crash site, so no task
+        # is outstanding, yet one completion is never published.
+        items = [
+            (i, "testing.sleep_echo", {"value": i}, "repro.runner.testing")
+            for i in range(2)
+        ]
+        broker = Broker(
+            items,
+            injector=FaultInjector(FaultPlan(seed=0, crash_broker=1.0), salt="broker"),
+        )
+        with broker._lock:
+            broker._mark_done_locked(broker._states[1])
+        broker._on_result({"type": "result", "id": 0, "result": {"value": 0}, "meta": {}})
+        assert isinstance(broker._primary.failure, InjectedBrokerCrash)
+        with pytest.raises(InjectedBrokerCrash):
+            list(broker.results())
 
 
 # --------------------------------------------------------------------------- #

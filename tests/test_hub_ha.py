@@ -197,6 +197,21 @@ class TestHubJournal:
 # --------------------------------------------------------------------------- #
 # Identity dedupe and stream re-attach
 # --------------------------------------------------------------------------- #
+class TestAdoption:
+    def test_adopting_a_live_identity_keeps_its_journaled_done_list(self, tmp_path):
+        hub = SweepHub(state_dir=tmp_path)
+        hub.journal.record("live", _items(range(3)))
+        (adopted,) = hub.adopt_journaled()
+        assert adopted["identity"] == "live"
+        hub.journal.mark_done("live", 0)
+        # The identity is live now; adopting again must leave its record.
+        assert hub.adopt_journaled() == []
+        (doc,) = HubJournal(tmp_path).incomplete()
+        assert doc["done"] == [0]
+        assert doc["adopted"] == 1
+        assert hub.stats["adopted"] == 1
+
+
 class TestIdentityReattach:
     def test_resubmitted_identity_replays_without_reexecution(self, tmp_path):
         with running_hub(tmp_path) as (hub, address):
@@ -343,7 +358,12 @@ class TestHubChaosSites:
             def hanging_send(conn, sweep, item):
                 if not state["hung"]:
                     state["hung"] = True
-                    time.sleep(1.0)  # > 4 * client_heartbeat_s
+                    # Stall until the client has given up on this stream
+                    # and re-attached on a new one.  A fixed sleep would
+                    # race the client's read timeout (floored at 1 s).
+                    deadline = time.monotonic() + 30.0
+                    while hub.stats["reattached"] < 1 and time.monotonic() < deadline:
+                        time.sleep(0.01)
                 return original(hub, conn, sweep, item)
 
             hub._send_result = hanging_send
