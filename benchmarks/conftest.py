@@ -3,7 +3,7 @@
 Every benchmark runs one experiment driver exactly once (``pedantic`` with a
 single round -- the drivers are long-running simulations, not micro-benchmarks),
 prints the regenerated table, and writes it to ``benchmarks/results/<id>.txt``
-so the numbers recorded in EXPERIMENTS.md can be regenerated verbatim.
+so the table of the last run can be read or diffed afterwards.
 """
 
 from __future__ import annotations

@@ -50,13 +50,24 @@ Implementation notes
   large simulations needlessly slow.  Message sizes still grow with the
   frontier (Θ(Δ^i) identifiers), preserving the paper's point that
   Algorithm 1 is *not* a small-message algorithm (experiment E10).
+  A view keeps its pending delta as two masks, one of record ids and one of
+  vertex slots (see below).  The sender turns them into the payload once per
+  round: claim entries in record-id order, vertex ids in slot order, and the
+  size accounting summed from per-record and per-slot costs.  The payload is
+  a private tuple subclass that also carries the two masks.  A receiver ORs
+  the masks of every such payload in its inbox and integrates the union in
+  one pass (``new = records & ~seen``), so only first sightings cost
+  per-claim work; every other payload (a Byzantine node's tuple, say) takes
+  the per-entry path inside the same :meth:`LocalView.integrate` call.
 * **Shared claim geometry.**  Every view of a run receives the same claims,
-  so a run's :class:`ClaimInterner` parses each claim value once and places
-  it in one run-wide vertex slot space (edge mask, reverse-adjacency masks,
-  and which nodes made conflicting claims).  A :class:`LocalView` only
-  records which vertices it knows and which claims it settled; the BFS
-  layers, interior and out-boundary the expansion check reads are derived
-  from those, at most once per round, when the check asks.
+  so a run's :class:`ClaimInterner` parses each claim value once, gives each
+  valid one a run-wide record id, and places it in one run-wide vertex slot
+  space (edge mask, reverse-adjacency masks, and which nodes made
+  conflicting claims).  A :class:`LocalView` only records which vertices it
+  knows (a slot mask), which claims it has seen (a record-id mask) and which
+  it settled; the BFS layers, interior and out-boundary the expansion check
+  reads are derived from those, at most once per round, when the check
+  asks.
 """
 
 from __future__ import annotations
@@ -65,9 +76,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count
+from itertools import compress, count, groupby
 from operator import attrgetter, or_
-from typing import Dict, FrozenSet, Iterable, Iterator, KeysView, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.estimate import CountingOutcome, DecisionRecord
 from repro.core.parameters import LocalParameters
@@ -90,11 +101,20 @@ __all__ = [
 #: Payload of a topology message: newly learned ``(node_id, incident_edge_ids)``
 #: pairs plus newly learned frontier vertex ids.
 TopologyDelta = Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], Tuple[int, ...]]
+ClaimEntry = Tuple[int, Tuple[int, ...]]
 
 
 #: ``bytes.translate`` table turning a string of binary digits into 0/1 bytes.
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _MASK = attrgetter("mask")
+_RBIT = attrgetter("rbit")
+_SLOT = attrgetter("slot")
+_BIT = attrgetter("bit")
+_VMASK = attrgetter("vmask")
+_SIZE = attrgetter("size")
+_ENTRY = attrgetter("entry")
+_BITS = attrgetter("bits")
+_NUM_IDS = attrgetter("num_ids")
 
 
 def _slots(mask: int) -> Iterator[int]:
@@ -102,9 +122,14 @@ def _slots(mask: int) -> Iterator[int]:
     return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_DIGITS))
 
 
+def _is_delta(payload) -> bool:
+    """Whether ``payload`` is an honest masked delta (exactly that type)."""
+    return type(payload) is _Delta
+
+
 def _claim_accounting(node_id: int, edges: Sequence[int]) -> Tuple[int, int]:
     """Exact ``estimate_payload_bits`` cost and id count of one claim entry
-    inside a delta payload (see ``LocalCountingProtocol._queue_delta``)."""
+    inside a delta payload (see ``LocalCountingProtocol._delta_message``)."""
     inner = 0
     for v in edges:
         b = v.bit_length()
@@ -120,17 +145,18 @@ class _ClaimRecord:
 
     Every receiver of a claim needs the same derived facts -- the frozenset
     of its edge ids, the canonical sorted tuple it forwards, whether the ids
-    are well-typed, the claim's exact delta-payload bit accounting, and its
-    geometry in the run's slot space (``slot``/``bit`` of the claiming node,
-    ``mask`` of its claimed neighbors).  All of them are pure functions of
-    the claim, so they are computed once per run and shared by every
-    :class:`LocalView` (see :class:`ClaimInterner`).  Malformed records get
-    no canonical form, accounting or geometry.
+    are well-typed, the claim's exact delta-payload bit accounting, its
+    record id, and its geometry in the run's slot space (``slot``/``bit`` of
+    the claiming node, ``mask`` of its claimed neighbors, ``vmask`` of both).
+    All of them are pure functions of the claim, so they are computed once
+    per run and shared by every :class:`LocalView` (see
+    :class:`ClaimInterner`).  Malformed records get no canonical form,
+    accounting, record id or geometry.
     """
 
     __slots__ = (
         "entry", "node_id", "edge_set", "canonical", "valid", "size", "bits", "num_ids",
-        "slot", "bit", "mask",
+        "rid", "rbit", "slot", "bit", "mask", "vmask",
     )
 
     def __init__(self, node_id: int, edge_ids: Iterable[int]) -> None:
@@ -157,6 +183,25 @@ class _ClaimRecord:
             self.num_ids = 0
 
 
+class _Delta(tuple):
+    """An honest node's delta payload ``(entries, vertex_ids)`` plus its masks.
+
+    ``records`` is the record-id mask of the claim entries and ``slots`` the
+    vertex-slot mask of the vertex ids.  Only
+    :meth:`LocalCountingProtocol._delta_message` builds one, from its view's
+    masks, so the entries always equal the masks; receivers integrate it by
+    its masks alone.  It is still a real tuple, so adversaries, the engine
+    and message accounting see an ordinary payload.
+    """
+
+    def __new__(cls, entries: Tuple[ClaimEntry, ...], vertex_ids: Tuple[int, ...],
+                records: int, slots: int) -> "_Delta":
+        payload = tuple.__new__(cls, (entries, vertex_ids))
+        payload.records = records
+        payload.slots = slots
+        return payload
+
+
 class ClaimInterner:
     """Hash-consing table and shared geometry for one run's topology claims.
 
@@ -164,30 +209,39 @@ class ClaimInterner:
     every type-pure payload entry seen so far (canonical or permuted) to it,
     and ``by_id`` maps ``id(record.entry)`` of the canonical singleton entry
     to it.  Honest nodes forward that singleton object itself, so a claim
-    that already reached a view is recognized with one identity lookup, and
-    its parse is done once per *run* instead of once per (receiver, arrival).
-    The table pins the singleton entries, so the ids stay stable.  Byzantine
-    entries that are not type-pure are parsed directly (raising like the
-    reference for unhashable containers) and only interned when valid.
+    entry that reaches a view by the per-entry path is recognized with one
+    identity lookup, and its parse is done once per *run* instead of once
+    per (receiver, arrival).  The table pins the singleton entries, so the
+    ids stay stable.  Byzantine entries that are not type-pure are parsed
+    directly (raising like the reference for unhashable containers) and only
+    interned when valid.
 
-    Every vertex id the run mentions gets one run-wide slot (``slot_of`` /
-    ``ids``), and each valid record gets its geometry on registration:
-    ``grev[j]`` accumulates the bits of every node with *some* valid claim
-    naming slot ``j``, ``claimed`` marks the nodes with a valid claim, and
-    ``conflicted`` the nodes the run has seen two different valid claims
-    for.  For a node outside ``conflicted`` the one claim a view can settle
-    is the one ``grev`` recorded, so views read their reverse adjacency off
-    ``grev`` and only treat conflicted nodes claim by claim (see
-    :meth:`LocalView._derive`).
+    Each valid record gets a run-wide record id on registration: ``rid`` is
+    its index in ``records`` and ``rbit`` is ``1 << rid``, so views keep
+    seen claims and pending deltas as record-id masks.  Every vertex id the
+    run mentions gets one run-wide slot (``slot_of`` / ``ids``, with its
+    payload bit cost in ``vertex_bits``), and each valid record gets its
+    geometry on registration: ``grev[j]`` accumulates the bits of every node
+    with *some* valid claim naming slot ``j``, ``claimed`` marks the nodes
+    with a valid claim, and ``conflicted`` the nodes the run has seen two
+    different valid claims for.  For a node outside ``conflicted`` the one
+    claim a view can settle is the one ``grev`` recorded, so views read
+    their reverse adjacency off ``grev`` and only treat conflicted nodes
+    claim by claim (see :meth:`LocalView._derive`).
     """
 
-    __slots__ = ("by_id", "by_value", "slot_of", "ids", "grev", "claimed", "conflicted")
+    __slots__ = (
+        "by_id", "by_value", "records", "slot_of", "ids", "vertex_bits", "grev",
+        "claimed", "conflicted",
+    )
 
     def __init__(self) -> None:
         self.by_id: Dict[int, _ClaimRecord] = {}
         self.by_value: Dict[Tuple[int, Tuple[int, ...]], _ClaimRecord] = {}
+        self.records: List[_ClaimRecord] = []
         self.slot_of: Dict[int, int] = {}
         self.ids: List[int] = []
+        self.vertex_bits: List[int] = []
         self.grev: List[int] = []
         self.claimed = 0
         self.conflicted = 0
@@ -200,6 +254,9 @@ class ClaimInterner:
             self.slot_of[node_id] = slot
             self.ids.append(node_id)
             self.grev.append(0)
+            # The id's ``estimate_payload_bits`` cost inside a vertex tuple.
+            b = node_id.bit_length()
+            self.vertex_bits.append((b if b else 1) + 2)
         return slot
 
     def intern(self, node_id: int, edge_ids: Iterable[int]) -> _ClaimRecord:
@@ -239,6 +296,9 @@ class ClaimInterner:
             return existing
         self.by_value[record.entry] = record
         self.by_id[id(record.entry)] = record
+        record.rid = len(self.records)
+        record.rbit = 1 << record.rid
+        self.records.append(record)
         place = self.slot
         slot = place(record.node_id)
         bit = 1 << slot
@@ -251,6 +311,7 @@ class ClaimInterner:
         record.slot = slot
         record.bit = bit
         record.mask = mask
+        record.vmask = bit | mask
         if self.claimed & bit:
             self.conflicted |= bit
         else:
@@ -261,13 +322,16 @@ class ClaimInterner:
 class LocalView:
     """A node's evolving approximation ``B̂(u, i)`` of the network.
 
-    The view stores only what it has been told: the known vertices (an
-    ordered id -> run-slot dict and its ``known`` bitmask), the ``settled``
-    bitmask of the vertices whose complete incident-edge claim it has
-    accepted, and that claim's shared :class:`_ClaimRecord` per settled
-    slot.  Integrating a new claim is a few dict and big-int operations,
-    with no per-edge work beyond registering vertices seen for the first
-    time.
+    The view stores only what it has been told, as masks over the run's
+    shared spaces: the ``known`` vertex slots, the record ids of the claim
+    values it has ``seen``, the ``settled`` slots whose complete
+    incident-edge claim it has accepted, and that claim's shared
+    :class:`_ClaimRecord` per settled slot.  Its pending delta is two more
+    masks: ``delta_records`` (record ids) and ``delta_vertices`` (vertex
+    slots) hold what the view learned and its owner has not broadcast yet.
+    :meth:`integrate` adds to them; the owner takes them when it broadcasts
+    and may add to them for a re-broadcast (:meth:`rebroadcast`).  They
+    start as ``B̂(u, 1)``: the owner's own claim and its neighbors.
 
     Everything Algorithm 1 checks is derived from them lazily, once per
     change, when :meth:`expansion_check_candidates` (or another query) asks:
@@ -275,7 +339,7 @@ class LocalView:
     claimers of a vertex read off the run's ``grev`` masks, plus an exact
     pass over conflicted settled claimers), the BFS layers from the owner,
     the interior set, and the interior's out-boundary.  Layer and boundary
-    sizes are popcounts.  The dict/set views (``adjacency()``,
+    sizes are popcounts.  The dict/set views (``vertices``, ``adjacency()``,
     ``layer_prefixes()``, ``interior_set()``, ``edge_sets``) are built on
     demand for tests and the exhaustive check;
     :class:`repro.core.local_view_reference.SetBasedLocalView` is the
@@ -294,17 +358,17 @@ class LocalView:
         self._interner = interner
         own = interner.intern(own_id, tuple(sorted(frozenset(neighbor_ids))))
         self._own_bit = own.bit
-        # Known vertices in first-sight order, and their mask.
-        self._index: Dict[int, int] = {own_id: own.slot}
-        for v in own.edge_set:
-            self._index[v] = interner.slot_of[v]
-        self._known = own.bit | own.mask
+        self._known = own.vmask
         # Settled claims: slot -> record, and the mask of those slots.
         self._rec: Dict[int, _ClaimRecord] = {own.slot: own}
         self._settled = own.bit
-        # Claim records already integrated (superseded values stay in: claim
-        # integration is monotone per value, see :meth:`integrate`).
-        self._seen: Set[_ClaimRecord] = set()
+        # Record ids of the claims already integrated (superseded values
+        # stay in: claim integration is monotone per value, see integrate).
+        self._seen = 0
+        # The pending delta starts as B̂(u, 1): the own claim and the
+        # neighbor vertices (Line 1 of Algorithm 1).
+        self.delta_records = own.rbit
+        self.delta_vertices = own.mask
         # Bumped whenever the view changes; derived state is tagged with it.
         self._epoch = 1
         self._derived_epoch = 0
@@ -319,18 +383,22 @@ class LocalView:
     # -- mutation ------------------------------------------------------- #
     def integrate(
         self,
-        reported_edges: Sequence[Tuple[int, Tuple[int, ...]]],
-        reported_vertices: Sequence[int],
+        reported_edges: Sequence[ClaimEntry] = (),
+        reported_vertices: Sequence[int] = (),
         *,
         max_degree: int,
         allow_updates: bool = False,
-    ) -> Tuple[bool, List[Tuple[int, Tuple[int, ...]]], List[int]]:
+        inbox: Sequence[TopologyDelta] = (),
+    ) -> Tuple[bool, List[ClaimEntry], List[int]]:
         """Merge received topology information.
 
-        Returns ``(inconsistent, new_edge_sets, new_vertices)``; the new items
-        form next round's delta broadcast.  Malformed claims (non-int ids, a
-        self-loop, more than ``max_degree`` edges) and non-int vertex ids are
-        flagged inconsistent and never integrated.
+        Integrates the payloads of ``inbox`` in arrival order, then the one
+        payload ``(reported_edges, reported_vertices)``.  Returns
+        ``(inconsistent, new_edge_sets, new_vertices)``: the claims this call
+        settled and the vertices it learned, which also go into the pending
+        delta.  Malformed claims (non-int ids, a self-loop, more than
+        ``max_degree`` edges) and non-int vertex ids are flagged inconsistent
+        and never integrated.
 
         A valid claim conflicting with the settled one for the same node is
         flagged inconsistent (Line 18 of Algorithm 1) unless
@@ -340,76 +408,174 @@ class LocalView:
         seen, so stale echoes of an old claim can never flip a view back.
         A node whose claim must return to an earlier value is re-spawned
         (see the engine's join path) or set with :meth:`update_claim`.
+
+        Consecutive honest :class:`_Delta` payloads are merged by their
+        masks: only the claims of ``records & ~seen`` are looked at, in
+        record-id order, and the new ones are listed in record-id and slot
+        order.  That is exact because claims for different nodes do not
+        interact.  When the merged payloads hold two unseen claims for one
+        node, the outcome depends on arrival order (the last one wins in
+        dynamic runs), so those payloads take the per-entry path in arrival
+        order instead.  Every other payload (a Byzantine node's tuple, or
+        the positional one) always takes the per-entry path, in order: an
+        entry resolves to its shared record by identity or by value, and
+        new items are listed in arrival order.  A raising entry
+        (unhashable edge container) propagates, keeping every claim
+        integrated before it, like the reference implementation.
         """
+        new_edge_sets: List[ClaimEntry] = []
+        new_vertices: List[int] = []
+        inconsistent = False
+        payloads = (*inbox, (reported_edges, reported_vertices))
+        for masked, run in groupby(payloads, _is_delta):
+            if masked:
+                inconsistent |= self._merge_deltas(
+                    list(run), max_degree, allow_updates, new_edge_sets, new_vertices
+                )
+                continue
+            for entries, vertices in run:
+                inconsistent |= self._integrate_entries(
+                    entries, vertices, max_degree, allow_updates, new_edge_sets, new_vertices
+                )
+        return inconsistent, new_edge_sets, new_vertices
+
+    def _merge_deltas(
+        self,
+        deltas: List[_Delta],
+        max_degree: int,
+        allow_updates: bool,
+        new_edge_sets: List[ClaimEntry],
+        new_vertices: List[int],
+    ) -> bool:
+        """Integrate honest delta payloads by their OR-ed masks."""
+        records = slots = 0
+        for payload in deltas:
+            records |= payload.records
+            slots |= payload.slots
+        new = records & ~self._seen
+        claims = list(map(self._interner.records.__getitem__, _slots(new)))
+        claim_slots = list(map(_SLOT, claims))
+        if len(set(claim_slots)) < len(claim_slots):
+            # Two unseen claims for one node: arrival order decides.
+            inconsistent = False
+            for entries, vertices in deltas:
+                inconsistent |= self._integrate_entries(
+                    entries, vertices, max_degree, allow_updates, new_edge_sets, new_vertices
+                )
+            return inconsistent
+        rec = self._rec
+        inconsistent = updated = False
+        fresh = new
+        if any(map(rec.__contains__, claim_slots)) or max(map(_SIZE, claims), default=0) > max_degree:
+            # Claims over the degree bound or for settled nodes are sorted
+            # out one by one; every other claim settles below.
+            kept = []
+            for record in claims:
+                current = rec.get(record.slot)
+                if record.size > max_degree or (
+                    current is not None and current is not record and not allow_updates
+                ):
+                    inconsistent = True
+                    new &= ~record.rbit
+                    fresh &= ~record.rbit
+                elif current is record:
+                    fresh &= ~record.rbit
+                else:
+                    updated = updated or current is not None
+                    kept.append(record)
+            claims = kept
+        rec.update(zip(map(_SLOT, claims), claims))
+        grown = reduce(or_, map(_VMASK, claims), slots) & ~self._known
+        new_edge_sets.extend(map(_ENTRY, claims))
+        new_vertices.extend(self._mask_ids(grown))
+        self._seen |= new
+        self._settled = reduce(or_, map(_BIT, claims), self._settled)
+        self._known |= grown
+        self.delta_records |= fresh
+        self.delta_vertices |= grown
+        self._changed(updated, bool(claims) or bool(grown))
+        return inconsistent
+
+    def _integrate_entries(
+        self,
+        reported_edges: Sequence[ClaimEntry],
+        reported_vertices: Sequence[int],
+        max_degree: int,
+        allow_updates: bool,
+        new_edge_sets: List[ClaimEntry],
+        new_vertices: List[int],
+    ) -> bool:
+        """Integrate one payload entry by entry, in arrival order."""
         interner = self._interner
         by_id = interner.by_id
         slot_of = interner.slot_of
-        index = self._index
         rec = self._rec
         seen = self._seen
-        known = self._known
+        known = start = self._known
         settled = self._settled
-        inconsistent = False
-        updated = False
-        new_edge_sets: List[Tuple[int, Tuple[int, ...]]] = []
-        new_vertices: List[int] = []
+        inconsistent = updated = False
+        fresh = 0
         try:
             for entry in reported_edges:
                 # Honest forwarders re-broadcast the interned singleton
-                # entries, so almost every entry resolves by identity.
+                # entries, so they resolve by identity.
                 record = by_id.get(id(entry))
                 if record is None:
                     record = interner.resolve(entry)
-                if record in seen:
-                    # The common case: every delta arrives once per neighbor.
+                if not record.valid:
+                    inconsistent = True
                     continue
-                if not record.valid or record.size > max_degree:
+                if seen & record.rbit:
+                    continue
+                if record.size > max_degree:
                     inconsistent = True
                     continue
                 slot = record.slot
                 current = rec.get(slot)
-                if current is record:
-                    seen.add(record)
-                    continue
-                if current is not None:
+                if current is not None and current is not record:
                     if not allow_updates:
                         inconsistent = True
                         continue
                     updated = True
-                seen.add(record)
+                seen |= record.rbit
+                if current is record:
+                    continue
                 rec[slot] = record
                 settled |= record.bit
+                fresh |= record.rbit
                 new_edge_sets.append(record.entry)
-                if record.node_id not in index:
-                    index[record.node_id] = slot
-                    known |= record.bit
-                    new_vertices.append(record.node_id)
-                fresh = record.mask & ~known
-                if fresh:
-                    known |= fresh
+                grown = record.vmask & ~known
+                if grown:
+                    known |= grown
+                    if grown & record.bit:
+                        new_vertices.append(record.node_id)
                     for v in record.edge_set:
-                        if v not in index:
-                            index[v] = slot_of[v]
+                        if grown >> slot_of[v] & 1:
                             new_vertices.append(v)
             for node_id in reported_vertices:
                 if not isinstance(node_id, int):
                     inconsistent = True
                     continue
-                if node_id not in index:
-                    slot = interner.slot(node_id)
-                    index[node_id] = slot
-                    known |= 1 << slot
+                bit = 1 << interner.slot(node_id)
+                if not known & bit:
+                    known |= bit
                     new_vertices.append(node_id)
         finally:
-            # A raising entry (unhashable edge container) keeps every claim
-            # integrated before it, like the reference implementation.
-            self._known = known
+            # A raising entry keeps every claim integrated before it.
+            self._seen = seen
             self._settled = settled
-            if updated:
-                self._claims_changed()
-            elif new_edge_sets or new_vertices:
-                self._epoch += 1
-        return inconsistent, new_edge_sets, new_vertices
+            self._known = known
+            self.delta_records |= fresh
+            self.delta_vertices |= known & ~start
+            self._changed(updated, bool(fresh) or known != start)
+        return inconsistent
+
+    def _changed(self, updated: bool, added: bool) -> None:
+        """Invalidate derived state after claims were replaced or added."""
+        if updated:
+            self._claims_changed()
+        elif added:
+            self._epoch += 1
 
     def _claims_changed(self) -> None:
         """A settled claim changed or was dropped: the interior may shrink."""
@@ -418,15 +584,15 @@ class LocalView:
 
     def _put_claim(self, record: _ClaimRecord) -> None:
         """Force ``record`` as its node's settled claim (the dynamic ops)."""
-        index = self._index
-        slot_of = self._interner.slot_of
-        for v in (record.node_id, *record.edge_set):
-            if v not in index:
-                index[v] = slot_of[v]
-        self._known |= record.bit | record.mask
+        self._known |= record.vmask
         self._rec[record.slot] = record
         self._settled |= record.bit
-        self._seen.add(record)
+        self._seen |= record.rbit
+
+    def rebroadcast(self) -> None:
+        """Put the whole view into the pending delta (a bootstrap dump)."""
+        self.delta_records |= reduce(or_, map(_RBIT, self._rec.values()), 0)
+        self.delta_vertices |= self._known
 
     def delete_edge(self, a: int, b: int) -> bool:
         """Remove edge ``{a, b}`` from both endpoints' settled claims.
@@ -461,7 +627,7 @@ class LocalView:
         record = self._rec.pop(self._interner.slot_of.get(node_id), None)
         if record is None:
             return False
-        self._seen.discard(record)
+        self._seen &= ~record.rbit
         self._settled &= ~record.bit
         self._claims_changed()
         return True
@@ -471,21 +637,20 @@ class LocalView:
 
         The owner's own claim must track engine-level topology changes even
         when the target value was seen before (e.g. an edge removed and later
-        restored), so this bypasses the seen-set entirely.  Returns whether
+        restored), so this bypasses the seen mask entirely.  Returns whether
         the settled claim changed.
         """
         record = self._interner.intern(node_id, tuple(sorted(edge_ids)))
         if self._rec.get(record.slot) is record:
-            self._seen.add(record)
+            self._seen |= record.rbit
             return False
         self._put_claim(record)
         self._claims_changed()
         return True
 
-    def settled_entries(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        """Interned payload entries of every settled claim (bootstrap dump)."""
-        rec = self._rec
-        return [rec[slot].entry for slot in self._index.values() if slot in rec]
+    def settled_entries(self) -> List[ClaimEntry]:
+        """Interned payload entries of every settled claim."""
+        return list(map(_ENTRY, self._rec.values()))
 
     # -- derived structure ---------------------------------------------- #
     def _mask_ids(self, mask: int) -> List[int]:
@@ -548,9 +713,9 @@ class LocalView:
 
     # -- structure queries ---------------------------------------------- #
     @property
-    def vertices(self) -> KeysView[int]:
-        """All known vertex ids (a live, set-like view of the intern table)."""
-        return self._index.keys()
+    def vertices(self) -> FrozenSet[int]:
+        """All known vertex ids (a fresh frozenset per call)."""
+        return frozenset(self._mask_ids(self._known))
 
     @property
     def edge_sets(self) -> Dict[int, FrozenSet[int]]:
@@ -566,14 +731,15 @@ class LocalView:
         grev = self._interner.grev
         plain = self._settled & ~self._interner.conflicted
         conflicted = self._conflicted_claims()
+        ids = self._interner.ids
         adjacency: Dict[int, Set[int]] = {}
-        for node_id, slot in self._index.items():
+        for slot in _slots(self._known):
             record = rec.get(slot)
             mask = (record.mask if record is not None else 0) | (grev[slot] & plain)
             for claimer in conflicted:
                 if claimer.mask >> slot & 1:
                     mask |= claimer.bit
-            adjacency[node_id] = set(self._mask_ids(mask))
+            adjacency[ids[slot]] = set(self._mask_ids(mask))
         return adjacency
 
     def layer_prefixes(self, adj: Optional[Dict[int, Set[int]]] = None) -> List[FrozenSet[int]]:
@@ -639,7 +805,7 @@ class LocalView:
 
     def size(self) -> int:
         """Number of known vertices."""
-        return len(self._index)
+        return self._known.bit_count()
 
 
 class LocalCountingProtocol(Protocol):
@@ -668,23 +834,6 @@ class LocalCountingProtocol(Protocol):
         self._decided = False
         self._estimate: Optional[float] = None
         self._decision_round: Optional[int] = None
-        # The delta broadcast is accumulated together with its exact
-        # ``estimate_payload_bits`` size and id count, so building the message
-        # never re-walks the payload (the per-round walk showed up in
-        # profiles; deltas carry Θ(Δ^i) identifiers).
-        self._pending_edges: List[Tuple[int, Tuple[int, ...]]] = []
-        self._pending_vertices: List[int] = []
-        self._pending_edge_bits = 0
-        self._pending_edge_ids = 0
-        self._pending_vertex_bits = 0
-        # The initial delta is exactly B̂(u, 1): the node's own edge set and
-        # its neighbor vertices (Line 1 of Algorithm 1).  The own claim is
-        # interned so that every receiver recognizes its re-broadcasts by
-        # identity.
-        own_claim = self._interner.intern(
-            ctx.node_id, tuple(sorted(ctx.neighbor_ids.values()))
-        )
-        self._queue_delta([own_claim.entry], sorted(ctx.neighbor_ids.values()))
 
     # -- Protocol interface --------------------------------------------- #
     @property
@@ -706,64 +855,35 @@ class LocalCountingProtocol(Protocol):
         return self._decided
 
     # -- helpers ---------------------------------------------------------- #
-    def _queue_delta(
-        self,
-        new_edges: Sequence[Tuple[int, Tuple[int, ...]]],
-        new_vertices: Sequence[int],
-    ) -> None:
-        """Append to the pending delta, accumulating its exact size accounting.
-
-        The running sums reproduce ``estimate_payload_bits`` over the final
-        ``TopologyDelta`` payload term by term (each integer costs
-        ``max(1, bit_length)`` bits, containers add 2 framing bits per
-        element); ``tests/test_perf_equivalence.py`` locks the equivalence
-        down.
-        """
-        edge_bits = 0
-        edge_ids = 0
-        by_id = self._interner.by_id
-        for claim_entry in new_edges:
-            record = by_id.get(id(claim_entry))
-            if record is not None:
-                # Interned claim: the accounting was computed once per run.
-                edge_bits += record.bits
-                edge_ids += record.num_ids
-                continue
-            node_id, edges = claim_entry
-            bits, ids = _claim_accounting(node_id, edges)
-            edge_bits += bits
-            edge_ids += ids
-        vertex_bits = 0
-        for v in new_vertices:
-            b = v.bit_length()
-            vertex_bits += (b if b else 1) + 2
-        self._pending_edges.extend(new_edges)
-        self._pending_vertices.extend(new_vertices)
-        self._pending_edge_bits += edge_bits
-        self._pending_edge_ids += edge_ids
-        self._pending_vertex_bits += vertex_bits
-
     def _delta_message(self) -> Message:
-        payload: TopologyDelta = (
-            tuple(self._pending_edges),
-            tuple(self._pending_vertices),
+        """Broadcast the view's pending delta and clear it.
+
+        The payload is built once from the two masks: claim entries in
+        record-id order, vertex ids in slot order.  ``size_bits`` and
+        ``num_ids`` follow the documented accounting
+        (``estimate_payload_bits`` over the payload: each integer costs
+        ``max(1, bit_length)`` bits, containers add 2 framing bits per
+        element), summed from the run's per-record and per-slot costs
+        instead of a payload walk; ``tests/test_perf_equivalence.py`` locks
+        the equivalence down.
+        """
+        view = self.view
+        interner = self._interner
+        records, slots = view.delta_records, view.delta_vertices
+        view.delta_records = view.delta_vertices = 0
+        claims = list(map(interner.records.__getitem__, _slots(records)))
+        vertex_slots = list(_slots(slots))
+        payload = _Delta(
+            tuple(map(_ENTRY, claims)),
+            tuple(map(interner.ids.__getitem__, vertex_slots)),
+            records,
+            slots,
         )
-        num_ids = self._pending_edge_ids + len(self._pending_vertices)
-        # ``size_bits`` follows the documented accounting
-        # (``estimate_payload_bits`` over the payload), assembled from the
-        # accumulators of ``_queue_delta`` instead of a second payload walk.
-        edge_sum = self._pending_edge_bits
-        vertex_sum = self._pending_vertex_bits
+        edge_sum = sum(map(_BITS, claims))
+        vertex_sum = sum(map(interner.vertex_bits.__getitem__, vertex_slots))
         size_bits = (edge_sum if edge_sum else 1) + 2 + (vertex_sum if vertex_sum else 1) + 2
-        message = Message(
-            kind="topology", payload=payload, size_bits=size_bits, num_ids=num_ids
-        )
-        self._pending_edges = []
-        self._pending_vertices = []
-        self._pending_edge_bits = 0
-        self._pending_edge_ids = 0
-        self._pending_vertex_bits = 0
-        return message
+        num_ids = sum(map(_NUM_IDS, claims)) + len(vertex_slots)
+        return Message(kind="topology", payload=payload, size_bits=size_bits, num_ids=num_ids)
 
     def _decide(self, round_number: int) -> None:
         self._decided = True
@@ -836,6 +956,7 @@ class LocalCountingProtocol(Protocol):
 
         inconsistent = False
         newly_added = 0
+        payloads: List[TopologyDelta] = []
         for message in inbox:
             if message.kind != "topology":
                 # Unexpected message kinds from a neighbor are malformed
@@ -851,20 +972,20 @@ class LocalCountingProtocol(Protocol):
             ):
                 inconsistent = True
                 continue
-            reported_edges, reported_vertices = payload
-            try:
-                bad, new_edges, new_vertices = self.view.integrate(
-                    reported_edges,
-                    reported_vertices,
-                    max_degree=self.params.max_degree,
-                    allow_updates=self._dynamic,
-                )
-            except (TypeError, ValueError):
-                inconsistent = True
-                continue
+            payloads.append(payload)
+        try:
+            bad, _, new_vertices = self.view.integrate(
+                inbox=payloads,
+                max_degree=self.params.max_degree,
+                allow_updates=self._dynamic,
+            )
+        except (TypeError, ValueError):
+            # A raising entry leaves the view part-integrated, but the node
+            # decides this round, so the view is never read again.
+            inconsistent = True
+        else:
             inconsistent = inconsistent or bad
-            self._queue_delta(new_edges, new_vertices)
-            newly_added += len(new_vertices)
+            newly_added = len(new_vertices)
 
         if inconsistent or mute_neighbor:
             self._decide(round_number)
@@ -887,7 +1008,7 @@ class LocalCountingProtocol(Protocol):
         Removed edges are excised from the view (both endpoints' claims
         shrink); added edges update the own claim and trigger a full-view
         re-broadcast so a (re)joining neighbor can bootstrap -- every other
-        receiver deduplicates the dump by claim identity.
+        receiver deduplicates the dump by record id.
         """
         if self._decided:
             return
@@ -900,12 +1021,12 @@ class LocalCountingProtocol(Protocol):
         if added_neighbors:
             self._pending_neighbors.extend(added_neighbors)
             view.update_claim(ctx.node_id, ctx.neighbor_ids.values())
-            self._queue_delta(view.settled_entries(), sorted(view.vertices))
+            view.rebroadcast()
         elif changed:
             record = self._interner.intern(
                 ctx.node_id, tuple(sorted(ctx.neighbor_ids.values()))
             )
-            self._queue_delta([record.entry], [])
+            view.delta_records |= record.rbit
 
 
 @dataclass

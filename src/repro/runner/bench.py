@@ -524,6 +524,11 @@ SCENARIOS: Tuple[BenchScenario, ...] = (
     # whole run quadratic in n).  Pinned like every parameterization above
     # -- append, never edit.
     BenchScenario("e12-local-n1024", "bench.local", {"n": 1024, "degree": 8, "seed": 0}),
+    # Appended with record-id masked deltas: the next point of the Algorithm 1
+    # scaling curve.  Larger sizes (n4096, n16384) are left out: every view
+    # settles ~n claims, so a run holds ~n^2 claim references; the n=2048
+    # run already peaks at ~260 MB resident and takes ~20 s.
+    BenchScenario("e12-local-n2048", "bench.local", {"n": 2048, "degree": 8, "seed": 0}),
 )
 
 #: Reduced suite for ``make bench-smoke`` (sub-minute end to end).

@@ -9,7 +9,9 @@ payloads -- and assert after every step that
   scratch off the adjacency (the pre-refactor definitions), and
 * the bitset ``LocalView`` agrees observable-for-observable (including
   ``integrate``'s return values) with the retained set-based reference
-  implementation :class:`repro.core.local_view_reference.SetBasedLocalView`.
+  implementation :class:`repro.core.local_view_reference.SetBasedLocalView`,
+  also when it integrates honest nodes' masked deltas by their masks and
+  the reference is fed the same payloads one by one.
 """
 
 import random
@@ -17,8 +19,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.local_counting import ClaimInterner, LocalView
+from repro.core.local_counting import ClaimInterner, LocalCountingProtocol, LocalView
 from repro.core.local_view_reference import SetBasedLocalView
+from repro.core.parameters import LocalParameters
+from repro.simulator.node import NodeContext
 
 
 # --------------------------------------------------------------------------- #
@@ -639,3 +643,192 @@ class TestSharedInternerFuzz:
             for view, ref in pairs:
                 assert_views_equal(view, ref)
                 assert set(view.settled_entries()) == set(ref.settled_entries())
+
+
+# --------------------------------------------------------------------------- #
+# Masked honest deltas (record-id and vertex-slot masks) vs the reference
+# --------------------------------------------------------------------------- #
+def honest_node(interner, own, neighbors, dynamic=False):
+    """An Algorithm 1 node on ``interner`` whose ``_delta_message`` builds the
+    masked payloads honest nodes broadcast."""
+    neighbors = tuple(neighbors)
+    ctx = NodeContext(
+        index=own,
+        node_id=own,
+        neighbors=neighbors,
+        neighbor_ids={v: v for v in neighbors},
+        rng=random.Random(0),
+    )
+    return LocalCountingProtocol(
+        ctx, LocalParameters(max_degree=MAX_DEGREE), interner=interner, dynamic=dynamic
+    )
+
+
+def integrate_in_order(reference, inbox, allow_updates):
+    """The reference fed an inbox payload by payload, as the protocol used to
+    call it: the OR of the flags and every new claim and vertex, in order."""
+    inconsistent = False
+    new_edges, new_vertices = [], []
+    for entries, vertices in inbox:
+        bad, edges, fresh = reference.integrate(
+            entries, vertices, max_degree=MAX_DEGREE, allow_updates=allow_updates
+        )
+        inconsistent = inconsistent or bad
+        new_edges += edges
+        new_vertices += fresh
+    return inconsistent, new_edges, new_vertices
+
+
+#: An entry whose edge container cannot be hashed: integrate raises on it.
+RAISING = (4, (5, [6]))
+byzantine_payloads = st.tuples(
+    st.lists(
+        st.one_of(pool_claims(), pool_claims(), st.sampled_from(MALFORMED + (RAISING,))),
+        max_size=3,
+    ).map(tuple),
+    fuzz_vertices.map(tuple),
+)
+mask_ops = st.one_of(
+    # One synchronous round: every view integrates the other views' last
+    # broadcasts in the drawn order, with Byzantine per-entry payloads
+    # inserted at drawn places, then broadcasts its own delta.
+    st.tuples(
+        st.just("round"),
+        st.permutations(range(4)),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4), byzantine_payloads), max_size=4),
+    ),
+    st.tuples(st.just("delete"), st.integers(0, 3), st.sampled_from(POOL), st.sampled_from(POOL)),
+    st.tuples(st.just("retract"), st.integers(0, 3), st.sampled_from(POOL)),
+    st.tuples(st.just("update"), st.integers(0, 3), pool_claims()),
+)
+
+
+class TestMaskedDeltaFuzz:
+    """2-4 nodes on one interner exchanging masked deltas, mixed with
+    Byzantine per-entry payloads, each view against its own reference."""
+
+    @given(
+        allow_updates=st.booleans(),
+        owners=st.lists(
+            st.tuples(st.sampled_from(POOL), st.lists(st.sampled_from(POOL), max_size=4)),
+            min_size=2,
+            max_size=4,
+        ),
+        ops=st.lists(mask_ops, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_views_and_deltas_track_their_references(self, allow_updates, owners, ops):
+        interner = ClaimInterner()
+        nodes, references, pending = [], [], []
+        for own, neighbors in owners:
+            neighbors = sorted(set(neighbors) - {own})
+            node = honest_node(interner, own, neighbors, allow_updates)
+            nodes.append(node)
+            references.append(SetBasedLocalView(own, neighbors))
+            # The reference's pending delta: B̂(u, 1) to start with.
+            pending.append(({node.view.settled_entries()[0]}, set(neighbors)))
+        live = list(range(len(nodes)))
+        outgoing = [None] * len(nodes)
+
+        def broadcast():
+            for j in live:
+                payload = nodes[j]._delta_message().payload
+                assert (set(payload[0]), set(payload[1])) == pending[j]
+                pending[j] = (set(), set())
+                outgoing[j] = payload
+
+        broadcast()
+        for op in ops:
+            if op[0] == "round":
+                _, order, byzantine = op
+                for k in list(live):
+                    view, reference = nodes[k].view, references[k]
+                    inbox = [outgoing[j] for j in order if j in live and j != k]
+                    for receiver, place, payload in byzantine:
+                        if receiver % len(nodes) == k:
+                            inbox.insert(place, payload)
+                    try:
+                        got = view.integrate(
+                            inbox=inbox, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                        )
+                    except TypeError:
+                        # The reference raises too.  A node that raised
+                        # decides, so its view is never read again.
+                        with pytest.raises(TypeError):
+                            integrate_in_order(reference, inbox, allow_updates)
+                        live.remove(k)
+                        continue
+                    expected = integrate_in_order(reference, inbox, allow_updates)
+                    assert got[0] == expected[0]
+                    assert sorted(got[1]) == sorted(expected[1])
+                    assert sorted(got[2]) == sorted(expected[2])
+                    pending[k][0].update(expected[1])
+                    pending[k][1].update(expected[2])
+                    assert_views_equal(view, reference)
+                broadcast()
+                continue
+            k = op[1] % len(nodes)
+            if k not in live:
+                continue
+            view, reference = nodes[k].view, references[k]
+            if op[0] == "retract":
+                assert view.retract_claim(op[2]) == reference.retract_claim(op[2])
+            elif not allow_updates:
+                # Deletions and updates supersede claim values, which only
+                # dynamic runs do (static integrate flags them as conflicts).
+                continue
+            elif op[0] == "delete":
+                assert view.delete_edge(op[2], op[3]) == reference.delete_edge(op[2], op[3])
+            else:
+                node, edges = op[2]
+                assert view.update_claim(node, edges) == reference.update_claim(node, edges)
+            assert_views_equal(view, reference)
+            assert set(view.settled_entries()) == set(reference.settled_entries())
+
+
+class TestMaskedDeltaOrder:
+    """The order contract of masked deltas."""
+
+    def test_static_inbox_order_does_not_change_the_forwarded_delta(self):
+        interner = ClaimInterner()
+        senders = [
+            honest_node(interner, own, neighbors)
+            for own, neighbors in ((1, (0, 2, 5)), (2, (0, 1, 6)), (3, (0, 7, 8)))
+        ]
+        honest = [sender._delta_message().payload for sender in senders]
+        byzantine = (((9, (3, 10)), (4, (0, 11))), (12,))
+        forwarded = []
+        for inbox in (honest + [byzantine], [byzantine] + honest[::-1]):
+            receiver = honest_node(interner, 0, (1, 2, 3, 4))
+            receiver._delta_message()  # its initial delta
+            bad, _, _ = receiver.view.integrate(inbox=inbox, max_degree=MAX_DEGREE)
+            assert not bad
+            forwarded.append(receiver._delta_message().payload)
+        first, second = forwarded
+        assert first == second and first.records == second.records
+        entries, vertices = first
+        rids = [interner.resolve(entry).rid for entry in entries]
+        assert rids == sorted(rids) and len(rids) == 5
+        slots = [interner.slot_of[v] for v in vertices]
+        assert slots == sorted(slots) and 12 in vertices
+
+    def test_dynamic_same_round_collision_resolves_in_arrival_order(self):
+        # Two neighbors forward different new claims for node 5 in the same
+        # round.  Record-id order would always let (6, 8) win; arrival order
+        # (the last one wins, as for per-entry payloads) decides instead.
+        interner = ClaimInterner()
+        a = honest_node(interner, 1, (0,), dynamic=True)
+        b = honest_node(interner, 2, (0,), dynamic=True)
+        a.view.integrate([(5, (6, 7))], [], max_degree=MAX_DEGREE, allow_updates=True)
+        b.view.integrate([(5, (6, 8))], [], max_degree=MAX_DEGREE, allow_updates=True)
+        from_a, from_b = a._delta_message().payload, b._delta_message().payload
+        assert interner.intern(5, (6, 7)).rid < interner.intern(5, (6, 8)).rid
+        for inbox, winner in (([from_a, from_b], {6, 8}), ([from_b, from_a], {6, 7})):
+            view = LocalView(0, (1, 2), interner=interner)
+            reference = SetBasedLocalView(0, (1, 2))
+            got = view.integrate(inbox=inbox, max_degree=MAX_DEGREE, allow_updates=True)
+            expected = integrate_in_order(reference, inbox, allow_updates=True)
+            assert view.edge_sets[5] == reference.edge_sets[5] == frozenset(winner)
+            assert got[0] is expected[0] is False
+            assert sorted(got[1]) == sorted(expected[1])
+            assert_views_equal(view, reference)

@@ -99,7 +99,7 @@ class TestDeltaSizeAccounting:
                     rng.randrange(0, 1 << rng.randrange(1, 40))
                     for _ in range(rng.randrange(0, 5))
                 ]
-                protocol._queue_delta(entries, vertices)
+                protocol.view.integrate(entries, vertices, max_degree=8)
             message = protocol._delta_message()
             assert message.size_bits == estimate_payload_bits(message.payload)
             edges, vertices = message.payload
@@ -108,8 +108,9 @@ class TestDeltaSizeAccounting:
     def test_zero_valued_ids_cost_one_bit(self):
         protocol = self._protocol()
         protocol._delta_message()
-        protocol._queue_delta([(0, (0,))], [0])
+        protocol.view.integrate([(0, (1,))], [0, 2], max_degree=8)
         message = protocol._delta_message()
+        assert message.payload == (((0, (1,)),), (0, 1, 2))
         assert message.size_bits == estimate_payload_bits(message.payload)
 
 
