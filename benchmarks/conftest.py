@@ -1,38 +1,24 @@
-"""Shared benchmark fixtures.
+"""Shared fixture of the paper-claim checks (``bench_e*.py``).
 
-Every benchmark runs one experiment driver exactly once (``pedantic`` with a
-single round -- the drivers are long-running simulations, not micro-benchmarks),
-prints the regenerated table, and writes it to ``benchmarks/results/<id>.txt``
-so the table of the last run can be read or diffed afterwards.
+Each check runs one experiment driver once, prints the regenerated table
+(shown with ``pytest -s`` or on failure), and asserts the paper's claim on
+its rows.  ``make test`` runs them with
+``pytest -o python_files='test_*.py bench_*.py'``.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
 
 
 @pytest.fixture
-def run_experiment_benchmark(benchmark, results_dir):
-    """Run an experiment driver once under pytest-benchmark and persist its table."""
+def run_experiment_benchmark():
+    """Run an experiment driver once and return its result."""
 
     def _run(experiment_id: str, driver, **kwargs):
-        result = benchmark.pedantic(
-            lambda: driver(**kwargs), rounds=1, iterations=1, warmup_rounds=0
-        )
-        rendered = result.render()
+        result = driver(**kwargs)
         print()
-        print(rendered)
-        (results_dir / f"{experiment_id}.txt").write_text(rendered + "\n")
+        print(result.render())
         assert result.rows, f"experiment {experiment_id} produced no rows"
         return result
 

@@ -452,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILENAME",
         help=(
-            "file name for the written report (default BENCH_<date>.json); "
-            "use to avoid clobbering a same-day baseline"
+            "file name for the written report, overwritten if it exists "
+            "(default: the first free BENCH_<date>.json, BENCH_<date>b.json, ...)"
         ),
     )
     bench_parser.add_argument(
@@ -792,8 +792,7 @@ def _command_bench(args: argparse.Namespace) -> int:
     print(bench.render_report(report))
 
     # Resolve (and read) the comparison baseline *before* writing the new
-    # file: a same-day re-run overwrites BENCH_<date>.json, which would
-    # otherwise silently destroy the baseline and skip the regression gate.
+    # file, so the report just written is never its own baseline.
     previous_path = None
     previous = None
     if args.compare_to is not None:

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
+from string import ascii_lowercase
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runner.config import SweepConfig
@@ -612,15 +613,32 @@ def run_bench(
 def write_report(
     report: Dict[str, Any], directory: Union[str, Path], *, filename: Optional[str] = None
 ) -> Path:
-    """Write ``report`` as ``BENCH_<date>.json`` in ``directory``."""
+    """Write ``report`` in ``directory`` and return its path.
+
+    ``filename`` is written as given.  Without it the report takes the
+    first free name of the day's sequence ``BENCH_<date>.json``,
+    ``BENCH_<date>b.json``, ... ``BENCH_<date>z.json``, which sorts after
+    the day's earlier reports, so an existing file is never overwritten.
+    """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    name = filename if filename is not None else f"{BENCH_PREFIX}{date.today().isoformat()}.json"
-    path = root / name
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    if filename is not None:
+        names, mode = [filename], "w"
+    else:
+        stem = f"{BENCH_PREFIX}{date.today().isoformat()}"
+        names = [f"{stem}{suffix}.json" for suffix in ["", *ascii_lowercase[1:]]]
+        mode = "x"
+    for name in names:
+        path = root / name
+        try:
+            handle = path.open(mode, encoding="utf-8")
+        except FileExistsError:
+            continue
+        with handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        return path
+    raise FileExistsError(f"no free report name left in {root} after {names[-1]}")
 
 
 def load_report(path: Union[str, Path]) -> Dict[str, Any]:

@@ -1,6 +1,7 @@
 """Tests for the persistent benchmark harness and runner execution metadata."""
 
 import json
+from datetime import date
 
 import pytest
 
@@ -91,6 +92,21 @@ class TestRunBench:
         assert bench.find_previous_report(tmp_path) == newer
         assert bench.find_previous_report(tmp_path, exclude=newer) == older
         assert bench.find_previous_report(tmp_path, exclude=None) == newer
+
+    def test_same_day_reports_take_the_next_free_name(self, tmp_path, monkeypatch):
+        class FixedDate:
+            @staticmethod
+            def today():
+                return date(2000, 1, 1)
+
+        monkeypatch.setattr(bench, "date", FixedDate)
+        report = bench.run_bench(TINY[:1], repeats=1)
+        first = bench.write_report(report, tmp_path)
+        second = bench.write_report(report, tmp_path)
+        assert first.name == "BENCH_2000-01-01.json"
+        assert second.name == "BENCH_2000-01-01b.json"
+        assert first.exists() and second.exists()
+        assert bench.find_previous_report(tmp_path) == second
 
     def test_loopback_row_runs_inside_a_pool_worker(self):
         # ``--workers N`` runs every row in a daemonic pool process, and a
@@ -222,9 +238,9 @@ class TestBenchCli:
         assert "FAIL" in capsys.readouterr().out
 
     def test_same_day_rerun_compares_before_overwriting(self, tmp_path, capsys):
-        # A same-day re-run overwrites BENCH_<today>.json; the baseline must
-        # be read for comparison *before* the overwrite, or the regression
-        # gate silently skips.
+        # A same-day re-run writes BENCH_<today>b.json; the baseline must be
+        # found *before* that write, or the report is compared with itself
+        # and the regression gate silently skips.
         code = main(["bench", "--repeats", "1", "--output-dir", str(tmp_path)])
         assert code == 0
         capsys.readouterr()

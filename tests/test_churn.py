@@ -4,6 +4,7 @@ axis (validation, serialization, cache-key stability), and the dynamics
 metrics (``rounds_to_reconverge`` / ``stale_estimate_error``)."""
 
 import json
+from pathlib import Path
 from typing import List, Tuple
 
 import pytest
@@ -25,6 +26,8 @@ from repro.simulator.messages import Message
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol
+
+EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
 # --------------------------------------------------------------------------- #
@@ -463,6 +466,17 @@ class TestChurnMetrics:
         assert metrics["stale_estimate_error"] is not None
         assert metrics["stale_estimate_error"] > 0.0
         assert metrics["decided_fraction"] == 1.0
+
+    def test_committed_churn_example_reconverges_on_every_seed(self):
+        scenario = Scenario.from_json(
+            (EXAMPLES / "scenario_e2_churn_small.json").read_text()
+        )
+        for seed in scenario.seeds:
+            metrics = materialize(scenario, seed).metrics
+            assert metrics["churn_events"], seed
+            assert (metrics["rounds_to_reconverge"] or 0) > 0, seed
+            assert metrics["stale_estimate_error"] is not None, seed
+            assert metrics["decided_fraction"] == 1.0, seed
 
     def test_zero_churn_cell_matches_pre_churn_metrics(self):
         # The dynamics metrics are None-valued on static runs, and an

@@ -12,6 +12,14 @@ fault timelines, which concurrency makes unreproducible across hosts.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
 
@@ -30,11 +38,16 @@ from repro.runner import (
     InjectedFault,
     MISSING,
     SweepConfig,
+    SweepHub,
     SweepJournal,
     SweepRunner,
 )
 from repro.runner.distributed.worker import WorkerDaemon
 from repro.runner.journal import sweep_identity
+from repro.scenarios import Scenario
+
+#: tests/test_faults.py -> repository root (for subprocess cwd).
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -355,6 +368,146 @@ class TestResume:
         assert isinstance(broker._primary.failure, InjectedBrokerCrash)
         with pytest.raises(InjectedBrokerCrash):
             list(broker.results())
+
+
+# --------------------------------------------------------------------------- #
+# SIGKILL a real ``scenario run`` mid-sweep, then ``--resume`` it
+# --------------------------------------------------------------------------- #
+#: E3-style benign congest cells: seconds serially, enough of them that
+#: the kill lands mid-sweep.
+KILL_SCENARIO = {
+    "name": "kill-resume-e3",
+    "graph": {"name": "hnd", "params": {"n": 48, "degree": 8}, "seed_offset": 0},
+    "adversary": {"name": "silent", "params": {}, "seed_offset": 0},
+    "placement": {"name": "random", "params": {"count": 0}, "seed_offset": 0},
+    "protocol": {"name": "congest", "params": {"d": 8}, "seed_offset": 0},
+    "params": {},
+    "seeds": list(range(10)),
+}
+
+#: Seeded chaos schedule of the loopback sweep.  ``crash_broker`` stays 0
+#: (the test kills the broker for real, from outside) and ``slow_task`` is
+#: 1.0, so every task sleeps and the kill lands with tasks still pending.
+KILL_FAULT_PLAN = {
+    "seed": 7,
+    "drop_connection": 0.03,
+    "truncate_line": 0.02,
+    "duplicate_line": 0.05,
+    "delay_line": 0.10,
+    "delay_s": 0.05,
+    "refuse_connect": 0.15,
+    "crash_worker": 0.04,
+    "hang_worker": 0.03,
+    "hang_s": 2.5,
+    "slow_task": 1.0,
+    "slow_s": 0.35,
+    "fail_artifact_write": 0.15,
+}
+
+
+@pytest.fixture
+def hub_address(tmp_path):
+    """An in-process hub persisting into ``tmp_path / "artifacts"``, with
+    two in-thread workers whose every task sleeps 0.35 s (the loopback
+    plan's pacing, so a kill after two completions lands mid-sweep)."""
+    hub = SweepHub(store=ArtifactStore(tmp_path / "artifacts"))
+    host, port = hub.start()
+    pacing = FaultPlan(seed=0, slow_task=1.0, slow_s=0.35)
+    daemons = [
+        WorkerDaemon(host, port, injector=FaultInjector(pacing, salt=f"worker-{i}"))
+        for i in range(2)
+    ]
+    threads = [threading.Thread(target=daemon.run, daemon=True) for daemon in daemons]
+    for thread in threads:
+        thread.start()
+    try:
+        yield f"{host}:{port}"
+    finally:
+        for daemon in daemons:
+            daemon.stop()
+        for thread in threads:
+            thread.join(timeout=20)
+        hub.stop()
+
+
+def _scenario_run(spec, artifacts, flags, *, resume=False):
+    """``scenario run`` as the leader of its own process group, so a kill
+    of the group also takes the loopback workers it forks."""
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "scenario",
+            "run",
+            str(spec),
+            "--artifact-dir",
+            str(artifacts),
+            *flags,
+            *(["--resume"] if resume else []),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=str(ROOT),
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        start_new_session=True,
+    )
+
+
+def _kill_group(process):
+    with suppress(ProcessLookupError):
+        os.killpg(process.pid, signal.SIGKILL)
+    process.communicate(timeout=10.0)
+
+
+class TestSigkillResume:
+    @pytest.mark.parametrize("mode", ["loopback", "connect"])
+    def test_sigkilled_sweep_resumes_byte_identical_to_serial(
+        self, mode, tmp_path, capsys, request
+    ):
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(KILL_SCENARIO), encoding="utf-8")
+        assert main(["scenario", "run", str(spec)]) == 0
+        serial = capsys.readouterr().out
+        if mode == "loopback":
+            plan = tmp_path / "fault_plan.json"
+            plan.write_text(json.dumps(KILL_FAULT_PLAN), encoding="utf-8")
+            flags = [
+                "--backend", "distributed", "--spawn-workers", "2",
+                "--fault-plan", str(plan), "--lease-ttl", "2", "--max-retries", "10",
+            ]
+        else:
+            flags = ["--connect", request.getfixturevalue("hub_address")]
+        artifacts = tmp_path / "artifacts"
+        journal = SweepJournal.for_configs(
+            artifacts, Scenario.from_dict(KILL_SCENARIO).compile()
+        )
+
+        sweep = _scenario_run(spec, artifacts, flags)
+        try:
+            deadline = time.monotonic() + 120.0
+            while len((journal.load() or {}).get("done", ())) < 2:
+                assert sweep.poll() is None, sweep.communicate()[1][-2000:]
+                assert time.monotonic() < deadline, "sweep journaled no progress"
+                time.sleep(0.05)
+        finally:
+            _kill_group(sweep)
+        assert not journal.load()["complete"]
+
+        resumed = _scenario_run(spec, artifacts, flags, resume=True)
+        try:
+            out, err = resumed.communicate(timeout=150.0)
+        finally:
+            _kill_group(resumed)
+        assert resumed.returncode == 0, err[-2000:]
+        assert "resuming sweep" in err
+        assert out.partition("[scenario]")[0] == serial
+        state = journal.load()
+        assert state["complete"] and state["resumed"] >= 1
+        assert state["cached"], "resume re-executed every pre-kill task"
+        if mode == "loopback":
+            assert state["events"], "journal carries no broker events"
 
 
 # --------------------------------------------------------------------------- #

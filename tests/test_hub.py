@@ -8,8 +8,8 @@ accounting in sweep stats and journals, the ResultsDB query layer, the
 ``sweeps`` / ``runs`` / ``hub`` CLI, and the stdlib dashboard.
 
 Workers here run as in-thread :class:`WorkerDaemon` instances (the
-subprocess fleet is exercised by ``tests/test_distributed.py`` and the
-``make hub-demo`` gate); tasks live in :mod:`repro.runner.testing` so they
+subprocess fleet is exercised by ``tests/test_distributed.py`` and
+``tests/test_hub_ha.py``); tasks live in :mod:`repro.runner.testing` so they
 resolve anywhere.
 """
 

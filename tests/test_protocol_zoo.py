@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.comparison import render_protocol_comparison
 from repro.cli import main
 from repro.graphs import complete_graph, hnd_random_regular_graph
 from repro.protocols import (
@@ -28,7 +29,7 @@ from repro.protocols import (
 )
 from repro.runner.distributed import DistributedBackend
 from repro.runner.sweep import SweepRunner
-from repro.scenarios import PROTOCOLS, Scenario, materialize
+from repro.scenarios import PROTOCOLS, Scenario, ScenarioSuite, materialize
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 GOLDEN = Path(__file__).parent / "golden"
@@ -217,3 +218,16 @@ class TestZooGolden:
         out = capsys.readouterr().out
         golden = (GOLDEN / "zoo_compare_table.txt").read_text(encoding="utf-8")
         assert out == golden
+
+    def test_protocol_comparison_has_one_line_per_family(self):
+        suite = ScenarioSuite.from_json(
+            (EXAMPLES / "scenario_zoo_compare.json").read_text(encoding="utf-8")
+        )
+        rows = suite.run().rows
+        rendered = render_protocol_comparison(rows)
+        assert render_protocol_comparison(rows) == rendered
+        families = list(dict.fromkeys(row["protocol"] for row in rows))
+        assert len(families) == 5
+        # Title, header and rule, then one line per family in suite order.
+        body = rendered.splitlines()[3:]
+        assert [line.split("|")[0].strip() for line in body] == families

@@ -388,12 +388,19 @@ class TestScenarioSuite:
 
 
 class TestScenarioCli:
-    def test_scenario_run_reproduces_e2_golden_table(self, capsys):
-        # Acceptance: the E2 small table regenerates from the JSON spec alone.
-        code = main(["scenario", "run", str(EXAMPLES / "scenario_e2_small.json")])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out == (GOLDEN / "e2_small_table.txt").read_text()
+    def test_scenario_run_reproduces_e2_golden_table(self, capsys, tmp_path):
+        # Acceptance: the E2 small table regenerates from the JSON spec alone,
+        # and an explicit churn=none axis on every row leaves it unchanged.
+        committed = EXAMPLES / "scenario_e2_small.json"
+        document = json.loads(committed.read_text())
+        for row in document["rows"]:
+            row["scenario"]["churn"] = {"name": "none", "params": {}, "seed_offset": 0}
+        explicit = tmp_path / "scenario_e2_small_churn_none.json"
+        explicit.write_text(json.dumps(document))
+        golden = (GOLDEN / "e2_small_table.txt").read_text()
+        for spec in (committed, explicit):
+            assert main(["scenario", "run", str(spec)]) == 0
+            assert capsys.readouterr().out == golden, spec.name
 
     def test_committed_benign_example_runs(self, capsys):
         # The first-contact example in SCENARIOS.md must keep working.
