@@ -41,8 +41,8 @@ def main() -> None:
     alg2 = run_congest_counting(graph, params=params, seed=seed)
     rows.append({
         "scenario": "honest overlay",
-        "geometric est.": round(geo.median_estimate() or float("nan"), 2),
-        "spanning-tree est.": round(tree.median_estimate() or float("nan"), 2),
+        "geometric est.": round(geo.outcome.median_estimate() or float("nan"), 2),
+        "spanning-tree est.": round(tree.outcome.median_estimate() or float("nan"), 2),
         "algorithm 2 est.": alg2.outcome.median_estimate(),
         "true ln n": round(log_n, 2),
     })
@@ -65,8 +65,8 @@ def main() -> None:
     )
     rows.append({
         "scenario": "3 Byzantine peers",
-        "geometric est.": round(geo_attacked.median_estimate() or float("nan"), 2),
-        "spanning-tree est.": round(tree_attacked.median_estimate() or float("nan"), 2),
+        "geometric est.": round(geo_attacked.outcome.median_estimate() or float("nan"), 2),
+        "spanning-tree est.": round(tree_attacked.outcome.median_estimate() or float("nan"), 2),
         "algorithm 2 est.": alg2_attacked.outcome.median_estimate(),
         "true ln n": round(log_n, 2),
     })

@@ -16,8 +16,13 @@ size estimators all collapse as soon as a single Byzantine node is present:
   nodes estimate ``log n`` from the flood's arrival times (≈ diameter for an
   expander); a Byzantine node can replay or fabricate tokens and hop counts.
 
-Experiment E7 runs each of them with zero, one, and ``√n`` Byzantine nodes to
-regenerate the motivating claim.
+Each module has one run function, ``run_<name>_baseline``, that returns a
+:class:`~repro.protocols.common.ZooRun` through
+:func:`repro.baselines.common.run_baseline`.  Experiment E7 calls them with
+zero, one, and several Byzantine nodes to regenerate the motivating claim,
+and :mod:`repro.scenarios.protocols` registers the same functions as the
+``flooding``, ``geometric``, ``spanning-tree`` and ``support-estimation``
+scenario protocols.
 """
 
 from repro.baselines.geometric import GeometricMaxProtocol, run_geometric_baseline
@@ -27,10 +32,8 @@ from repro.baselines.support_estimation import (
 )
 from repro.baselines.spanning_tree import SpanningTreeProtocol, run_spanning_tree_baseline
 from repro.baselines.flooding import FloodingDiameterProtocol, run_flooding_baseline
-from repro.baselines.common import BaselineOutcome
 
 __all__ = [
-    "BaselineOutcome",
     "GeometricMaxProtocol",
     "run_geometric_baseline",
     "SupportEstimationProtocol",

@@ -1,15 +1,46 @@
-"""Shared result type and helpers for the baseline estimators."""
+"""Shared message helpers and the one engine-run path of the baseline estimators."""
 
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, Optional, Set
 
-__all__ = ["BaselineOutcome", "value_payload", "parse_value"]
-
+from repro.graphs.graph import Graph
+from repro.protocols.common import ZooRun, build_outcome
+from repro.simulator.byzantine import Adversary
+from repro.simulator.churn import ChurnSchedule
+from repro.simulator.engine import SynchronousEngine
 from repro.simulator.messages import Message
+from repro.simulator.network import Network
+from repro.simulator.node import NodeContext, Protocol
+
+__all__ = [
+    "BaselineProtocol",
+    "default_budget",
+    "run_baseline",
+    "value_payload",
+    "parse_value",
+]
+
+
+class BaselineProtocol(Protocol):
+    """Decision state of the baselines.
+
+    A baseline decides once, by setting ``_decided``, ``_estimate`` and
+    ``_decision_round`` (which the base class's ``decision_round`` reads).
+    """
+
+    _decided = False
+    _estimate: Optional[float] = None
+    _decision_round: Optional[int] = None
+
+    @property
+    def decided(self) -> bool:
+        return self._decided
+
+    @property
+    def estimate(self) -> Optional[float]:
+        return self._estimate
 
 
 def value_payload(kind_tag: str, value: float) -> Message:
@@ -39,72 +70,42 @@ def parse_value(message: Message, kind_tag: str) -> Optional[float]:
     return None
 
 
-@dataclass
-class BaselineOutcome:
-    """Outcome of a baseline run: per-node estimates of ``ln n``.
+def default_budget(graph: Graph) -> int:
+    """The per-phase round budget ``2·ceil(log2 n) + 6``.
 
-    Estimates of ``None`` mean the node produced no estimate (e.g. the flood
-    never reached it).
+    Enough for a maximum to flood any expander; it is information the real
+    counting protocols cannot assume, which is part of why they are harder
+    to build.
     """
+    return 2 * int(math.ceil(math.log2(max(graph.n, 2)))) + 6
 
-    name: str
-    n: int
-    estimates: Dict[int, Optional[float]]
-    rounds_executed: int
-    total_messages: int
 
-    @property
-    def log_n(self) -> float:
-        """True ``ln n``."""
-        return math.log(max(self.n, 2))
+def run_baseline(
+    graph: Graph,
+    factory: Callable[[NodeContext], Protocol],
+    *,
+    byzantine: Iterable[int],
+    adversary: Optional[Adversary],
+    seed: int,
+    max_rounds: int,
+    evaluation_set: Optional[Set[int]],
+    churn: Optional[ChurnSchedule],
+    params: Dict[str, Any],
+) -> ZooRun:
+    """Run one baseline protocol and summarize it into a :class:`ZooRun`.
 
-    def decided_fraction(self) -> float:
-        """Fraction of honest nodes with a (finite) estimate."""
-        if not self.estimates:
-            return 0.0
-        ok = sum(
-            1
-            for e in self.estimates.values()
-            if e is not None and math.isfinite(e)
-        )
-        return ok / len(self.estimates)
-
-    def median_estimate(self) -> Optional[float]:
-        """Median finite estimate (None if there is none)."""
-        values = [
-            e for e in self.estimates.values() if e is not None and math.isfinite(e)
-        ]
-        return statistics.median(values) if values else None
-
-    def median_relative_error(self) -> Optional[float]:
-        """Median of ``|estimate - ln n| / ln n`` over finite estimates."""
-        values = [
-            abs(e - self.log_n) / self.log_n
-            for e in self.estimates.values()
-            if e is not None and math.isfinite(e)
-        ]
-        return statistics.median(values) if values else None
-
-    def fraction_within_factor(self, lower: float, upper: float) -> float:
-        """Fraction of nodes whose estimate lies in ``[lower·ln n, upper·ln n]``."""
-        if not self.estimates:
-            return 0.0
-        low, high = lower * self.log_n, upper * self.log_n
-        ok = sum(
-            1
-            for e in self.estimates.values()
-            if e is not None and math.isfinite(e) and low <= e <= high
-        )
-        return ok / len(self.estimates)
-
-    def summary(self) -> Dict[str, object]:
-        """Row for the experiment tables."""
-        return {
-            "baseline": self.name,
-            "n": self.n,
-            "decided_fraction": round(self.decided_fraction(), 3),
-            "median_estimate": self.median_estimate(),
-            "log_n": round(self.log_n, 3),
-            "median_relative_error": self.median_relative_error(),
-            "rounds": self.rounds_executed,
-        }
+    A node's ``estimate`` is its estimate of ``ln n``; ``None`` means it
+    produced none (e.g. the flood never reached it).
+    """
+    network = Network(graph=graph, byzantine=frozenset(byzantine))
+    engine = SynchronousEngine(
+        network,
+        factory,
+        adversary=adversary,
+        seed=seed,
+        max_rounds=max_rounds,
+        churn=churn,
+    )
+    result = engine.run()
+    outcome = build_outcome(graph, result, evaluation_set=evaluation_set)
+    return ZooRun(result=result, params=params, outcome=outcome)

@@ -17,15 +17,14 @@ fake hop counts arbitrarily; this implementation exposes both failure modes.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional, Set
 
-from repro.baselines.common import BaselineOutcome
+from repro.baselines.common import BaselineProtocol, default_budget, run_baseline
 from repro.graphs.graph import Graph
+from repro.protocols.common import ZooRun
 from repro.simulator.byzantine import Adversary
-from repro.simulator.engine import SynchronousEngine
+from repro.simulator.churn import ChurnSchedule
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol
 
 __all__ = ["FloodingDiameterProtocol", "run_flooding_baseline"]
@@ -42,7 +41,7 @@ def _message(tag: str, *values) -> Message:
     )
 
 
-class FloodingDiameterProtocol(Protocol):
+class FloodingDiameterProtocol(BaselineProtocol):
     """Leader flood with hop counting, then eccentricity max-propagation."""
 
     def __init__(self, ctx: NodeContext, flood_rounds: int, ecc_rounds: int) -> None:
@@ -51,21 +50,6 @@ class FloodingDiameterProtocol(Protocol):
         self.best_id = ctx.node_id
         self.best_hops = 0.0
         self.max_ecc = 0.0
-        self._decided = False
-        self._estimate: Optional[float] = None
-        self._decision_round: Optional[int] = None
-
-    @property
-    def decided(self) -> bool:
-        return self._decided
-
-    @property
-    def estimate(self) -> Optional[float]:
-        return self._estimate
-
-    @property
-    def decision_round(self) -> Optional[int]:
-        return self._decision_round
 
     def on_start(self, ctx: NodeContext) -> Outbox:
         message = _message(_LEADER, self.best_id, 0.0)
@@ -144,28 +128,28 @@ def run_flooding_baseline(
     adversary: Optional[Adversary] = None,
     seed: int = 0,
     phase_rounds: Optional[int] = None,
-) -> BaselineOutcome:
-    """Run the flooding baseline; estimates are the learned leader eccentricity."""
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
+    evaluation_set: Optional[Set[int]] = None,
+    churn: Optional[ChurnSchedule] = None,
+) -> ZooRun:
+    """Run the flooding baseline; estimates are the learned leader eccentricity.
+
+    The flood and the eccentricity propagation get ``phase_rounds`` rounds
+    each (default :func:`~repro.baselines.common.default_budget`).
+    """
     if phase_rounds is None:
-        phase_rounds = 2 * int(math.ceil(math.log2(max(graph.n, 2)))) + 6
+        phase_rounds = default_budget(graph)
 
     def factory(ctx: NodeContext) -> Protocol:
         return FloodingDiameterProtocol(ctx, phase_rounds, phase_rounds)
 
-    engine = SynchronousEngine(
-        network,
+    return run_baseline(
+        graph,
         factory,
+        byzantine=byzantine,
         adversary=adversary,
         seed=seed,
         max_rounds=2 * phase_rounds + 4,
-    )
-    result = engine.run()
-    estimates = {u: p.estimate for u, p in result.protocols.items()}
-    return BaselineOutcome(
-        name="flooding-diameter",
-        n=graph.n,
-        estimates=estimates,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
+        evaluation_set=evaluation_set,
+        churn=churn,
+        params={"phase_rounds": phase_rounds},
     )

@@ -12,14 +12,19 @@ motivating observation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
-from repro.baselines.common import BaselineOutcome, parse_value, value_payload
+from repro.baselines.common import (
+    BaselineProtocol,
+    default_budget,
+    parse_value,
+    run_baseline,
+    value_payload,
+)
 from repro.graphs.graph import Graph
+from repro.protocols.common import ZooRun
 from repro.simulator.byzantine import Adversary
-from repro.simulator.engine import SynchronousEngine
-from repro.simulator.network import Network
+from repro.simulator.churn import ChurnSchedule
 from repro.simulator.node import NodeContext, Outbox, Protocol
 
 __all__ = ["GeometricMaxProtocol", "run_geometric_baseline"]
@@ -27,7 +32,7 @@ __all__ = ["GeometricMaxProtocol", "run_geometric_baseline"]
 _TAG = "geometric-max"
 
 
-class GeometricMaxProtocol(Protocol):
+class GeometricMaxProtocol(BaselineProtocol):
     """Draw a geometric sample, flood the maximum, decide after a round budget."""
 
     def __init__(self, ctx: NodeContext, rounds_budget: int) -> None:
@@ -37,21 +42,6 @@ class GeometricMaxProtocol(Protocol):
         while ctx.rng.random() < 0.5:
             flips += 1
         self.best = float(flips)
-        self._decided = False
-        self._estimate: Optional[float] = None
-        self._decision_round: Optional[int] = None
-
-    @property
-    def decided(self) -> bool:
-        return self._decided
-
-    @property
-    def estimate(self) -> Optional[float]:
-        return self._estimate
-
-    @property
-    def decision_round(self) -> Optional[int]:
-        return self._decision_round
 
     def _maybe_decide(self, round_number: int) -> None:
         if round_number >= self.rounds_budget and not self._decided:
@@ -88,29 +78,25 @@ def run_geometric_baseline(
     adversary: Optional[Adversary] = None,
     seed: int = 0,
     rounds_budget: Optional[int] = None,
-) -> BaselineOutcome:
-    """Run the geometric-maximum baseline and collect per-node estimates.
-
-    ``rounds_budget`` defaults to ``2·ceil(log2 n) + 6``, enough for the
-    maximum to flood any expander; it is information the real counting
-    protocols cannot assume, which is part of why they are harder to build.
-    """
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
+    evaluation_set: Optional[Set[int]] = None,
+    churn: Optional[ChurnSchedule] = None,
+) -> ZooRun:
+    """Run the geometric-maximum baseline; ``rounds_budget`` defaults to
+    :func:`~repro.baselines.common.default_budget`."""
     if rounds_budget is None:
-        rounds_budget = 2 * int(math.ceil(math.log2(max(graph.n, 2)))) + 6
+        rounds_budget = default_budget(graph)
 
     def factory(ctx: NodeContext) -> Protocol:
         return GeometricMaxProtocol(ctx, rounds_budget)
 
-    engine = SynchronousEngine(
-        network, factory, adversary=adversary, seed=seed, max_rounds=rounds_budget + 2
-    )
-    result = engine.run()
-    estimates = {u: p.estimate for u, p in result.protocols.items()}
-    return BaselineOutcome(
-        name="geometric-max",
-        n=graph.n,
-        estimates=estimates,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
+    return run_baseline(
+        graph,
+        factory,
+        byzantine=byzantine,
+        adversary=adversary,
+        seed=seed,
+        max_rounds=rounds_budget + 2,
+        evaluation_set=evaluation_set,
+        churn=churn,
+        params={"rounds_budget": rounds_budget},
     )

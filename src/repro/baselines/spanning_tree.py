@@ -21,14 +21,14 @@ the paper's motivating observation.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
-from repro.baselines.common import BaselineOutcome
+from repro.baselines.common import BaselineProtocol, default_budget, run_baseline
 from repro.graphs.graph import Graph
+from repro.protocols.common import ZooRun
 from repro.simulator.byzantine import Adversary
-from repro.simulator.engine import SynchronousEngine
+from repro.simulator.churn import ChurnSchedule
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol
 
 __all__ = ["SpanningTreeProtocol", "run_spanning_tree_baseline"]
@@ -47,7 +47,7 @@ def _message(tag: str, *values) -> Message:
     )
 
 
-class SpanningTreeProtocol(Protocol):
+class SpanningTreeProtocol(BaselineProtocol):
     """BFS-tree construction, converge-cast, and result broadcast."""
 
     def __init__(self, ctx: NodeContext, build_rounds: int, count_rounds: int, spread_rounds: int) -> None:
@@ -59,21 +59,6 @@ class SpanningTreeProtocol(Protocol):
         self.depth = 0
         self._child_counts: Dict[int, float] = {}
         self._result: Optional[float] = None
-        self._decided = False
-        self._estimate: Optional[float] = None
-        self._decision_round: Optional[int] = None
-
-    @property
-    def decided(self) -> bool:
-        return self._decided
-
-    @property
-    def estimate(self) -> Optional[float]:
-        return self._estimate
-
-    @property
-    def decision_round(self) -> Optional[int]:
-        return self._decision_round
 
     # -- helpers ---------------------------------------------------------- #
     def _total_rounds(self) -> int:
@@ -185,28 +170,25 @@ def run_spanning_tree_baseline(
     adversary: Optional[Adversary] = None,
     seed: int = 0,
     phase_rounds: Optional[int] = None,
-) -> BaselineOutcome:
-    """Run the spanning-tree baseline and collect per-node estimates of ``ln n``."""
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
+    evaluation_set: Optional[Set[int]] = None,
+    churn: Optional[ChurnSchedule] = None,
+) -> ZooRun:
+    """Run the spanning-tree baseline; each of its three phases gets
+    ``phase_rounds`` rounds (default :func:`~repro.baselines.common.default_budget`)."""
     if phase_rounds is None:
-        phase_rounds = 2 * int(math.ceil(math.log2(max(graph.n, 2)))) + 6
+        phase_rounds = default_budget(graph)
 
     def factory(ctx: NodeContext) -> Protocol:
         return SpanningTreeProtocol(ctx, phase_rounds, phase_rounds, phase_rounds)
 
-    engine = SynchronousEngine(
-        network,
+    return run_baseline(
+        graph,
         factory,
+        byzantine=byzantine,
         adversary=adversary,
         seed=seed,
         max_rounds=3 * phase_rounds + 4,
-    )
-    result = engine.run()
-    estimates = {u: p.estimate for u, p in result.protocols.items()}
-    return BaselineOutcome(
-        name="spanning-tree",
-        n=graph.n,
-        estimates=estimates,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
+        evaluation_set=evaluation_set,
+        churn=churn,
+        params={"phase_rounds": phase_rounds},
     )

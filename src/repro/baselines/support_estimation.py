@@ -11,14 +11,14 @@ infinity.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.baselines.common import BaselineOutcome
+from repro.baselines.common import BaselineProtocol, default_budget, run_baseline
 from repro.graphs.graph import Graph
+from repro.protocols.common import ZooRun
 from repro.simulator.byzantine import Adversary
-from repro.simulator.engine import SynchronousEngine
+from repro.simulator.churn import ChurnSchedule
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol
 
 __all__ = ["SupportEstimationProtocol", "run_support_estimation_baseline"]
@@ -49,7 +49,7 @@ def _parse(message: Message, k: int) -> Optional[Tuple[float, ...]]:
     return None
 
 
-class SupportEstimationProtocol(Protocol):
+class SupportEstimationProtocol(BaselineProtocol):
     """Propagate coordinate-wise exponential minima, decide after a round budget."""
 
     def __init__(self, ctx: NodeContext, rounds_budget: int, k: int) -> None:
@@ -58,21 +58,6 @@ class SupportEstimationProtocol(Protocol):
         self.minima: Tuple[float, ...] = tuple(
             ctx.rng.expovariate(1.0) for _ in range(k)
         )
-        self._decided = False
-        self._estimate: Optional[float] = None
-        self._decision_round: Optional[int] = None
-
-    @property
-    def decided(self) -> bool:
-        return self._decided
-
-    @property
-    def estimate(self) -> Optional[float]:
-        return self._estimate
-
-    @property
-    def decision_round(self) -> Optional[int]:
-        return self._decision_round
 
     def _maybe_decide(self, round_number: int) -> None:
         if round_number >= self.rounds_budget and not self._decided:
@@ -116,24 +101,25 @@ def run_support_estimation_baseline(
     seed: int = 0,
     rounds_budget: Optional[int] = None,
     k: int = 16,
-) -> BaselineOutcome:
-    """Run the support-estimation baseline and collect per-node estimates of ``ln n``."""
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
+    evaluation_set: Optional[Set[int]] = None,
+    churn: Optional[ChurnSchedule] = None,
+) -> ZooRun:
+    """Run the support-estimation baseline; ``rounds_budget`` defaults to
+    :func:`~repro.baselines.common.default_budget`."""
     if rounds_budget is None:
-        rounds_budget = 2 * int(math.ceil(math.log2(max(graph.n, 2)))) + 6
+        rounds_budget = default_budget(graph)
 
     def factory(ctx: NodeContext) -> Protocol:
         return SupportEstimationProtocol(ctx, rounds_budget, k)
 
-    engine = SynchronousEngine(
-        network, factory, adversary=adversary, seed=seed, max_rounds=rounds_budget + 2
-    )
-    result = engine.run()
-    estimates = {u: p.estimate for u, p in result.protocols.items()}
-    return BaselineOutcome(
-        name="support-estimation",
-        n=graph.n,
-        estimates=estimates,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
+    return run_baseline(
+        graph,
+        factory,
+        byzantine=byzantine,
+        adversary=adversary,
+        seed=seed,
+        max_rounds=rounds_budget + 2,
+        evaluation_set=evaluation_set,
+        churn=churn,
+        params={"rounds_budget": rounds_budget, "k": k},
     )

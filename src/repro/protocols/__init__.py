@@ -8,9 +8,10 @@ that seam with protocol families that have nothing to do with counting:
 * :mod:`repro.protocols.benor` -- BenOr-style randomized binary consensus
   (R1/R2 phases, majority thresholds, deterministic per-node coin streams);
 * :mod:`repro.protocols.grouped_bft` -- consistent-hash node grouping with
-  per-group OM(m)-style Byzantine agreement and cross-group aggregation;
-* :mod:`repro.protocols.baselines` -- run wrappers folding the four Section
-  1.2 baseline estimators into the same registry interface.
+  per-group OM(m)-style Byzantine agreement and cross-group aggregation.
+
+The four Section 1.2 baseline estimators (:mod:`repro.baselines`) return the
+same :class:`~repro.protocols.common.ZooRun`.
 
 Every family ships a run wrapper returning a :class:`~repro.protocols.common.
 ZooRun` whose ``.outcome`` is an ordinary
@@ -29,12 +30,6 @@ from repro.protocols.grouped_bft import (
     run_grouped_bft,
     spec_validate_grouped_bft,
 )
-from repro.protocols.baselines import (
-    run_flooding_protocol,
-    run_geometric_protocol,
-    run_spanning_tree_protocol,
-    run_support_estimation_protocol,
-)
 
 __all__ = [
     "ZooRun",
@@ -49,8 +44,4 @@ __all__ = [
     "GroupedBftProtocol",
     "run_grouped_bft",
     "spec_validate_grouped_bft",
-    "run_flooding_protocol",
-    "run_geometric_protocol",
-    "run_spanning_tree_protocol",
-    "run_support_estimation_protocol",
 ]

@@ -184,6 +184,9 @@ def spec_validate_benor(params: Mapping[str, Any], n: Optional[int]) -> None:
     max_phases = params.get("max_phases")
     if max_phases is not None and (not isinstance(max_phases, int) or max_phases < 1):
         raise ValueError(f"max_phases: must be a positive integer, got {max_phases!r}")
+    max_rounds = params.get("max_rounds")
+    if max_rounds is not None and (not isinstance(max_rounds, int) or max_rounds < 1):
+        raise ValueError(f"max_rounds: must be a positive integer, got {max_rounds!r}")
     initial = params.get("initial", "coin")
     if initial not in ("coin", "id-parity", 0, 1):
         raise ValueError(

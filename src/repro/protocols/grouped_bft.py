@@ -266,6 +266,9 @@ def spec_validate_grouped_bft(params: Mapping[str, Any], n: Optional[int]) -> No
     hops = params.get("hops")
     if hops is not None and (not isinstance(hops, int) or hops < 1):
         raise ValueError(f"hops: must be a positive integer, got {hops!r}")
+    max_rounds = params.get("max_rounds")
+    if max_rounds is not None and (not isinstance(max_rounds, int) or max_rounds < 1):
+        raise ValueError(f"max_rounds: must be a positive integer, got {max_rounds!r}")
     initial = params.get("initial", "coin")
     if initial not in ("coin", "id-parity", 0, 1):
         raise ValueError(

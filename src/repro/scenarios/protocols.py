@@ -26,8 +26,14 @@ Every entry declares its parameter surface through registry tags:
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Set
+from typing import Any, Callable, Mapping, Optional, Set
 
+from repro.baselines import (
+    run_flooding_baseline,
+    run_geometric_baseline,
+    run_spanning_tree_baseline,
+    run_support_estimation_baseline,
+)
 from repro.core.congest_counting import CongestCountingRun, run_congest_counting
 from repro.core.local_counting import LocalCountingRun, run_local_counting
 from repro.core.parameters import CongestParameters, LocalParameters
@@ -35,11 +41,7 @@ from repro.graphs.graph import Graph
 from repro.protocols import (
     ZooRun,
     run_benor,
-    run_flooding_protocol,
-    run_geometric_protocol,
     run_grouped_bft,
-    run_spanning_tree_protocol,
-    run_support_estimation_protocol,
     spec_validate_benor,
     spec_validate_grouped_bft,
 )
@@ -168,181 +170,100 @@ def _congest(
 
 
 # --------------------------------------------------------------------------- #
-# The protocol zoo (PR 10): consensus families and baselines behind the same
-# entry point.  Zoo adversaries are built with ``protocol_params=None`` --
+# The protocol zoo: consensus families and the Section 1.2 baselines behind
+# one adapter.  Zoo adversaries are built with ``protocol_params=None`` --
 # none of the scheduled Algorithm 2 attacks apply to them.
 # --------------------------------------------------------------------------- #
-@PROTOCOLS.register(
-    "benor",
-    params={
-        "required": (),
-        "optional": ("f", "initial", "max_phases", "max_rounds"),
-    },
-    validate=spec_validate_benor,
+def _integers(**minimums: int) -> Callable[[Mapping[str, Any], Optional[int]], None]:
+    """A ``validate`` hook: each named param, when given, is an integer >= its minimum."""
+
+    def validate(params: Mapping[str, Any], n: Optional[int]) -> None:
+        for key, minimum in minimums.items():
+            value = params.get(key)
+            if value is not None and (not isinstance(value, int) or value < minimum):
+                raise ValueError(f"{key}: must be an integer >= {minimum}, got {value!r}")
+
+    return validate
+
+
+#: (name, run function, one-line description, optional params, validate).
+_ZOO = (
+    (
+        "benor",
+        run_benor,
+        "BenOr-style randomized binary consensus (R1/R2 phases, per-node coins).",
+        ("f", "initial", "max_phases", "max_rounds"),
+        spec_validate_benor,
+    ),
+    (
+        "grouped-bft",
+        run_grouped_bft,
+        "Consistent-hash grouped OM(m) agreement with cross-group aggregation.",
+        ("f", "groups", "hops", "initial", "max_rounds"),
+        spec_validate_grouped_bft,
+    ),
+    (
+        "flooding",
+        run_flooding_baseline,
+        "Flooding-based diameter estimation (Section 1.2 baseline).",
+        ("phase_rounds",),
+        _integers(phase_rounds=1),
+    ),
+    (
+        "geometric",
+        run_geometric_baseline,
+        "Geometric-distribution maximum propagation (Section 1.2 baseline).",
+        ("rounds_budget",),
+        _integers(rounds_budget=1),
+    ),
+    (
+        "spanning-tree",
+        run_spanning_tree_baseline,
+        "BFS spanning-tree count-and-spread (Section 1.2 baseline).",
+        ("phase_rounds",),
+        _integers(phase_rounds=1),
+    ),
+    (
+        "support-estimation",
+        run_support_estimation_baseline,
+        "Exponential-minimum support estimation (Section 1.2 baseline).",
+        ("rounds_budget", "k"),
+        _integers(rounds_budget=1, k=2),
+    ),
 )
-def _benor(
-    graph: Graph,
-    *,
-    byzantine: Set[int],
-    behaviour: str,
-    behaviour_params: Mapping[str, Any],
-    seed: int,
-    evaluation_set: Optional[Set[int]] = None,
-    churn: Optional[ChurnSchedule] = None,
-    **params: Any,
-) -> ZooRun:
-    """BenOr-style randomized binary consensus (R1/R2 phases, per-node coins)."""
-    adversary = make_adversary(behaviour, None, **behaviour_params)
-    return run_benor(
-        graph,
-        byzantine=byzantine,
-        adversary=adversary,
-        seed=seed,
-        evaluation_set=evaluation_set,
-        churn=churn,
-        **params,
-    )
 
 
-@PROTOCOLS.register(
-    "grouped-bft",
-    params={
-        "required": (),
-        "optional": ("f", "groups", "hops", "initial", "max_rounds"),
-    },
-    validate=spec_validate_grouped_bft,
-)
-def _grouped_bft(
-    graph: Graph,
-    *,
-    byzantine: Set[int],
-    behaviour: str,
-    behaviour_params: Mapping[str, Any],
-    seed: int,
-    evaluation_set: Optional[Set[int]] = None,
-    churn: Optional[ChurnSchedule] = None,
-    **params: Any,
-) -> ZooRun:
-    """Consistent-hash grouped OM(m) agreement with cross-group aggregation."""
-    adversary = make_adversary(behaviour, None, **behaviour_params)
-    return run_grouped_bft(
-        graph,
-        byzantine=byzantine,
-        adversary=adversary,
-        seed=seed,
-        evaluation_set=evaluation_set,
-        churn=churn,
-        **params,
-    )
+def _zoo_adapter(run: Callable[..., ZooRun], description: str) -> Callable[..., ZooRun]:
+    def adapter(
+        graph: Graph,
+        *,
+        byzantine: Set[int],
+        behaviour: str,
+        behaviour_params: Mapping[str, Any],
+        seed: int,
+        evaluation_set: Optional[Set[int]] = None,
+        churn: Optional[ChurnSchedule] = None,
+        **params: Any,
+    ) -> ZooRun:
+        adversary = make_adversary(behaviour, None, **behaviour_params)
+        return run(
+            graph,
+            byzantine=byzantine,
+            adversary=adversary,
+            seed=seed,
+            evaluation_set=evaluation_set,
+            churn=churn,
+            **params,
+        )
+
+    # The registry reads an entry's one-line description from the docstring.
+    adapter.__doc__ = description
+    return adapter
 
 
-@PROTOCOLS.register(
-    "flooding",
-    params={"required": (), "optional": ("phase_rounds",)},
-)
-def _flooding(
-    graph: Graph,
-    *,
-    byzantine: Set[int],
-    behaviour: str,
-    behaviour_params: Mapping[str, Any],
-    seed: int,
-    evaluation_set: Optional[Set[int]] = None,
-    churn: Optional[ChurnSchedule] = None,
-    **params: Any,
-) -> ZooRun:
-    """Flooding-based diameter estimation (Section 1.2 baseline)."""
-    adversary = make_adversary(behaviour, None, **behaviour_params)
-    return run_flooding_protocol(
-        graph,
-        byzantine=byzantine,
-        adversary=adversary,
-        seed=seed,
-        evaluation_set=evaluation_set,
-        churn=churn,
-        **params,
-    )
-
-
-@PROTOCOLS.register(
-    "geometric",
-    params={"required": (), "optional": ("rounds_budget",)},
-)
-def _geometric(
-    graph: Graph,
-    *,
-    byzantine: Set[int],
-    behaviour: str,
-    behaviour_params: Mapping[str, Any],
-    seed: int,
-    evaluation_set: Optional[Set[int]] = None,
-    churn: Optional[ChurnSchedule] = None,
-    **params: Any,
-) -> ZooRun:
-    """Geometric-distribution maximum propagation (Section 1.2 baseline)."""
-    adversary = make_adversary(behaviour, None, **behaviour_params)
-    return run_geometric_protocol(
-        graph,
-        byzantine=byzantine,
-        adversary=adversary,
-        seed=seed,
-        evaluation_set=evaluation_set,
-        churn=churn,
-        **params,
-    )
-
-
-@PROTOCOLS.register(
-    "spanning-tree",
-    params={"required": (), "optional": ("phase_rounds",)},
-)
-def _spanning_tree(
-    graph: Graph,
-    *,
-    byzantine: Set[int],
-    behaviour: str,
-    behaviour_params: Mapping[str, Any],
-    seed: int,
-    evaluation_set: Optional[Set[int]] = None,
-    churn: Optional[ChurnSchedule] = None,
-    **params: Any,
-) -> ZooRun:
-    """BFS spanning-tree count-and-spread (Section 1.2 baseline)."""
-    adversary = make_adversary(behaviour, None, **behaviour_params)
-    return run_spanning_tree_protocol(
-        graph,
-        byzantine=byzantine,
-        adversary=adversary,
-        seed=seed,
-        evaluation_set=evaluation_set,
-        churn=churn,
-        **params,
-    )
-
-
-@PROTOCOLS.register(
-    "support-estimation",
-    params={"required": (), "optional": ("rounds_budget", "k")},
-)
-def _support_estimation(
-    graph: Graph,
-    *,
-    byzantine: Set[int],
-    behaviour: str,
-    behaviour_params: Mapping[str, Any],
-    seed: int,
-    evaluation_set: Optional[Set[int]] = None,
-    churn: Optional[ChurnSchedule] = None,
-    **params: Any,
-) -> ZooRun:
-    """Exponential-minimum support estimation (Section 1.2 baseline)."""
-    adversary = make_adversary(behaviour, None, **behaviour_params)
-    return run_support_estimation_protocol(
-        graph,
-        byzantine=byzantine,
-        adversary=adversary,
-        seed=seed,
-        evaluation_set=evaluation_set,
-        churn=churn,
-        **params,
-    )
+for _name, _run, _description, _optional, _validate in _ZOO:
+    PROTOCOLS.register(
+        _name,
+        params={"required": (), "optional": _optional},
+        validate=_validate,
+    )(_zoo_adapter(_run, _description))

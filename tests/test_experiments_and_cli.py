@@ -1,6 +1,8 @@
 """Tests for the experiment drivers (tiny configurations) and the CLI."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +173,18 @@ class TestCli:
         )
         assert main(["experiment", "e5"]) == 0
         assert "Lemma 2" in capsys.readouterr().out
+
+
+class TestExamples:
+    @pytest.mark.parametrize(
+        "path",
+        sorted((Path(__file__).parent.parent / "examples").glob("*.py")),
+        ids=lambda path: path.name,
+    )
+    def test_example_imports(self, path):
+        """Every example imports cleanly (without running ``main()``), so a
+        renamed library import fails here rather than at the command line."""
+        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main)

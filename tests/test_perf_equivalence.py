@@ -17,6 +17,7 @@ from repro.core.parameters import CongestParameters, LocalParameters
 from repro.experiments import (
     e2_congest_theorem2,
     e3_benign,
+    e7_baselines,
     e9_adversary_grid,
     e12_scaling,
 )
@@ -31,8 +32,9 @@ class TestGoldenTables:
 
     The E2/E12 goldens were rendered by the PR 1 implementation, the E3/E9
     goldens by the PR 2 implementation (before the drivers were re-expressed
-    as declarative scenarios); every later refactor must reproduce all four
-    byte for byte.
+    as declarative scenarios), the E7 golden before the baselines lost their
+    second run layer; every later refactor must reproduce all five byte for
+    byte.
     """
 
     def test_e2_table_byte_identical(self):
@@ -42,6 +44,13 @@ class TestGoldenTables:
     def test_e3_table_byte_identical(self):
         result = e3_benign.run_experiment(sizes=(64, 128), trials=1, seed=0)
         assert result.render() + "\n" == (GOLDEN / "e3_small_table.txt").read_text()
+
+    def test_e7_table_byte_identical(self):
+        # The support-estimation rows under attack ("-" median, decided
+        # 0.000) pin E7's finite-only statistics: a decided ``inf`` estimate
+        # counts as no estimate.
+        result = e7_baselines.run_experiment(n=64, byzantine_counts=(0, 1, 4), seed=0)
+        assert result.render() + "\n" == (GOLDEN / "e7_small_table.txt").read_text()
 
     def test_e9_table_byte_identical(self):
         result = e9_adversary_grid.run_experiment(

@@ -14,6 +14,7 @@ Covers the PR-10 cross-protocol properties:
 """
 
 import json
+from math import perm
 from pathlib import Path
 
 import pytest
@@ -111,9 +112,29 @@ class TestSpecTimeValidation:
         with pytest.raises(ValueError, match=r"scenario\.protocol\.params\.groups"):
             self._validate("grouped-bft", {"f": 1, "groups": 9}, n=16)
 
+    @pytest.mark.parametrize(
+        "protocol, params, key",
+        [
+            ("support-estimation", {"k": 0}, "k"),
+            ("support-estimation", {"k": -3}, "k"),
+            ("support-estimation", {"k": 1}, "k"),
+            ("support-estimation", {"k": 2.5}, "k"),
+            ("support-estimation", {"rounds_budget": -1}, "rounds_budget"),
+            ("geometric", {"rounds_budget": 0}, "rounds_budget"),
+            ("spanning-tree", {"phase_rounds": -2}, "phase_rounds"),
+            ("flooding", {"phase_rounds": 0}, "phase_rounds"),
+            ("grouped-bft", {"max_rounds": -1}, "max_rounds"),
+            ("benor", {"max_rounds": 0}, "max_rounds"),
+        ],
+    )
+    def test_out_of_range_integer_names_offending_path(self, protocol, params, key):
+        with pytest.raises(ValueError, match=rf"scenario\.protocol\.params\.{key}:"):
+            self._validate(protocol, params)
+
     def test_valid_params_pass(self):
         self._validate("benor", {"f": 3}, n=16)
         self._validate("grouped-bft", {"f": 1, "groups": 2}, n=16)
+        self._validate("support-estimation", {"k": 2, "rounds_budget": 1})
 
     def test_validation_runs_before_materialization(self):
         with pytest.raises(ValueError, match=r"scenario\.protocol\.params\."):
@@ -192,6 +213,22 @@ class TestGroupedBft:
         assert run.extra_metrics["groups"] == 2
 
 
+    @pytest.mark.parametrize("n, f", [(4, 0), (4, 1), (7, 1), (7, 2), (10, 2)])
+    def test_clique_message_count_matches_closed_form(self, n, f):
+        """One group on the complete graph, no faults: every node relays each
+        of the sum_k P(n-1, k) cascade paths of length k+1 and each of the n
+        aggregation reports once, to its n-1 neighbours."""
+        spec = {
+            **mini_scenario("grouped-bft", {"f": f, "groups": 1}),
+            "graph": {"name": "complete", "params": {"n": n}, "seed_offset": 0},
+        }
+        paths = sum(perm(n - 1, k) for k in range(f + 1))
+        for seed in (0, 3, 5):
+            metrics = materialize(spec, seed=seed).metrics
+            assert metrics["messages"] == n * (n - 1) * (paths + n), f"seed {seed}"
+            assert metrics["rounds_executed"] == f + 4, f"seed {seed}"
+
+
 class TestScenarioListSurface:
     def test_list_shows_zoo_protocols_and_params(self, capsys):
         """Satellite 2: ``scenario list`` names every zoo protocol with its
@@ -207,6 +244,13 @@ class TestScenarioListSurface:
         assert "f?" in out
         assert "groups?" in out
         assert "max_phases?" in out
+        # The whole protocol block (names, one-liners, params surfaces) as
+        # rendered before the zoo entries moved to one table.
+        lines = out.splitlines()
+        start = lines.index("protocol registry (protocol)")
+        golden = (GOLDEN / "scenario_list_protocols.txt").read_text(encoding="utf-8")
+        expected = golden.splitlines()
+        assert lines[start : start + len(expected)] == expected
 
 
 class TestZooGolden:
