@@ -9,6 +9,9 @@
 #   make bench-smoke   - reduced bench suite, no file written (~sub-minute)
 #   make bench-smoke-compare - smoke suite diffed against the committed
 #                        benchmarks/BENCH_SMOKE.json baseline
+#   make bench-pair    - perfbench WORKLOAD at SEED, this tree against BASE
+#                        (a git revision), PAIRS alternated pairs of runs;
+#                        prints medians, ratio, wins and quartiles per metric
 #   make profile       - smoke bench under cProfile; writes the top-25
 #                        cumulative report to profile_report.txt
 #   make sweep-demo    - cached parallel sweep of E3 (re-run it to see the
@@ -42,13 +45,17 @@ SMOKE_BASELINE ?= benchmarks/BENCH_SMOKE.json
 # rounds/messages drift check still applies) or regenerate the baseline.
 SMOKE_THRESHOLD ?= 0.10
 PROFILE_OUT ?= profile_report.txt
+BASE ?= HEAD
+WORKLOAD ?= alg1-local
+SEED ?= 0
+PAIRS ?= 10
 
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest -q
 E2_GOLDEN = tests/test_scenarios.py::TestScenarioCli::test_scenario_run_reproduces_e2_golden_table
 KILL_RESUME = tests/test_faults.py::TestSigkillResume::test_sigkilled_sweep_resumes_byte_identical_to_serial
 WORKER_DRAIN = tests/test_hub.py::TestGracefulShutdown
 
-.PHONY: test bench bench-compare bench-smoke bench-smoke-compare profile sweep-demo scenario-demo dist-demo churn-demo chaos-demo hub-demo hub-chaos-demo zoo-demo clean-artifacts
+.PHONY: test bench bench-compare bench-smoke bench-smoke-compare bench-pair profile sweep-demo scenario-demo dist-demo churn-demo chaos-demo hub-demo hub-chaos-demo zoo-demo clean-artifacts
 
 test: bench-smoke-compare
 	$(PYTEST) -x -o python_files='test_*.py bench_*.py'
@@ -88,6 +95,9 @@ bench-smoke:
 
 bench-smoke-compare:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --scenarios smoke --repeats 2 --no-write --compare-to $(SMOKE_BASELINE) --threshold $(SMOKE_THRESHOLD)
+
+bench-pair:
+	$(PYTHON) benchmarks/pair.py --base $(BASE) --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
 
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --scenarios smoke --repeats 1 --no-write --profile $(PROFILE_OUT)

@@ -54,20 +54,28 @@ Implementation notes
   vertex slots (see below).  The sender turns them into the payload once per
   round: claim entries in record-id order, vertex ids in slot order, and the
   size accounting summed from per-record and per-slot costs.  The payload is
-  a private tuple subclass that also carries the two masks.  A receiver ORs
-  the masks of every such payload in its inbox and integrates the union in
-  one pass (``new = records & ~seen``), so only first sightings cost
-  per-claim work; every other payload (a Byzantine node's tuple, say) takes
-  the per-entry path inside the same :meth:`LocalView.integrate` call.
+  a private tuple subclass that also carries four masks: the record ids,
+  the vertex slots, the claiming nodes and the span (every vertex of the
+  claims, plus the vertex slots).  A receiver ORs the masks of every such
+  payload in its inbox.  When none of the claiming nodes made two valid
+  claims in the run and no valid claim exceeds the degree bound, every
+  unseen claim settles, so the merge is mask operations only: ``new =
+  records & ~seen``, ``settled |= nodes``, ``known |= span``.  Otherwise
+  the unseen claims are sorted out one by one.  Every other payload (a
+  Byzantine node's tuple, say) takes the per-entry path inside the same
+  :meth:`LocalView.integrate` call.
 * **Shared claim geometry.**  Every view of a run receives the same claims,
   so a run's :class:`ClaimInterner` parses each claim value once, gives each
   valid one a run-wide record id, and places it in one run-wide vertex slot
-  space (edge mask, reverse-adjacency masks, and which nodes made
-  conflicting claims).  A :class:`LocalView` only records which vertices it
-  knows (a slot mask), which claims it has seen (a record-id mask) and which
-  it settled; the BFS layers, interior and out-boundary the expansion check
-  reads are derived from those, at most once per round, when the check
-  asks.
+  space: each node's first valid claim and its edge mask, reverse-adjacency
+  masks, and which nodes made conflicting claims.  A :class:`LocalView`
+  only records which vertices it knows (a slot mask), which claims it has
+  seen (a record-id mask) and which nodes it settled (a slot mask); a
+  settled node's claim is the run's first one for it unless the view's
+  small override dict says otherwise, which only happens for nodes with
+  conflicting claims.  The BFS layers, interior and out-boundary the
+  expansion check reads are derived from those, at most once per round,
+  when the check asks.
 """
 
 from __future__ import annotations
@@ -76,7 +84,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count, groupby
+from itertools import compress, groupby
 from operator import attrgetter, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -106,20 +114,13 @@ ClaimEntry = Tuple[int, Tuple[int, ...]]
 
 #: ``bytes.translate`` table turning a string of binary digits into 0/1 bytes.
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_MASK = attrgetter("mask")
 _RBIT = attrgetter("rbit")
 _SLOT = attrgetter("slot")
 _BIT = attrgetter("bit")
 _VMASK = attrgetter("vmask")
-_SIZE = attrgetter("size")
 _ENTRY = attrgetter("entry")
 _BITS = attrgetter("bits")
 _NUM_IDS = attrgetter("num_ids")
-
-
-def _slots(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first (a C-level scan)."""
-    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_DIGITS))
 
 
 def _is_delta(payload) -> bool:
@@ -187,18 +188,22 @@ class _Delta(tuple):
     """An honest node's delta payload ``(entries, vertex_ids)`` plus its masks.
 
     ``records`` is the record-id mask of the claim entries and ``slots`` the
-    vertex-slot mask of the vertex ids.  Only
-    :meth:`LocalCountingProtocol._delta_message` builds one, from its view's
-    masks, so the entries always equal the masks; receivers integrate it by
-    its masks alone.  It is still a real tuple, so adversaries, the engine
-    and message accounting see an ordinary payload.
+    vertex-slot mask of the vertex ids; ``nodes`` is the slot mask of the
+    claiming nodes and ``span`` the OR of the claims' vertex masks and
+    ``slots``.  Only :meth:`LocalCountingProtocol._delta_message` builds
+    one, from its view's masks, so the entries always equal the masks;
+    receivers integrate it by its masks alone.  It is still a real tuple,
+    so adversaries, the engine and message accounting see an ordinary
+    payload.
     """
 
     def __new__(cls, entries: Tuple[ClaimEntry, ...], vertex_ids: Tuple[int, ...],
-                records: int, slots: int) -> "_Delta":
+                records: int, slots: int, nodes: int, span: int) -> "_Delta":
         payload = tuple.__new__(cls, (entries, vertex_ids))
         payload.records = records
         payload.slots = slots
+        payload.nodes = nodes
+        payload.span = span
         return payload
 
 
@@ -224,15 +229,18 @@ class ClaimInterner:
     geometry on registration: ``grev[j]`` accumulates the bits of every node
     with *some* valid claim naming slot ``j``, ``claimed`` marks the nodes
     with a valid claim, and ``conflicted`` the nodes the run has seen two
-    different valid claims for.  For a node outside ``conflicted`` the one
-    claim a view can settle is the one ``grev`` recorded, so views read
-    their reverse adjacency off ``grev`` and only treat conflicted nodes
+    different valid claims for.  ``first[j]`` is the first valid record
+    registered for the node in slot ``j`` and ``cmask[j]`` its neighbor
+    mask; ``max_size`` is the largest edge count of any valid record.  For
+    a node outside ``conflicted`` the one claim a view can settle is
+    ``first`` of its slot, the one ``grev`` recorded, so views read their
+    adjacency off ``cmask`` and ``grev`` and only treat conflicted nodes
     claim by claim (see :meth:`LocalView._derive`).
     """
 
     __slots__ = (
         "by_id", "by_value", "records", "slot_of", "ids", "vertex_bits", "grev",
-        "claimed", "conflicted",
+        "first", "cmask", "claimed", "conflicted", "max_size", "positions",
     )
 
     def __init__(self) -> None:
@@ -243,17 +251,33 @@ class ClaimInterner:
         self.ids: List[int] = []
         self.vertex_bits: List[int] = []
         self.grev: List[int] = []
+        self.first: List[Optional[_ClaimRecord]] = []
+        self.cmask: List[int] = []
         self.claimed = 0
         self.conflicted = 0
+        self.max_size = 0
+        # ``positions[i] == i`` for every slot and record id allocated so
+        # far, so ``bits`` selects shared int objects instead of counting
+        # (which allocates an int object per position above 256).
+        self.positions: List[int] = []
+
+    def bits(self, mask: int) -> Iterator[int]:
+        """Positions of the set bits of a slot or record-id ``mask``, lowest
+        first (a C-level scan)."""
+        return compress(self.positions, bin(mask)[:1:-1].encode().translate(_BIT_DIGITS))
 
     def slot(self, node_id: int) -> int:
         """Run-wide slot of ``node_id``, allocating one on first sight."""
         slot = self.slot_of.get(node_id)
         if slot is None:
             slot = len(self.ids)
+            if slot == len(self.positions):
+                self.positions.append(slot)
             self.slot_of[node_id] = slot
             self.ids.append(node_id)
             self.grev.append(0)
+            self.first.append(None)
+            self.cmask.append(0)
             # The id's ``estimate_payload_bits`` cost inside a vertex tuple.
             b = node_id.bit_length()
             self.vertex_bits.append((b if b else 1) + 2)
@@ -298,6 +322,8 @@ class ClaimInterner:
         self.by_id[id(record.entry)] = record
         record.rid = len(self.records)
         record.rbit = 1 << record.rid
+        if record.rid == len(self.positions):
+            self.positions.append(record.rid)
         self.records.append(record)
         place = self.slot
         slot = place(record.node_id)
@@ -316,6 +342,10 @@ class ClaimInterner:
             self.conflicted |= bit
         else:
             self.claimed |= bit
+            self.first[slot] = record
+            self.cmask[slot] = mask
+        if record.size > self.max_size:
+            self.max_size = record.size
         return record
 
 
@@ -324,18 +354,23 @@ class LocalView:
 
     The view stores only what it has been told, as masks over the run's
     shared spaces: the ``known`` vertex slots, the record ids of the claim
-    values it has ``seen``, the ``settled`` slots whose complete
-    incident-edge claim it has accepted, and that claim's shared
-    :class:`_ClaimRecord` per settled slot.  Its pending delta is two more
-    masks: ``delta_records`` (record ids) and ``delta_vertices`` (vertex
-    slots) hold what the view learned and its owner has not broadcast yet.
+    values it has ``seen``, and the ``settled`` slots whose complete
+    incident-edge claim it has accepted.  A settled slot holds the run's
+    ``first`` record for its node unless an override dict names another
+    shared :class:`_ClaimRecord`; only nodes with conflicting claims in the
+    run can have an override, so on a run without them the dict stays
+    empty and settling a claim is a mask operation.  :meth:`_record`
+    resolves a slot for every reader.  Its pending delta is two more masks:
+    ``delta_records`` (record ids) and ``delta_vertices`` (vertex slots)
+    hold what the view learned and its owner has not broadcast yet.
     :meth:`integrate` adds to them; the owner takes them when it broadcasts
     and may add to them for a re-broadcast (:meth:`rebroadcast`).  They
     start as ``B̂(u, 1)``: the owner's own claim and its neighbors.
 
     Everything Algorithm 1 checks is derived from them lazily, once per
     change, when :meth:`expansion_check_candidates` (or another query) asks:
-    the symmetric adjacency (a settled vertex's own claim, plus the settled
+    the symmetric adjacency (a settled vertex's claim, read off the run's
+    ``cmask`` unless the node has conflicting claims, plus the settled
     claimers of a vertex read off the run's ``grev`` masks, plus an exact
     pass over conflicted settled claimers), the BFS layers from the owner,
     the interior set, and the interior's out-boundary.  Layer and boundary
@@ -357,13 +392,19 @@ class LocalView:
         interner = interner if interner is not None else ClaimInterner()
         self._interner = interner
         own = interner.intern(own_id, tuple(sorted(frozenset(neighbor_ids))))
+        self._own_slot = own.slot
         self._own_bit = own.bit
+        self._own_rbit = own.rbit
         self._known = own.vmask
-        # Settled claims: slot -> record, and the mask of those slots.
-        self._rec: Dict[int, _ClaimRecord] = {own.slot: own}
-        self._settled = own.bit
+        # Settled slots, and the settled record of each of them whose record
+        # is not the interner's ``first`` for the slot (see ``_record``).
+        self._settled = 0
+        self._rec: Dict[int, _ClaimRecord] = {}
+        self._settle(own)
         # Record ids of the claims already integrated (superseded values
         # stay in: claim integration is monotone per value, see integrate).
+        # Every settled claim is seen except the own claim until it first
+        # arrives, which the mask-only merge relies on.
         self._seen = 0
         # The pending delta starts as B̂(u, 1): the own claim and the
         # neighbor vertices (Line 1 of Algorithm 1).
@@ -393,10 +434,10 @@ class LocalView:
         """Merge received topology information.
 
         Integrates the payloads of ``inbox`` in arrival order, then the one
-        payload ``(reported_edges, reported_vertices)``.  Returns
-        ``(inconsistent, new_edge_sets, new_vertices)``: the claims this call
-        settled and the vertices it learned, which also go into the pending
-        delta.  Malformed claims (non-int ids, a self-loop, more than
+        payload ``(reported_edges, reported_vertices)`` if it is not empty.
+        Returns ``(inconsistent, new_edge_sets, new_vertices)``: the claims
+        this call settled and the vertices it learned, which also go into the
+        pending delta.  Malformed claims (non-int ids, a self-loop, more than
         ``max_degree`` edges) and non-int vertex ids are flagged inconsistent
         and never integrated.
 
@@ -410,23 +451,28 @@ class LocalView:
         (see the engine's join path) or set with :meth:`update_claim`.
 
         Consecutive honest :class:`_Delta` payloads are merged by their
-        masks: only the claims of ``records & ~seen`` are looked at, in
-        record-id order, and the new ones are listed in record-id and slot
-        order.  That is exact because claims for different nodes do not
-        interact.  When the merged payloads hold two unseen claims for one
-        node, the outcome depends on arrival order (the last one wins in
-        dynamic runs), so those payloads take the per-entry path in arrival
-        order instead.  Every other payload (a Byzantine node's tuple, or
-        the positional one) always takes the per-entry path, in order: an
-        entry resolves to its shared record by identity or by value, and
-        new items are listed in arrival order.  A raising entry
-        (unhashable edge container) propagates, keeping every claim
+        masks: only the claims of ``records & ~seen`` are new, and they are
+        listed in record-id and slot order.  That is exact because claims
+        for different nodes do not interact.  When none of the merged
+        claims is for a node the run has two valid claims for, and no valid
+        claim of the run exceeds ``max_degree``, every new claim settles
+        and the merge is a handful of mask operations.  Otherwise the new
+        claims are sorted out one by one, and when they hold two unseen
+        claims for one node the outcome depends on arrival order (the last
+        one wins in dynamic runs), so those payloads take the per-entry
+        path in arrival order instead.  Every other payload (a Byzantine
+        node's tuple, or the positional one) always takes the per-entry
+        path, in order: an entry resolves to its shared record by identity
+        or by value, and new items are listed in arrival order.  A raising
+        entry (unhashable edge container) propagates, keeping every claim
         integrated before it, like the reference implementation.
         """
         new_edge_sets: List[ClaimEntry] = []
         new_vertices: List[int] = []
         inconsistent = False
-        payloads = (*inbox, (reported_edges, reported_vertices))
+        payloads = inbox
+        if reported_edges or reported_vertices:
+            payloads = (*inbox, (reported_edges, reported_vertices))
         for masked, run in groupby(payloads, _is_delta):
             if masked:
                 inconsistent |= self._merge_deltas(
@@ -448,12 +494,52 @@ class LocalView:
         new_vertices: List[int],
     ) -> bool:
         """Integrate honest delta payloads by their OR-ed masks."""
-        records = slots = 0
+        records = slots = nodes = span = 0
         for payload in deltas:
             records |= payload.records
             slots |= payload.slots
+            nodes |= payload.nodes
+            span |= payload.span
+        interner = self._interner
         new = records & ~self._seen
-        claims = list(map(self._interner.records.__getitem__, _slots(new)))
+        if nodes & interner.conflicted or interner.max_size > max_degree:
+            return self._merge_claims(
+                deltas, new, slots, max_degree, allow_updates, new_edge_sets, new_vertices
+            )
+        # Every claim here is its node's only valid claim in the run and
+        # fits the degree bound, so each new one settles: a node it claims
+        # for is either unsettled or holds this very claim (only the own
+        # claim is settled before it is seen).  A seen claim is settled
+        # and its vertices are known, so the payloads' ``nodes`` and
+        # ``span`` may cover seen claims too.
+        fresh = new
+        if new & self._own_rbit and self._settled & self._own_bit:
+            fresh &= ~self._own_rbit
+        grown = span & ~self._known
+        self._seen |= new
+        if not (fresh or grown):
+            return False
+        new_edge_sets.extend(map(_ENTRY, map(interner.records.__getitem__, interner.bits(fresh))))
+        new_vertices.extend(self._mask_ids(grown))
+        self._settled |= nodes
+        self._known |= grown
+        self.delta_records |= fresh
+        self.delta_vertices |= grown
+        self._epoch += 1
+        return False
+
+    def _merge_claims(
+        self,
+        deltas: List[_Delta],
+        new: int,
+        slots: int,
+        max_degree: int,
+        allow_updates: bool,
+        new_edge_sets: List[ClaimEntry],
+        new_vertices: List[int],
+    ) -> bool:
+        """Integrate honest delta payloads claim by claim (``new`` unseen)."""
+        claims = list(map(self._interner.records.__getitem__, self._interner.bits(new)))
         claim_slots = list(map(_SLOT, claims))
         if len(set(claim_slots)) < len(claim_slots):
             # Two unseen claims for one node: arrival order decides.
@@ -463,37 +549,32 @@ class LocalView:
                     entries, vertices, max_degree, allow_updates, new_edge_sets, new_vertices
                 )
             return inconsistent
-        rec = self._rec
+        record_of = self._record
         inconsistent = updated = False
         fresh = new
-        if any(map(rec.__contains__, claim_slots)) or max(map(_SIZE, claims), default=0) > max_degree:
-            # Claims over the degree bound or for settled nodes are sorted
-            # out one by one; every other claim settles below.
-            kept = []
-            for record in claims:
-                current = rec.get(record.slot)
-                if record.size > max_degree or (
-                    current is not None and current is not record and not allow_updates
-                ):
-                    inconsistent = True
-                    new &= ~record.rbit
-                    fresh &= ~record.rbit
-                elif current is record:
-                    fresh &= ~record.rbit
-                else:
-                    updated = updated or current is not None
-                    kept.append(record)
-            claims = kept
-        rec.update(zip(map(_SLOT, claims), claims))
-        grown = reduce(or_, map(_VMASK, claims), slots) & ~self._known
-        new_edge_sets.extend(map(_ENTRY, claims))
+        kept = []
+        for record in claims:
+            current = record_of(record.slot)
+            if record.size > max_degree or (
+                current is not None and current is not record and not allow_updates
+            ):
+                inconsistent = True
+                new &= ~record.rbit
+                fresh &= ~record.rbit
+            elif current is record:
+                fresh &= ~record.rbit
+            else:
+                updated = updated or current is not None
+                self._settle(record)
+                kept.append(record)
+        grown = reduce(or_, map(_VMASK, kept), slots) & ~self._known
+        new_edge_sets.extend(map(_ENTRY, kept))
         new_vertices.extend(self._mask_ids(grown))
         self._seen |= new
-        self._settled = reduce(or_, map(_BIT, claims), self._settled)
         self._known |= grown
         self.delta_records |= fresh
         self.delta_vertices |= grown
-        self._changed(updated, bool(claims) or bool(grown))
+        self._changed(updated, bool(kept) or bool(grown))
         return inconsistent
 
     def _integrate_entries(
@@ -509,10 +590,9 @@ class LocalView:
         interner = self._interner
         by_id = interner.by_id
         slot_of = interner.slot_of
-        rec = self._rec
+        record_of = self._record
         seen = self._seen
         known = start = self._known
-        settled = self._settled
         inconsistent = updated = False
         fresh = 0
         try:
@@ -531,7 +611,7 @@ class LocalView:
                     inconsistent = True
                     continue
                 slot = record.slot
-                current = rec.get(slot)
+                current = record_of(slot)
                 if current is not None and current is not record:
                     if not allow_updates:
                         inconsistent = True
@@ -540,8 +620,7 @@ class LocalView:
                 seen |= record.rbit
                 if current is record:
                     continue
-                rec[slot] = record
-                settled |= record.bit
+                self._settle(record)
                 fresh |= record.rbit
                 new_edge_sets.append(record.entry)
                 grown = record.vmask & ~known
@@ -563,12 +642,34 @@ class LocalView:
         finally:
             # A raising entry keeps every claim integrated before it.
             self._seen = seen
-            self._settled = settled
             self._known = known
             self.delta_records |= fresh
             self.delta_vertices |= known & ~start
             self._changed(updated, bool(fresh) or known != start)
         return inconsistent
+
+    def _record(self, slot: Optional[int]) -> Optional[_ClaimRecord]:
+        """The claim settled for ``slot`` (``None`` if the slot is unsettled)."""
+        if slot is None or not self._settled >> slot & 1:
+            return None
+        return self._rec.get(slot) or self._interner.first[slot]
+
+    def _settle(self, record: _ClaimRecord) -> None:
+        """Make ``record`` its node's settled claim (the seen mask is the
+        caller's)."""
+        slot = record.slot
+        if record is self._interner.first[slot]:
+            self._rec.pop(slot, None)
+        else:
+            self._rec[slot] = record
+        self._settled |= record.bit
+
+    def _settled_records(self) -> List[_ClaimRecord]:
+        """The settled claims, the own node's first, then in slot order."""
+        records = list(map(self._record, self._interner.bits(self._settled & ~self._own_bit)))
+        if self._settled & self._own_bit:
+            records.insert(0, self._record(self._own_slot))
+        return records
 
     def _changed(self, updated: bool, added: bool) -> None:
         """Invalidate derived state after claims were replaced or added."""
@@ -585,13 +686,12 @@ class LocalView:
     def _put_claim(self, record: _ClaimRecord) -> None:
         """Force ``record`` as its node's settled claim (the dynamic ops)."""
         self._known |= record.vmask
-        self._rec[record.slot] = record
-        self._settled |= record.bit
+        self._settle(record)
         self._seen |= record.rbit
 
     def rebroadcast(self) -> None:
         """Put the whole view into the pending delta (a bootstrap dump)."""
-        self.delta_records |= reduce(or_, map(_RBIT, self._rec.values()), 0)
+        self.delta_records |= reduce(or_, map(_RBIT, self._settled_records()), 0)
         self.delta_vertices |= self._known
 
     def delete_edge(self, a: int, b: int) -> bool:
@@ -607,7 +707,7 @@ class LocalView:
         interner = self._interner
         changed = False
         for x, y in ((a, b), (b, a)):
-            record = self._rec.get(interner.slot_of.get(x))
+            record = self._record(interner.slot_of.get(x))
             if record is None or y not in record.edge_set:
                 continue
             self._put_claim(interner.intern(x, tuple(sorted(record.edge_set - {y}))))
@@ -624,9 +724,10 @@ class LocalView:
         itself stays known (vertices are never forgotten).  Returns whether
         a settled claim was dropped.
         """
-        record = self._rec.pop(self._interner.slot_of.get(node_id), None)
+        record = self._record(self._interner.slot_of.get(node_id))
         if record is None:
             return False
+        self._rec.pop(record.slot, None)
         self._seen &= ~record.rbit
         self._settled &= ~record.bit
         self._claims_changed()
@@ -641,7 +742,7 @@ class LocalView:
         the settled claim changed.
         """
         record = self._interner.intern(node_id, tuple(sorted(edge_ids)))
-        if self._rec.get(record.slot) is record:
+        if self._record(record.slot) is record:
             self._seen |= record.rbit
             return False
         self._put_claim(record)
@@ -649,38 +750,49 @@ class LocalView:
         return True
 
     def settled_entries(self) -> List[ClaimEntry]:
-        """Interned payload entries of every settled claim."""
-        return list(map(_ENTRY, self._rec.values()))
+        """Interned payload entries of every settled claim, the own one first."""
+        return list(map(_ENTRY, self._settled_records()))
 
     # -- derived structure ---------------------------------------------- #
     def _mask_ids(self, mask: int) -> List[int]:
         """Materialize the node ids of the set bits of ``mask``."""
-        return list(map(self._interner.ids.__getitem__, _slots(mask)))
+        return list(map(self._interner.ids.__getitem__, self._interner.bits(mask)))
 
     def _conflicted_claims(self) -> List[_ClaimRecord]:
         """Settled claims of the nodes the run has seen conflicting claims for."""
-        return list(map(self._rec.__getitem__, _slots(self._interner.conflicted & self._settled)))
+        interner = self._interner
+        return list(map(self._record, interner.bits(interner.conflicted & self._settled)))
 
     def _derive(self) -> None:
         """Recompute BFS layers, interior and out-boundary if the view changed."""
         if self._derived_epoch == self._epoch:
             return
-        rec = self._rec
-        grev = self._interner.grev
+        interner = self._interner
+        grev = interner.grev
+        cmask = interner.cmask
+        bits = interner.bits
         settled = self._settled
         conflicted = self._conflicted_claims()
         # Settled nodes whose only claim in the run is the one settled here:
-        # ``grev`` names exactly those of them that claim a given vertex.
-        plain = settled & ~self._interner.conflicted
+        # ``cmask`` holds that claim, and ``grev`` names exactly those of
+        # them that claim a given vertex.
+        plain = settled & ~interner.conflicted
         # BFS from the owner: a frontier vertex reaches its own claim's
-        # neighbors and every settled node claiming it.
+        # neighbors and every settled node claiming it.  Every vertex of a
+        # settled claim is known, so the search ends once it has visited
+        # every known vertex.
+        known = self._known
         visited = frontier = self._own_bit
         layers = [frontier]
-        while True:
-            slots = list(_slots(frontier))
+        while visited != known:
+            slots = list(bits(frontier))
             reach = reduce(or_, map(grev.__getitem__, slots), 0) & plain
-            reach = reduce(or_, map(_MASK, filter(None, map(rec.get, slots))), reach)
+            if frontier & ~plain:
+                slots = bits(frontier & plain)
+            reach = reduce(or_, map(cmask.__getitem__, slots), reach)
             for record in conflicted:
+                if record.bit & frontier:
+                    reach |= record.mask
                 if record.mask & frontier:
                     reach |= record.bit
             frontier = reach & ~visited
@@ -689,20 +801,35 @@ class LocalView:
             visited |= frontier
             layers.append(frontier)
         self._layers = layers
-        # Interior: settled vertices whose claim is all settled.  Its
-        # out-boundary is settled too: the claim neighbors of interior
-        # vertices, plus settled vertices claiming an interior vertex.
+        # Interior: settled vertices whose claim is all settled (claimed
+        # vertices are known).  Its out-boundary is settled too: the claim
+        # neighbors of interior vertices, plus settled vertices claiming an
+        # interior vertex.
         interior = self._interior
         interior_claims = self._interior_claims
-        unsettled = ~settled
+        unsettled = known & ~settled
+        candidates = settled & ~interior
+        waiting: List[int] = []
+        for slot in bits(candidates & plain):
+            mask = cmask[slot]
+            if mask & unsettled:
+                waiting.append(slot)
+            else:
+                interior |= 1 << slot
+                interior_claims |= mask
         pending: List[_ClaimRecord] = []
-        for record in map(rec.__getitem__, _slots(settled & ~interior)):
+        for record in conflicted:
+            if not record.bit & candidates:
+                continue
             if record.mask & unsettled:
                 pending.append(record)
             else:
                 interior |= record.bit
                 interior_claims |= record.mask
         out = interior_claims & ~interior
+        for slot in waiting:
+            if cmask[slot] & interior:
+                out |= 1 << slot
         for record in pending:
             if record.mask & interior:
                 out |= record.bit
@@ -720,21 +847,20 @@ class LocalView:
     @property
     def edge_sets(self) -> Dict[int, FrozenSet[int]]:
         """Settled incident-edge sets by node id (a fresh dict per call)."""
-        return {record.node_id: record.edge_set for record in self._rec.values()}
+        return {record.node_id: record.edge_set for record in self._settled_records()}
 
     def adjacency(self) -> Dict[int, Set[int]]:
         """Symmetric adjacency over all known vertices (from known edge sets).
 
         Built fresh on every call (tests and the exhaustive check only).
         """
-        rec = self._rec
         grev = self._interner.grev
         plain = self._settled & ~self._interner.conflicted
         conflicted = self._conflicted_claims()
         ids = self._interner.ids
         adjacency: Dict[int, Set[int]] = {}
-        for slot in _slots(self._known):
-            record = rec.get(slot)
+        for slot in self._interner.bits(self._known):
+            record = self._record(slot)
             mask = (record.mask if record is not None else 0) | (grev[slot] & plain)
             for claimer in conflicted:
                 if claimer.mask >> slot & 1:
@@ -859,7 +985,8 @@ class LocalCountingProtocol(Protocol):
         """Broadcast the view's pending delta and clear it.
 
         The payload is built once from the two masks: claim entries in
-        record-id order, vertex ids in slot order.  ``size_bits`` and
+        record-id order, vertex ids in slot order, and the ``nodes`` and
+        ``span`` masks receivers merge it by.  ``size_bits`` and
         ``num_ids`` follow the documented accounting
         (``estimate_payload_bits`` over the payload: each integer costs
         ``max(1, bit_length)`` bits, containers add 2 framing bits per
@@ -871,13 +998,15 @@ class LocalCountingProtocol(Protocol):
         interner = self._interner
         records, slots = view.delta_records, view.delta_vertices
         view.delta_records = view.delta_vertices = 0
-        claims = list(map(interner.records.__getitem__, _slots(records)))
-        vertex_slots = list(_slots(slots))
+        claims = list(map(interner.records.__getitem__, interner.bits(records)))
+        vertex_slots = list(interner.bits(slots))
         payload = _Delta(
             tuple(map(_ENTRY, claims)),
             tuple(map(interner.ids.__getitem__, vertex_slots)),
             records,
             slots,
+            reduce(or_, map(_BIT, claims), 0),
+            reduce(or_, map(_VMASK, claims), slots),
         )
         edge_sum = sum(map(_BITS, claims))
         vertex_sum = sum(map(interner.vertex_bits.__getitem__, vertex_slots))
@@ -939,23 +1068,10 @@ class LocalCountingProtocol(Protocol):
             return {}
         round_number = ctx.round
 
-        # Which neighbors spoke this round?  (Line 5: "some neighbor is mute".)
-        speakers = {m.sender for m in inbox if m.kind == "topology"}
-        if self._dynamic:
-            known = self._known_neighbors
-            mute_neighbor = any(v not in speakers for v in known)
-            if self._pending_neighbors:
-                # Neighbors added by churn this round start counting toward
-                # the mute check from the *next* round (their first broadcast
-                # is only delivered at the end of this one).
-                known.update(self._pending_neighbors)
-                self._pending_neighbors.clear()
-                known.intersection_update(ctx.neighbors)
-        else:
-            mute_neighbor = any(v not in speakers for v in ctx.neighbors)
-
         inconsistent = False
         newly_added = 0
+        # Which neighbors spoke this round?  (Line 5: "some neighbor is mute".)
+        speakers = set()
         payloads: List[TopologyDelta] = []
         for message in inbox:
             if message.kind != "topology":
@@ -963,8 +1079,9 @@ class LocalCountingProtocol(Protocol):
                 # information: treat as an inconsistency.
                 inconsistent = True
                 continue
+            speakers.add(message.sender)
             payload = message.payload
-            if (
+            if type(payload) is not _Delta and (
                 not isinstance(payload, tuple)
                 or len(payload) != 2
                 or not isinstance(payload[0], tuple)
@@ -973,6 +1090,18 @@ class LocalCountingProtocol(Protocol):
                 inconsistent = True
                 continue
             payloads.append(payload)
+        if self._dynamic:
+            known = self._known_neighbors
+            mute_neighbor = not speakers.issuperset(known)
+            if self._pending_neighbors:
+                # Neighbors added by churn this round start counting toward
+                # the mute check from the *next* round (their first broadcast
+                # is only delivered at the end of this one).
+                known.update(self._pending_neighbors)
+                self._pending_neighbors.clear()
+                known.intersection_update(ctx.neighbors)
+        else:
+            mute_neighbor = not speakers.issuperset(ctx.neighbors)
         try:
             bad, _, new_vertices = self.view.integrate(
                 inbox=payloads,

@@ -15,11 +15,18 @@ concurrent writers -- pool workers, distributed workers on several hosts
 sharing the directory, overlapping sweeps -- can target the same artifact
 safely: each writes its own temp file and the last atomic rename wins,
 while readers only ever observe complete documents.
+
+Artifacts are RFC 8259 JSON, which has no NaN or Infinity: a document holding
+a non-finite float stores it tagged, as ``{"__float__": "inf"}`` (or
+``"-inf"``, ``"nan"``), and :func:`decode` turns the tags back into floats.
+Artifacts written before the tagging, with bare ``Infinity`` tokens, still
+load.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,7 +35,7 @@ from typing import Any, List, Optional, Set, Union
 
 from repro.runner.config import SweepConfig
 
-__all__ = ["ArtifactStore", "MISSING"]
+__all__ = ["ArtifactStore", "MISSING", "decode"]
 
 #: Sentinel returned by :meth:`ArtifactStore.load` on a cache miss (``None``
 #: is a legitimate task result).
@@ -41,6 +48,46 @@ MISSING = object()
 #: shared artifact dir would see every lookup fail as a cache miss.
 _UMASK = os.umask(0)
 os.umask(_UMASK)
+
+#: Key of a tagged non-finite float, and how it appears in a document's text.
+_FLOAT_TAG = "__float__"
+_FLOAT_TAG_TEXT = json.dumps(_FLOAT_TAG)
+
+
+def _tag_non_finite(value: Any) -> Any:
+    """``value`` with every non-finite float replaced by its tagged form."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return {_FLOAT_TAG: repr(value)}
+    if isinstance(value, dict):
+        return {key: _tag_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_tag_non_finite(item) for item in value]
+    return value
+
+
+def _untag(obj: dict) -> Any:
+    if len(obj) == 1 and _FLOAT_TAG in obj:
+        return float(obj[_FLOAT_TAG])
+    return obj
+
+
+def _encode(document: Any) -> str:
+    """``document`` as RFC 8259 JSON text, non-finite floats tagged."""
+    try:
+        return json.dumps(document, allow_nan=False)
+    except ValueError:
+        return json.dumps(_tag_non_finite(document), allow_nan=False)
+
+
+def decode(text: str) -> Any:
+    """Parse an artifact's text, turning tagged floats back into floats.
+
+    The tags are only looked for when the text holds one, so a document
+    without non-finite floats parses exactly as plain JSON.
+    """
+    if _FLOAT_TAG_TEXT in text:
+        return json.loads(text, object_hook=_untag)
+    return json.loads(text)
 
 
 class ArtifactStore:
@@ -78,8 +125,7 @@ class ArtifactStore:
         """
         path = self.path_for(config)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                document = json.load(handle)
+            document = decode(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return MISSING
         except (OSError, ValueError) as exc:
@@ -118,12 +164,13 @@ class ArtifactStore:
         }
         if meta is not None:
             document["meta"] = meta
+        text = _encode(document)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle)
+                handle.write(text)
             os.chmod(tmp_name, 0o666 & ~_UMASK)
             os.replace(tmp_name, path)
         except BaseException:
@@ -142,8 +189,7 @@ class ArtifactStore:
         """
         path = self.path_for(config)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                document = json.load(handle)
+            document = decode(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:

@@ -17,13 +17,12 @@ dashboard.
 
 from __future__ import annotations
 
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
-from repro.runner.artifacts import ArtifactStore
+from repro.runner.artifacts import ArtifactStore, decode
 from repro.runner.journal import JOURNAL_VERSION
 
 __all__ = ["ResultsDB"]
@@ -41,8 +40,7 @@ def _mtime_utc(path: Path) -> Optional[str]:
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            document = json.load(handle)
+        document = decode(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
     return document if isinstance(document, dict) else None

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.adversary.strategies import FakeTopologyAdversary, InconsistentTopologyAdversary
-from repro.core.local_counting import LocalView, run_local_counting
+from repro.core.local_counting import LocalCountingProtocol, LocalView, run_local_counting
 from repro.core.parameters import LocalParameters
 from repro.graphs.expansion import good_set
 from repro.graphs.generators import cycle_graph
@@ -184,6 +184,41 @@ class TestByzantineRuns:
         for u in evaluation:
             record = run.outcome.records[u]
             assert record.estimate is None or record.estimate >= max(1, lower)
+
+
+class TestTracedEntry:
+    """perfbench's ``local_view.integrate`` layer wraps ``LocalView.integrate``
+    and reads it as one node's merge of one round's inbox."""
+
+    @pytest.mark.parametrize(
+        "adversary", [SilentAdversary, FakeTopologyAdversary, InconsistentTopologyAdversary]
+    )
+    def test_on_round_integrates_once_per_undecided_round(
+        self, small_hnd, local_params, monkeypatch, adversary
+    ):
+        integrate = LocalView.integrate
+        on_round = LocalCountingProtocol.on_round
+        calls = [0]
+        rounds = []
+
+        def counting_integrate(self, *args, **kwargs):
+            calls[0] += 1
+            return integrate(self, *args, **kwargs)
+
+        def counting_on_round(self, ctx, inbox):
+            undecided, before = not self.decided, calls[0]
+            outbox = on_round(self, ctx, inbox)
+            rounds.append((undecided, calls[0] - before))
+            return outbox
+
+        monkeypatch.setattr(LocalView, "integrate", counting_integrate)
+        monkeypatch.setattr(LocalCountingProtocol, "on_round", counting_on_round)
+        run = run_local_counting(
+            small_hnd, byzantine={3, 40}, adversary=adversary(), params=local_params, seed=0
+        )
+        assert run.outcome.decided_fraction() == 1.0
+        assert sum(undecided for undecided, _ in rounds) > small_hnd.n
+        assert all(integrated == undecided for undecided, integrated in rounds)
 
 
 class TestExhaustiveCheckCrossValidation:

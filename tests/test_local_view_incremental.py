@@ -700,12 +700,29 @@ mask_ops = st.one_of(
     st.tuples(st.just("delete"), st.integers(0, 3), st.sampled_from(POOL), st.sampled_from(POOL)),
     st.tuples(st.just("retract"), st.integers(0, 3), st.sampled_from(POOL)),
     st.tuples(st.just("update"), st.integers(0, 3), pool_claims()),
+    # A Byzantine node tells one view a second valid claim for a node some
+    # view has settled: the run marks that node conflicted mid-run, so
+    # later deltas forwarding its first claim leave the mask-only merge.
+    st.tuples(
+        st.just("equivocate"),
+        st.integers(0, 3),
+        st.integers(0, len(POOL)),
+        st.lists(st.sampled_from(POOL), max_size=MAX_DEGREE),
+    ),
 )
 
 
 class TestMaskedDeltaFuzz:
     """2-4 nodes on one interner exchanging masked deltas, mixed with
-    Byzantine per-entry payloads, each view against its own reference."""
+    Byzantine per-entry payloads, each view against its own reference.
+
+    The draws reach every guard of the mask-only merge: a node that turns
+    conflicted after views settled its first claim (``equivocate`` and the
+    Byzantine payloads), an owner whose own claim exceeds the degree bound
+    (``oversize``: the run holds a valid claim over ``max_degree``, which
+    every receiver flags), and two owners with the same id (``twin``: each
+    forwards a claim the other settled at construction but has not seen
+    yet)."""
 
     @given(
         allow_updates=st.booleans(),
@@ -714,12 +731,21 @@ class TestMaskedDeltaFuzz:
             min_size=2,
             max_size=4,
         ),
+        twin=st.booleans(),
+        oversize=st.booleans(),
         ops=st.lists(mask_ops, max_size=12),
     )
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    def test_views_and_deltas_track_their_references(self, allow_updates, owners, ops):
+    def test_views_and_deltas_track_their_references(
+        self, allow_updates, owners, twin, oversize, ops
+    ):
         interner = ClaimInterner()
         nodes, references, pending = [], [], []
+        if twin:
+            owners[1] = (owners[0][0], owners[1][1])
+        if oversize:
+            own = owners[-1][0]
+            owners[-1] = (own, [v for v in POOL if v != own][: MAX_DEGREE + 1])
         for own, neighbors in owners:
             neighbors = sorted(set(neighbors) - {own})
             node = honest_node(interner, own, neighbors, allow_updates)
@@ -771,7 +797,21 @@ class TestMaskedDeltaFuzz:
             if k not in live:
                 continue
             view, reference = nodes[k].view, references[k]
-            if op[0] == "retract":
+            if op[0] == "equivocate":
+                settled = sorted({v for j in live for v in nodes[j].view.edge_sets})
+                if not settled:
+                    continue
+                node = settled[op[2] % len(settled)]
+                claim = (node, tuple(sorted(set(op[3]) - {node})))
+                inbox = [((claim,), ())]
+                got = view.integrate(
+                    inbox=inbox, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                )
+                expected = integrate_in_order(reference, inbox, allow_updates)
+                assert got == expected
+                pending[k][0].update(expected[1])
+                pending[k][1].update(expected[2])
+            elif op[0] == "retract":
                 assert view.retract_claim(op[2]) == reference.retract_claim(op[2])
             elif not allow_updates:
                 # Deletions and updates supersede claim values, which only

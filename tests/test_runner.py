@@ -1,6 +1,7 @@
 """Tests for the parallel sweep-runner subsystem (src/repro/runner/)."""
 
 import json
+import math
 
 import pytest
 
@@ -111,6 +112,53 @@ class TestArtifactStore:
         config = SweepConfig("test.echo", {"value": None})
         store.store(config, None)
         assert store.load(config) is None
+
+    def test_non_finite_floats_round_trip_as_strict_json(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        config = SweepConfig("test.echo", {"value": 2})
+        inf = float("inf")
+        result = {"median": inf, "low": -inf, "spread": float("nan"), "rows": [1.5, [inf]]}
+        path = store.store(config, result, meta={"wall_clock_s": inf})
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        # RFC 8259: no bare NaN/Infinity tokens anywhere in the file.
+        json.loads(path.read_text(), parse_constant=reject)
+        loaded = store.load(config)
+        assert list(loaded) == list(result)
+        assert loaded["median"] == inf and loaded["low"] == -inf
+        assert math.isnan(loaded["spread"])
+        assert loaded["rows"] == [1.5, [inf]]
+        assert store.load_meta(config) == {"wall_clock_s": inf}
+
+    def test_finite_documents_stay_untagged(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        config = SweepConfig("test.echo", {"value": 3})
+        path = store.store(config, {"median": 1.5})
+        assert "__float__" not in path.read_text()
+        assert store.load(config) == {"median": 1.5}
+
+    def test_bare_infinity_artifact_still_loads(self, tmp_path):
+        # Artifacts written before non-finite floats were tagged.
+        store = ArtifactStore(tmp_path)
+        config = SweepConfig("test.echo", {"value": 4})
+        path = store.path_for(config)
+        path.parent.mkdir(parents=True)
+        document = {"config": {"task": config.task, "params": config.params},
+                    "result": {"median": float("inf")}}
+        path.write_text(json.dumps(document))
+        assert "Infinity" in path.read_text()
+        assert store.load(config) == {"median": float("inf")}
+
+    def test_non_finite_cache_hit_equals_fresh_result(self, tmp_path):
+        configs = [SweepConfig("test.echo", {"value": 1e308, "scale": 10}),
+                   SweepConfig("test.echo", {"value": -1e308, "scale": 10})]
+        runner = SweepRunner(artifact_dir=tmp_path)
+        fresh = runner.run(configs)
+        cached = runner.run(configs)
+        assert runner.last_cached == 2
+        assert fresh == cached == [float("inf"), float("-inf")]
 
 
 class TestArtifactStoreConcurrency:
