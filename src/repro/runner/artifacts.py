@@ -35,7 +35,7 @@ from typing import Any, List, Optional, Set, Union
 
 from repro.runner.config import SweepConfig
 
-__all__ = ["ArtifactStore", "MISSING", "decode"]
+__all__ = ["ArtifactStore", "MISSING", "atomic_write_text", "decode"]
 
 #: Sentinel returned by :meth:`ArtifactStore.load` on a cache miss (``None``
 #: is a legitimate task result).
@@ -43,9 +43,10 @@ MISSING = object()
 
 #: The process umask, captured once at import (reading it requires setting
 #: it; doing that per-write would race other threads).  ``mkstemp`` creates
-#: temp files 0600 regardless of umask; artifacts must instead get the
-#: ordinary umask-derived mode, or readers running as a different user on a
-#: shared artifact dir would see every lookup fail as a cache miss.
+#: temp files 0600 regardless of umask; artifacts and journals must instead
+#: get the ordinary umask-derived mode, or readers running as a different
+#: user on a shared artifact dir would see every lookup fail as a cache
+#: miss and every journal as unreadable.
 _UMASK = os.umask(0)
 os.umask(_UMASK)
 
@@ -88,6 +89,35 @@ def decode(text: str) -> Any:
     if _FLOAT_TAG_TEXT in text:
         return json.loads(text, object_hook=_untag)
     return json.loads(text)
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Crash-safe rewrite of ``path``: temp file + chmod + ``os.replace``.
+
+    The discipline every durable document in this codebase follows
+    (artifacts, sweep journals, hub state files): a reader observes either
+    the previous document or the new one, never a truncated hybrid.  The
+    temp file is uniquely named in the target's directory (never a shared
+    ``<name>.tmp``, which two writers would corrupt by interleaving), so
+    any number of concurrent writers can target one path and the last
+    rename wins.  It gets the umask-derived mode an ordinary ``open``
+    would, so other users of a shared directory can read the result.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.chmod(tmp_name, 0o666 & ~_UMASK)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 class ArtifactStore:
@@ -151,34 +181,17 @@ class ArtifactStore:
         column order from it -- a cache hit that alphabetized the keys would
         render a different table than the fresh run that produced it.
 
-        The write is atomic and safe under concurrent writers: the document
-        goes to a uniquely named temp file in the artifact's directory
-        (never a shared ``<name>.tmp``, which two writers would corrupt by
-        interleaving) and is renamed into place with ``os.replace``.
+        The write is atomic and safe under concurrent writers
+        (:func:`atomic_write_text`).
         """
         path = self.path_for(config)
-        path.parent.mkdir(parents=True, exist_ok=True)
         document = {
             "config": {"task": config.task, "params": config.params},
             "result": result,
         }
         if meta is not None:
             document["meta"] = meta
-        text = _encode(document)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.chmod(tmp_name, 0o666 & ~_UMASK)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(path, _encode(document))
         return path
 
     def load_meta(self, config: SweepConfig) -> Optional[dict]:

@@ -1188,8 +1188,9 @@ class Broker:
 
         Called OUTSIDE the lock (file I/O is allowed here) for every
         completion -- fresh result, dispatch-time dedupe hit, or
-        re-adoption prefill.  The base broker does nothing; the hub
-        journals the completion.
+        re-adoption prefill.  The base broker does nothing; the hub marks
+        it in the sweep's :class:`~repro.runner.journal.SweepJournal`,
+        which it began under the lock when it registered the sweep.
         """
 
     def _sweep_failed_locked(self, sweep: SweepQueue) -> None:

@@ -20,10 +20,11 @@ it a *service*:
 - :class:`~repro.runner.hub.dashboard.DashboardServer` -- a stdlib
   ``http.server`` HTML view of the queue, fleet, run history, and bench
   trajectory.
-- :class:`~repro.runner.hub.state.HubJournal` /
-  :class:`~repro.runner.hub.supervisor.HubSupervisor` -- the
-  high-availability layer: crash-safe hub-side submission journaling with
-  restart re-adoption (``hub serve --state DIR``), and the supervision
+- :class:`~repro.runner.hub.supervisor.HubSupervisor` plus
+  ``SweepHub(state_dir=...)`` -- the high-availability layer: crash-safe
+  hub-side submission journaling (one
+  :class:`~repro.runner.journal.SweepJournal` per sweep) with restart
+  re-adoption (``hub serve --state DIR``), and the supervision
   loop that watches queue depth / fleet liveness, emits scale signals,
   and optionally autoscales a loopback worker pool
   (``hub serve --autoscale MIN:MAX``).
@@ -37,12 +38,10 @@ from repro.runner.hub.client import HubSubmission, query_hub_status, submit_to_h
 from repro.runner.hub.dashboard import DashboardServer
 from repro.runner.hub.resultsdb import ResultsDB
 from repro.runner.hub.service import SweepHub
-from repro.runner.hub.state import HubJournal
 from repro.runner.hub.supervisor import HubSupervisor
 
 __all__ = [
     "DashboardServer",
-    "HubJournal",
     "HubSubmission",
     "HubSupervisor",
     "ResultsDB",

@@ -2,9 +2,10 @@
 
 ``ResultsDB`` is deliberately *not* a new store: the content-addressed
 artifact files (:class:`~repro.runner.artifacts.ArtifactStore`) remain the
-single source of truth for results, and the crash-safe sweep journals
-(:class:`~repro.runner.journal.SweepJournal`) remain the record of sweep
-runs.  What this module adds is the read side: an index built on demand by
+single source of truth for results, and the crash-safe journals the sweep
+runner keeps at the artifact root (``sweep-<id>.journal.json``, one
+:class:`~repro.runner.journal.SweepJournal` each) remain the record of
+sweep runs.  What this module adds is the read side: an index built on demand by
 walking both, answering "what ran, when, under which sweep, with what
 result" without any schema to migrate or lock in.  Every record is a plain
 JSON-safe dict assembled from the on-disk documents at query time -- delete
@@ -23,11 +24,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.runner.artifacts import ArtifactStore, decode
-from repro.runner.journal import JOURNAL_VERSION
+from repro.runner.journal import JOURNAL_VERSION, RUNNER_FILE
 
 __all__ = ["ResultsDB"]
 
-_JOURNAL_GLOB = "sweep-*.journal.json"
+_JOURNAL_GLOB = RUNNER_FILE.format("*")
 
 
 def _mtime_utc(path: Path) -> Optional[str]:

@@ -18,10 +18,11 @@ surviving the hub's):
   re-attaches the stream to the live queue -- completed results replay,
   the rest arrive live -- instead of duplicating work.  That makes client
   reconnect idempotent by construction.
-- **Hub journal.**  With ``state_dir`` set, a crash-safe
-  :class:`~repro.runner.hub.state.HubJournal` records every accepted
-  submission and its done indices (temp-file + ``os.replace``, same
-  discipline as the client-side ``SweepJournal``).  On restart,
+- **Hub journal.**  With ``state_dir`` set, every registered sweep gets
+  a crash-safe :class:`~repro.runner.journal.SweepJournal` at
+  ``hub-<identity>.state.json`` recording its submission and done
+  indices (the same class and atomic writer as the client-side sweep
+  journal).  On restart,
   :meth:`adopt_journaled` re-registers every interrupted sweep and
   prefills it from the artifact store, so only tasks with no artifact
   behind them are re-queued for the fleet.  The journal is advisory: the
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import socket
 import time
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.runner.backends import WorkItem
@@ -66,8 +68,12 @@ from repro.runner.distributed.protocol import (
     PROTOCOL_VERSION,
     send_message,
 )
-from repro.runner.hub.state import HubJournal
-from repro.runner.journal import sweep_identity
+from repro.runner.journal import (
+    HUB_FILE,
+    SweepJournal,
+    incomplete_journals,
+    sweep_identity,
+)
 
 __all__ = ["SweepHub"]
 
@@ -93,7 +99,8 @@ class SweepHub(Broker):
     Hub-specific parameters
     -----------------------
     state_dir:
-        Directory for the crash-safe :class:`HubJournal`.  ``None``
+        Directory of the sweeps' crash-safe state files (one
+        :class:`~repro.runner.journal.SweepJournal` each).  ``None``
         disables hub-side journaling (and restart re-adoption).
     max_pending:
         Hub-wide outstanding-task capacity; a submission that would
@@ -125,15 +132,18 @@ class SweepHub(Broker):
                 f"client_heartbeat_s must be > 0, got {client_heartbeat_s}"
             )
         super().__init__(None, **kwargs)
-        self.journal: Optional[HubJournal] = (
-            HubJournal(state_dir) if state_dir is not None else None
-        )
+        self.state_dir: Optional[Path] = None
+        if state_dir is not None:
+            self.state_dir = Path(state_dir)
+            self.state_dir.mkdir(parents=True, exist_ok=True)
         self.max_pending = max_pending
         self.client_heartbeat_s = client_heartbeat_s
         self.admission_retry_s = admission_retry_s
         #: Live sweeps by content-hash identity (mutated under the broker
         #: lock; identity reattach and admission share one atomic check).
         self._identities: Dict[str, SweepQueue] = {}
+        #: Their state-file journals (only with ``state_dir``).
+        self._journals: Dict[str, SweepJournal] = {}
         self._stopping = False
         self.stats.setdefault("rejected_busy", 0)
         self.stats.setdefault("reattached", 0)
@@ -153,20 +163,20 @@ class SweepHub(Broker):
     def adopt_journaled(self) -> List[Dict[str, Any]]:
         """Re-register every interrupted sweep from the state directory.
 
-        For each journaled-but-incomplete submission: re-record it (the
-        done list restarts empty; ``adopted`` increments), re-queue its
-        tasks, then prefill from the artifact store so tasks that already
-        have an artifact behind them complete as cache hits and only the
-        rest go to the fleet.  Clients that resubmit the same identity
+        For each journaled-but-incomplete submission: re-queue its tasks
+        and restart its journal (the done list restarts empty; ``adopted``
+        increments), then prefill from the artifact store so tasks that
+        already have an artifact behind them complete as cache hits and
+        only the rest go to the fleet.  Clients that resubmit the same identity
         re-attach to the adopted queue.  Returns one summary dict per
         adopted sweep.
         """
-        if self.journal is None:
+        if self.state_dir is None:
             return []
         adopted: List[Dict[str, Any]] = []
-        for doc in self.journal.incomplete():
-            identity = str(doc["identity"])
+        for doc in incomplete_journals(self.state_dir, HUB_FILE.format("*")):
             try:
+                identity = str(doc["identity"])
                 items: List[WorkItem] = [
                     (
                         task["index"],
@@ -186,18 +196,14 @@ class SweepHub(Broker):
                     # Already live: its record (done list included) is
                     # current, and rewriting it would lose completions.
                     continue
-                self.journal.record(
-                    identity, items, name=name, priority=priority, force=force,
-                    adopted=True,
-                )
-                sweep = self._submit_locked(
+                sweep = self._register_locked(
                     items,
+                    identity,
                     name=name,
                     priority=priority,
                     force=force,
-                    identity=identity,
+                    adopted=True,
                 )
-                self._identities[identity] = sweep
                 self.stats["adopted"] += 1
                 self._event_locked(
                     "sweep-adopted",
@@ -217,30 +223,72 @@ class SweepHub(Broker):
             )
         return adopted
 
+    def _register_locked(
+        self,
+        items: List[WorkItem],
+        identity: str,
+        *,
+        name: str,
+        priority: int,
+        force: bool,
+        adopted: bool = False,
+    ) -> SweepQueue:
+        """Register a sweep and begin its journal in one broker-lock hold.
+
+        No task of the sweep can be leased (or served as a dedupe hit)
+        before the lock is released, so its journal exists before any
+        completion can reach :meth:`_task_completed`.
+        """
+        sweep = self._submit_locked(
+            items, name=name, priority=priority, force=force, identity=identity
+        )
+        self._identities[identity] = sweep
+        if self.state_dir is not None:
+            # A resubmitted (failed) identity restarts its file's journal.
+            journal = self._journals.get(identity) or SweepJournal(
+                self.state_dir / HUB_FILE.format(identity), "identity", identity
+            )
+            journal.begin(
+                [
+                    {"index": index, "task": task, "params": params, "module": module}
+                    for index, task, params, module in items
+                ],
+                counter="adopted",
+                restart=adopted,
+                name=name,
+                priority=priority,
+                force=force,
+            )
+            self._journals[identity] = journal
+        return sweep
+
     # ------------------------------------------------------------------ #
     # Journal hooks (called by the broker core)
     # ------------------------------------------------------------------ #
     def _task_completed(self, state: Any, *, cached: bool) -> None:
-        if self.journal is None:
-            return
         sweep = state.sweep
-        if sweep.identity is None:
+        journal = self._journals.get(sweep.identity)
+        # A failed sweep's document keeps its error, and a resubmission of
+        # its identity restarts the journal: stragglers must not mark it.
+        if journal is None or sweep.failure is not None:
             return
-        self.journal.mark_done(sweep.identity, state.index, cached=cached)
-        if sweep.outstanding == 0 and sweep.failure is None:
-            self.journal.mark_complete(sweep.identity)
+        journal.mark_done(state.index, cached=cached)
+        if sweep.outstanding == 0:
+            journal.finish()
 
     def _sweep_failed_locked(self, sweep: SweepQueue) -> None:
         # A gracefully stopping hub fails live sweeps broker-side only;
         # on disk they stay incomplete for re-adoption.
-        if self.journal is None or sweep.identity is None or self._stopping:
+        journal = self._journals.get(sweep.identity)
+        if journal is None or self._stopping:
             return
-        self.journal.mark_failed(sweep.identity, str(sweep.failure))
+        journal.fail(str(sweep.failure))
 
     def _sweep_evicted_locked(self, sweep: SweepQueue) -> None:
         if sweep.identity is not None:
             if self._identities.get(sweep.identity) is sweep:
                 del self._identities[sweep.identity]
+                self._journals.pop(sweep.identity, None)
 
     # ------------------------------------------------------------------ #
     # Client protocol
@@ -326,14 +374,13 @@ class SweepHub(Broker):
                                 "retry_after_s": self.admission_retry_s,
                             }
                     if busy_reply is None:
-                        sweep = self._submit_locked(
+                        sweep = self._register_locked(
                             items,
+                            identity,
                             name=name,
                             priority=priority,
                             force=force,
-                            identity=identity,
                         )
-                        self._identities[identity] = sweep
         except (BrokerError, KeyError, TypeError, ValueError) as exc:
             self._safe_send(
                 conn, {"type": "goodbye", "error": f"bad submission: {exc}"}
@@ -342,10 +389,6 @@ class SweepHub(Broker):
         if busy_reply is not None:
             self._safe_send(conn, busy_reply)
             return
-        if not reattached and self.journal is not None:
-            self.journal.record(
-                identity, items, name=name, priority=priority, force=force
-            )
         self._safe_send(
             conn,
             {

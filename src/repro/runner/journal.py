@@ -1,66 +1,65 @@
-"""Crash-safe sweep manifests: the ``--resume`` half of chaos hardening.
+"""Crash-safe sweep journals: the record behind ``--resume`` and hub restart.
 
-A :class:`SweepJournal` is one JSON document per sweep, living at the root
-of the artifact directory (``sweep-<id>.journal.json``).  It records the
-sweep's identity (a content hash over the full, ordered config list --
-changing any task or param yields a different sweep), the per-task keys,
-and the completion state as results land, plus -- on a clean finish -- the
-broker's structured event log, its stats, and the injected-fault counts.
+A :class:`SweepJournal` manages one JSON document at one path.  Two callers
+keep them, under two file names:
 
-Every update is written with the same temp-file + ``os.replace`` discipline
-as :meth:`~repro.runner.artifacts.ArtifactStore.store`, so a killed broker
-(or a power cut) leaves either the previous state or the new one, never a
-truncated document.  The journal is *advisory*: the artifact cache remains
-the source of truth for results, so ``--resume`` re-executes exactly the
-configs whose artifacts are missing or corrupt, and a journal that lags a
-few completions (or is lost outright) costs re-checks, never correctness.
+- the sweep runner writes ``sweep-<id>.journal.json`` at the root of the
+  artifact directory (:data:`RUNNER_FILE`); ``--resume``, ``sweeps`` and
+  ``runs`` read it back;
+- the hub writes ``hub-<identity>.state.json`` under ``hub serve --state
+  DIR`` (:data:`HUB_FILE`) for every sweep it registers, and on restart
+  re-adopts the interrupted ones (:func:`incomplete_journals`).
+
+Both documents record the sweep's identity (a content hash over the full,
+ordered config list -- changing any task or param yields a different
+sweep), one record per task, and the done/cached indices as results land,
+then flip ``complete`` (or record an ``error``) at the end.  The caller
+supplies its own keys: the runner its ``sweep_id``, ``resumed`` counter,
+per-task artifact ``key`` and, on a clean finish, the broker's event log,
+stats and injected-fault counts; the hub its ``identity``, submission
+``name``/``priority``/``force``, ``adopted`` counter and per-task
+``params``/``module``.
+
+Every update goes through :func:`~repro.runner.artifacts.atomic_write_text`,
+the writer the artifact store uses, so a killed process (or a power cut)
+leaves either the previous document or the new one, never a truncated one.
+The journal is *advisory*: the artifact cache remains the source of truth
+for results, so ``--resume`` and re-adoption re-execute exactly the configs
+whose artifacts are missing or corrupt, and a journal that lags a few
+completions (or is lost outright) costs re-checks, never correctness.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
+import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.runner.artifacts import atomic_write_text
 from repro.runner.config import SweepConfig
 
-__all__ = ["SweepJournal", "atomic_write_json", "sweep_identity"]
+__all__ = [
+    "HUB_FILE",
+    "RUNNER_FILE",
+    "SweepJournal",
+    "incomplete_journals",
+    "sweep_identity",
+]
 
 JOURNAL_VERSION = 1
-_PREFIX = "sweep-"
-_SUFFIX = ".journal.json"
+#: File name of the sweep runner's journal (at an artifact root) and of
+#: the hub's per-sweep state file (under ``--state DIR``); ``{}`` is the
+#: sweep's identity, ``*`` in its place globs every journal of that kind.
+RUNNER_FILE = "sweep-{}.journal.json"
+HUB_FILE = "hub-{}.state.json"
 
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def atomic_write_json(path: Union[str, Path], document: Dict[str, Any]) -> None:
-    """Crash-safe JSON rewrite: uniquely named temp file + ``os.replace``.
-
-    The discipline every durable manifest in this codebase follows (sweep
-    journals, hub state files, artifacts): a reader observes either the
-    previous document or the new one, never a truncated hybrid.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(target.parent), prefix=target.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def sweep_identity(configs: Sequence[SweepConfig]) -> str:
@@ -76,156 +75,147 @@ def sweep_identity(configs: Sequence[SweepConfig]) -> str:
     return digest.hexdigest()[:16]
 
 
-class SweepJournal:
-    """One sweep's crash-safe progress manifest."""
+def _read(path: Path) -> Optional[Dict[str, Any]]:
+    """A journal document, or ``None`` when unreadable, corrupt or foreign."""
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(document, dict)
+        or document.get("version") != JOURNAL_VERSION
+        or not isinstance(document.get("tasks"), list)
+        or not isinstance(document.get("done"), list)
+    ):
+        return None
+    return document
 
-    def __init__(self, path: Union[str, Path], sweep_id: str, total: int) -> None:
+
+def incomplete_journals(
+    directory: Union[str, Path], pattern: str
+) -> List[Dict[str, Any]]:
+    """Documents of interrupted sweeps under ``directory`` matching ``pattern``.
+
+    Complete and failed sweeps are skipped (a sweep that exhausted its
+    retry budget would only fail again); unreadable or foreign files are
+    warned about (once each, on stderr) and skipped -- a corrupt journal
+    must not wedge a restart.
+    """
+    found: List[Dict[str, Any]] = []
+    for path in sorted(Path(directory).glob(pattern)):
+        document = _read(path)
+        if document is None:
+            sys.stderr.write(
+                f"[journal] warning: skipping unreadable state file {path}\n"
+            )
+            continue
+        if document.get("complete") or document.get("error"):
+            continue
+        found.append(document)
+    return found
+
+
+class SweepJournal:
+    """One sweep's crash-safe progress document.
+
+    ``id_key`` names the document's identity field (``sweep_id`` or
+    ``identity``); a document at ``path`` whose field holds another value
+    reads as absent.  Thread-safe: the hub begins a journal under its
+    broker lock and marks completions from worker threads; one lock
+    serializes the in-memory document and the file writes.
+    """
+
+    def __init__(self, path: Union[str, Path], id_key: str, identity: str) -> None:
         self.path = Path(path)
-        self.sweep_id = sweep_id
-        self.total = total
+        self.id_key = id_key
+        self.identity = identity
+        self._lock = threading.Lock()
         self._doc: Optional[Dict[str, Any]] = None
 
     @classmethod
     def for_configs(
         cls, directory: Union[str, Path], configs: Sequence[SweepConfig]
     ) -> "SweepJournal":
+        """The sweep runner's journal of ``configs`` under an artifact root."""
         sweep_id = sweep_identity(configs)
-        path = Path(directory) / f"{_PREFIX}{sweep_id}{_SUFFIX}"
-        return cls(path, sweep_id, len(configs))
-
-    @classmethod
-    def incomplete_in(cls, directory: Union[str, Path]) -> List[Path]:
-        """Journals of interrupted sweeps under ``directory`` (for hints)."""
-        root = Path(directory)
-        if not root.is_dir():
-            return []
-        found = []
-        for path in sorted(root.glob(f"{_PREFIX}*{_SUFFIX}")):
-            document = cls._read(path)
-            if document is not None and not document.get("complete"):
-                found.append(path)
-        return found
-
-    # ------------------------------------------------------------------ #
-    # Reading
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _read(path: Path) -> Optional[Dict[str, Any]]:
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(document, dict)
-            or document.get("version") != JOURNAL_VERSION
-            or not isinstance(document.get("done"), list)
-        ):
-            return None
-        return document
+        path = Path(directory) / RUNNER_FILE.format(sweep_id)
+        return cls(path, "sweep_id", sweep_id)
 
     def load(self) -> Optional[Dict[str, Any]]:
-        """The persisted state, or ``None`` when absent/corrupt/foreign.
+        """The persisted document, or ``None`` when absent/corrupt/foreign.
 
         A corrupt journal is treated exactly like a missing one (the
         artifact cache is the source of truth); a version or identity
         mismatch likewise.
         """
-        document = self._read(self.path)
-        if document is None or document.get("sweep_id") != self.sweep_id:
+        document = _read(self.path)
+        if document is None or document.get(self.id_key) != self.identity:
             return None
         return document
 
-    # ------------------------------------------------------------------ #
-    # Writing
-    # ------------------------------------------------------------------ #
     def begin(
         self,
-        tasks: Sequence[SweepConfig],
+        tasks: Sequence[Dict[str, Any]],
         *,
-        resume: bool = False,
+        counter: str,
+        restart: bool = False,
+        **fields: Any,
     ) -> Optional[Dict[str, Any]]:
-        """Start (or restart) the manifest; returns the prior state, if any.
+        """Start (or restart) the document; returns the prior one, if any.
 
-        The completion state always restarts empty -- the caller re-marks
+        ``tasks`` are the per-task records and ``fields`` the caller's
+        extra keys.  ``counter`` names the restart counter: one more than
+        the prior document's when ``restart`` is set, else 0.  The
+        completion state always restarts empty -- the caller re-marks
         tasks as the cache prefill and the backend report them -- so the
         journal never claims completions the artifact store cannot back.
         """
-        prior = self.load()
-        self._doc = {
-            "version": JOURNAL_VERSION,
-            "sweep_id": self.sweep_id,
-            "created": prior["created"] if prior else _utc_now(),
-            "updated": _utc_now(),
-            "total": self.total,
-            "tasks": [
-                {"index": index, "task": config.task, "key": config.key()}
-                for index, config in enumerate(tasks)
-            ],
-            "done": [],
-            "cached": [],
-            "complete": False,
-            "resumed": (prior.get("resumed", 0) + 1 if prior else 0) if resume else 0,
-            "error": None,
-            "stats": None,
-            "events": None,
-            "events_dropped": None,
-            "faults": None,
-        }
-        self._flush()
+        with self._lock:
+            prior = self.load()
+            now = _utc_now()
+            self._doc = {
+                "version": JOURNAL_VERSION,
+                self.id_key: self.identity,
+                "created": prior.get("created", now) if prior else now,
+                "updated": now,
+                "total": len(tasks),
+                "tasks": list(tasks),
+                "done": [],
+                "cached": [],
+                "complete": False,
+                "error": None,
+                counter: prior.get(counter, 0) + 1 if restart and prior else 0,
+                **fields,
+            }
+            self._flush_locked()
         return prior
 
-    def mark_done(self, index: int, *, cached: bool = False, flush: bool = True) -> None:
-        """Record one completed config (by its position in the config list)."""
-        doc = self._require_doc()
-        doc["done"].append(index)
-        if cached:
-            doc["cached"].append(index)
-        if flush:
-            self._flush()
-
-    def mark_many(self, indices: Sequence[int], *, cached: bool = False) -> None:
-        """Batch :meth:`mark_done` (one atomic write for a cache prefill)."""
+    def mark_done(self, *indices: int, cached: bool = False) -> None:
+        """Record completed tasks (by position in the task list), one write."""
         if not indices:
             return
-        for index in indices:
-            self.mark_done(index, cached=cached, flush=False)
-        self._flush()
+        with self._lock:
+            doc = self._require_doc()
+            doc["done"].extend(indices)
+            if cached:
+                doc["cached"].extend(indices)
+            self._flush_locked()
 
-    def finish(
-        self,
-        *,
-        stats: Optional[Dict[str, Any]] = None,
-        events: Optional[Sequence[Dict[str, Any]]] = None,
-        events_dropped: Optional[int] = None,
-        faults: Optional[Dict[str, int]] = None,
-    ) -> None:
-        """Mark the sweep complete and attach the broker's telemetry.
+    def finish(self, **fields: Any) -> None:
+        """Mark the sweep complete, attaching the caller's final ``fields``."""
+        with self._lock:
+            doc = self._require_doc()
+            doc["complete"] = True
+            doc.update(fields)
+            self._flush_locked()
 
-        ``events_dropped`` records how many events fell past the broker's
-        in-memory cap: a non-zero count tells post-hoc readers the stored
-        ``events`` list is truncated, not the full history.
-        """
-        doc = self._require_doc()
-        doc["complete"] = True
-        doc["stats"] = dict(stats) if stats else None
-        doc["events"] = [dict(event) for event in events] if events else None
-        if events_dropped is None and stats and "events_dropped" in stats:
-            events_dropped = stats["events_dropped"]
-        doc["events_dropped"] = events_dropped
-        doc["faults"] = dict(faults) if faults else None
-        self._flush()
-
-    def abort(self, error: str) -> None:
-        """Record why the sweep died; the journal stays incomplete."""
-        if self._doc is None:
-            return
-        self._doc["error"] = str(error)
-        self._flush()
-
-    @property
-    def done_count(self) -> int:
-        return len(self._doc["done"]) if self._doc is not None else 0
+    def fail(self, error: str) -> None:
+        """Record why the sweep died; the document stays incomplete and is
+        not re-adopted."""
+        with self._lock:
+            self._require_doc()["error"] = str(error)
+            self._flush_locked()
 
     # ------------------------------------------------------------------ #
     def _require_doc(self) -> Dict[str, Any]:
@@ -233,10 +223,9 @@ class SweepJournal:
             raise RuntimeError("SweepJournal.begin() must run before updates")
         return self._doc
 
-    def _flush(self) -> None:
-        """Atomic rewrite (uniquely named temp file + ``os.replace``)."""
+    def _flush_locked(self) -> None:
         doc = self._require_doc()
         doc["done"] = sorted(set(doc["done"]))
         doc["cached"] = sorted(set(doc["cached"]))
         doc["updated"] = _utc_now()
-        atomic_write_json(self.path, doc)
+        atomic_write_text(self.path, json.dumps(doc, sort_keys=True))

@@ -225,16 +225,19 @@ class SweepRunner:
                 progress.step(cached=meta is None)
         except BaseException as exc:
             if journal is not None:
-                journal.abort(repr(exc))
+                journal.fail(repr(exc))
             raise
         finally:
             progress.finish()
         self.last_events = list(getattr(self.backend, "last_events", []))
         if journal is not None:
+            stats = getattr(self.backend, "last_stats", None) or None
             journal.finish(
-                stats=getattr(self.backend, "last_stats", None),
-                events=self.last_events,
-                faults=getattr(self.backend, "last_faults", None),
+                stats=stats,
+                events=self.last_events or None,
+                # Non-zero: ``events`` is truncated at the broker's cap.
+                events_dropped=(stats or {}).get("events_dropped"),
+                faults=getattr(self.backend, "last_faults", None) or None,
             )
         # Broker-side dedupe may have served part of ``pending`` from the
         # shared artifact cache mid-sweep; recount so the cached/executed
@@ -252,8 +255,19 @@ class SweepRunner:
             self.last_journal_path = None
             return None
         journal = SweepJournal.for_configs(self.store.root, configs)
-        prior = journal.begin(configs, resume=self.resume)
-        journal.mark_many(prefilled, cached=True)
+        prior = journal.begin(
+            [
+                {"index": index, "task": config.task, "key": config.key()}
+                for index, config in enumerate(configs)
+            ],
+            counter="resumed",
+            restart=self.resume,
+            stats=None,
+            events=None,
+            events_dropped=None,
+            faults=None,
+        )
+        journal.mark_done(*prefilled, cached=True)
         self.last_journal_path = journal.path
         if self.resume:
             if prior is not None and not prior.get("complete"):
@@ -264,7 +278,7 @@ class SweepRunner:
             else:
                 detail = "no journal found, starting fresh"
             sys.stderr.write(
-                f"[sweep] resuming sweep {journal.sweep_id}: {detail}; "
+                f"[sweep] resuming sweep {journal.identity}: {detail}; "
                 f"{len(prefilled)}/{len(configs)} task(s) already cached\n"
             )
             sys.stderr.flush()

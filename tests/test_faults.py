@@ -37,13 +37,19 @@ from repro.runner import (
     InjectedBrokerCrash,
     InjectedFault,
     MISSING,
+    ResultsDB,
     SweepConfig,
     SweepHub,
     SweepJournal,
     SweepRunner,
 )
 from repro.runner.distributed.worker import WorkerDaemon
-from repro.runner.journal import sweep_identity
+from repro.runner.journal import (
+    HUB_FILE,
+    RUNNER_FILE,
+    incomplete_journals,
+    sweep_identity,
+)
 from repro.scenarios import Scenario
 
 #: tests/test_faults.py -> repository root (for subprocess cwd).
@@ -211,10 +217,39 @@ class TestBackoff:
 
 
 # --------------------------------------------------------------------------- #
-# SweepJournal
+# SweepJournal: one crash-safe document class, two file roles
 # --------------------------------------------------------------------------- #
 def _configs(n=3):
     return [SweepConfig("testing.sleep_echo", {"value": i}) for i in range(n)]
+
+
+#: The two roles a journal serves -- (file name, identity key, restart
+#: counter, role-specific fields) -- as the sweep runner and the hub write
+#: them.  Tests of an assertion both roles share run it over each role.
+JOURNAL_ROLES = {
+    "runner": (RUNNER_FILE, "sweep_id", "resumed", {"events": None}),
+    "hub": (HUB_FILE, "identity", "adopted", {"name": "t", "priority": 2}),
+}
+
+
+def _role_journal(role, directory, configs):
+    """``role``'s journal of ``configs`` under ``directory``, its glob, and
+    a ``begin(restart=False)`` writing that role's keys."""
+    file_name, id_key, counter, fields = JOURNAL_ROLES[role]
+    identity = sweep_identity(configs)
+    journal = SweepJournal(directory / file_name.format(identity), id_key, identity)
+    tasks = [{"index": index, "task": c.task} for index, c in enumerate(configs)]
+
+    def begin(restart=False):
+        return journal.begin(tasks, counter=counter, restart=restart, **fields)
+
+    return journal, file_name.format("*"), begin
+
+
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 class TestSweepJournal:
@@ -226,60 +261,210 @@ class TestSweepJournal:
 
     def test_lifecycle(self, tmp_path):
         configs = _configs()
-        journal = SweepJournal.for_configs(tmp_path, configs)
-        assert journal.load() is None
-        assert journal.begin(configs) is None
-        journal.mark_done(1)
-        journal.mark_many([0], cached=True)
-        state = journal.load()
-        assert state["done"] == [0, 1] and state["cached"] == [0]
-        assert not state["complete"] and state["error"] is None
-        journal.finish(stats={"retries": 2}, events=[{"event": "lease-grant"}])
-        state = journal.load()
-        assert state["complete"]
-        assert state["stats"] == {"retries": 2}
-        assert state["events"] == [{"event": "lease-grant"}]
-        assert state["tasks"][0]["key"] == configs[0].key()
+        runner_path = SweepJournal.for_configs(tmp_path / "runner", configs).path
+        for role, (_, id_key, _, fields) in JOURNAL_ROLES.items():
+            directory = tmp_path / role
+            journal, pattern, begin = _role_journal(role, directory, configs)
+            assert journal.load() is None
+            assert begin() is None
+            journal.mark_done(1)
+            journal.mark_done(0, cached=True)
+            # A fresh scan (a restarted hub) sees the interrupted sweep.
+            (state,) = incomplete_journals(directory, pattern)
+            assert state == journal.load()
+            assert state[id_key] == journal.identity and state["total"] == 3
+            assert state["done"] == [0, 1] and state["cached"] == [0]
+            assert not state["complete"] and state["error"] is None
+            assert [task["index"] for task in state["tasks"]] == [0, 1, 2]
+            assert {key: state[key] for key in fields} == fields
+            journal.mark_done(2)
+            journal.finish(stats={"retries": 2}, events=[{"event": "lease-grant"}])
+            state = journal.load()
+            assert state["complete"] and state["done"] == [0, 1, 2]
+            assert state["stats"] == {"retries": 2}
+            assert state["events"] == [{"event": "lease-grant"}]
+            # Completion removes it from the re-adoption set; the file stays.
+            assert incomplete_journals(directory, pattern) == []
+            assert journal.path.exists()
+        assert runner_path.exists()
 
     def test_abort_records_error_and_stays_incomplete(self, tmp_path):
-        configs = _configs()
-        journal = SweepJournal.for_configs(tmp_path, configs)
-        journal.begin(configs)
-        journal.abort("BrokerError('boom')")
-        state = journal.load()
-        assert not state["complete"] and "boom" in state["error"]
-        assert SweepJournal.incomplete_in(tmp_path) == [journal.path]
+        for role in JOURNAL_ROLES:
+            journal, pattern, begin = _role_journal(role, tmp_path, _configs())
+            begin()
+            journal.fail("BrokerError('boom')")
+            state = journal.load()
+            assert not state["complete"] and state["error"] == "BrokerError('boom')"
+            # A failed sweep would only fail again: never re-adopted.
+            assert incomplete_journals(tmp_path, pattern) == []
 
     def test_begin_resets_completions_and_counts_resumes(self, tmp_path):
-        configs = _configs()
-        journal = SweepJournal.for_configs(tmp_path, configs)
-        journal.begin(configs)
-        journal.mark_done(0)
-        prior = journal.begin(configs, resume=True)
-        assert prior["done"] == [0]
-        state = journal.load()
-        assert state["done"] == [] and state["resumed"] == 1
-        journal.begin(configs, resume=True)
-        assert journal.load()["resumed"] == 2
+        for role, (_, _, counter, _) in JOURNAL_ROLES.items():
+            journal, pattern, begin = _role_journal(role, tmp_path, _configs())
+            begin()
+            journal.mark_done(0)
+            prior = begin(restart=True)
+            assert prior["done"] == [0]
+            (state,) = incomplete_journals(tmp_path, pattern)
+            # Re-verified against the store, not trusted.
+            assert state["done"] == [] and state[counter] == 1
+            begin(restart=True)
+            assert journal.load()[counter] == 2
+            begin()
+            assert journal.load()[counter] == 0
 
-    def test_corrupt_or_foreign_journal_reads_as_absent(self, tmp_path):
-        configs = _configs()
-        journal = SweepJournal.for_configs(tmp_path, configs)
-        journal.begin(configs)
-        journal.path.write_text("{ truncated", encoding="utf-8")
-        assert journal.load() is None
-        assert SweepJournal.incomplete_in(tmp_path) == []
-        other = SweepJournal(journal.path, "0" * 16, len(configs))
-        journal.begin(configs)
-        assert other.load() is None
+    def test_corrupt_or_foreign_journal_reads_as_absent(self, tmp_path, capsys):
+        for role, (file_name, id_key, _, _) in JOURNAL_ROLES.items():
+            directory = tmp_path / role
+            journal, pattern, begin = _role_journal(role, directory, _configs())
+            begin()
+            garbage = directory / file_name.format("garbage")
+            garbage.write_text("{not json", encoding="utf-8")
+            (state,) = incomplete_journals(directory, pattern)
+            assert state[id_key] == journal.identity
+            err = capsys.readouterr().err
+            assert err.count("skipping unreadable state file") == 1
+            assert str(garbage) in err
+            assert SweepJournal(journal.path, id_key, "0" * 16).load() is None
+            journal.path.write_text("{ truncated", encoding="utf-8")
+            assert journal.load() is None
+            assert incomplete_journals(directory, pattern) == []
+            assert capsys.readouterr().err.count("skipping unreadable") == 2
 
     def test_flush_leaves_no_temp_files(self, tmp_path):
-        configs = _configs()
-        journal = SweepJournal.for_configs(tmp_path, configs)
-        journal.begin(configs)
-        for i in range(3):
-            journal.mark_done(i)
+        for role in JOURNAL_ROLES:
+            journal, _, begin = _role_journal(role, tmp_path, _configs())
+            begin()
+            for i in range(3):
+                journal.mark_done(i)
+            journal.finish()
+        assert len(list(tmp_path.iterdir())) == 2
         assert [p.name for p in tmp_path.glob("*.tmp")] == []
+
+    def test_concurrent_marks_lose_no_completion(self, tmp_path):
+        # The hub marks completions from one thread per worker connection.
+        configs = _configs(256)
+        journal, _, begin = _role_journal("hub", tmp_path, configs)
+        begin()
+
+        def mark_lane(lane):
+            for index in range(lane, 256, 16):
+                journal.mark_done(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=mark_lane, args=(lane,)) for lane in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert journal.load()["done"] == list(range(256))
+
+    @pytest.mark.parametrize("role", JOURNAL_ROLES)
+    def test_journal_gets_the_umask_mode_like_artifacts(self, tmp_path, role):
+        journal, _, begin = _role_journal(role, tmp_path, _configs())
+        begin()
+        journal.mark_done(0)
+        artifact = ArtifactStore(tmp_path).store(_configs()[0], {"value": 0})
+        expected = 0o666 & ~_umask()
+        assert journal.path.stat().st_mode & 0o777 == expected
+        assert artifact.stat().st_mode & 0o777 == expected
+
+    def test_runner_reads_and_resumes_a_parent_format_journal(self, tmp_path, capsys):
+        configs = _configs()
+        sweep_id = sweep_identity(configs)
+        # Exactly the key set the sweep runner's journal has always had.
+        document = {
+            "version": 1,
+            "sweep_id": sweep_id,
+            "created": "2026-01-01T00:00:00+00:00",
+            "updated": "2026-01-01T00:00:05+00:00",
+            "total": 3,
+            "tasks": [
+                {"index": index, "task": c.task, "key": c.key()}
+                for index, c in enumerate(configs)
+            ],
+            "done": [0],
+            "cached": [],
+            "complete": False,
+            "resumed": 0,
+            "error": None,
+            "stats": None,
+            "events": None,
+            "events_dropped": None,
+            "faults": None,
+        }
+        path = tmp_path / f"sweep-{sweep_id}.journal.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        (record,) = ResultsDB(tmp_path).sweep_records()
+        assert record["sweep"] == sweep_id and record["status"] == "resumable"
+        assert (record["done"], record["total"], record["resumed"]) == (1, 3, 0)
+        assert [task["key"] for task in record["tasks"]] == [c.key() for c in configs]
+
+        runner = SweepRunner(artifact_dir=tmp_path, resume=True)
+        assert runner.run(configs) == [{"value": 0}, {"value": 1}, {"value": 2}]
+        assert "journal recorded 1/3 done" in capsys.readouterr().err
+        state = json.loads(path.read_text(encoding="utf-8"))
+        assert set(state) == set(document)
+        assert state["complete"] and state["resumed"] == 1
+        assert state["created"] == document["created"]
+        assert state["tasks"] == document["tasks"]
+        (record,) = ResultsDB(tmp_path).sweep_records()
+        assert record["status"] == "done" and record["done"] == 3
+
+    def test_hub_readopts_a_parent_format_state_file(self, tmp_path):
+        configs = _configs()
+        identity = sweep_identity(configs)
+        # Exactly the key set the hub's state file has always had.
+        document = {
+            "version": 1,
+            "identity": identity,
+            "name": "tenant",
+            "priority": 2,
+            "force": False,
+            "created": "2026-01-01T00:00:00+00:00",
+            "updated": "2026-01-01T00:00:05+00:00",
+            "total": 3,
+            "tasks": [
+                {
+                    "index": index,
+                    "task": c.task,
+                    "params": c.params,
+                    "module": "repro.runner.testing",
+                }
+                for index, c in enumerate(configs)
+            ],
+            "done": [0, 1],
+            "cached": [],
+            "complete": False,
+            "adopted": 0,
+            "error": None,
+        }
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        path = state_dir / f"hub-{identity}.state.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        store = ArtifactStore(tmp_path / "store")
+        store.store(configs[1], {"value": 1})
+
+        hub = SweepHub(store=store, state_dir=state_dir)
+        (adopted,) = hub.adopt_journaled()
+        assert adopted["identity"] == identity and adopted["name"] == "tenant"
+        assert (adopted["total"], adopted["cached"]) == (3, 1)
+        state = json.loads(path.read_text(encoding="utf-8"))
+        assert set(state) == set(document)
+        # Done restarts from what the store backs, not from the old list.
+        assert state["done"] == [1] and state["cached"] == [1]
+        assert state["adopted"] == 1 and not state["complete"]
+        assert state["created"] == document["created"]
+        assert state["tasks"] == document["tasks"]
+        assert (state["name"], state["priority"]) == ("tenant", 2)
 
 
 # --------------------------------------------------------------------------- #
@@ -310,6 +495,7 @@ class TestResume:
         runner.run(configs)
         state = SweepJournal.for_configs(tmp_path, configs).load()
         assert state["complete"] and state["done"] == [0, 1, 2]
+        assert state["tasks"][0]["key"] == configs[0].key()
         resumed = SweepRunner(artifact_dir=tmp_path, resume=True)
         out = resumed.run(configs)
         assert out == [{"value": 0}, {"value": 1}, {"value": 2}]

@@ -14,7 +14,7 @@ listening socket into the forked children, keeping the port alive past
 the crash -- a test-harness artifact real deployments (separate
 processes) never see.
 
-Unit-level coverage (journal round-trips, re-attach replay, admission
+Unit-level coverage (state-file journaling, re-attach replay, admission
 busy replies, heartbeats, crash-hub injection, supervisor signals) runs
 in-process for speed.
 """
@@ -44,6 +44,7 @@ from repro.runner import (
     FaultPlan,
     SweepConfig,
     SweepHub,
+    SweepJournal,
     SweepRunner,
 )
 from repro.runner.distributed.backend import spawn_loopback_worker
@@ -54,7 +55,7 @@ from repro.runner.distributed.protocol import (
     send_message,
 )
 from repro.runner.faults import CRASH_EXIT_CODE
-from repro.runner.hub import HubJournal, HubSupervisor
+from repro.runner.hub import HubSupervisor
 from repro.runner.hub.client import HubSubmission, submit_to_hub
 
 #: tests/test_hub_ha.py -> repository root (for subprocess cwd).
@@ -130,86 +131,83 @@ def _raw_submit(address, items, *, name=""):
 
 
 # --------------------------------------------------------------------------- #
-# HubJournal: crash-safe state round-trips
+# State-file journaling: adoption and submission ordering
+# (the journal class itself is covered in tests/test_faults.py)
 # --------------------------------------------------------------------------- #
-class TestHubJournal:
-    def test_record_mark_and_readoption_roundtrip(self, tmp_path):
-        journal = HubJournal(tmp_path)
-        items = _items(range(3))
-        journal.record("abc123", items, name="t", priority=2)
-        journal.mark_done("abc123", 0)
-        journal.mark_done("abc123", 1, cached=True)
-
-        # A fresh journal (a restarted hub) sees the interrupted sweep.
-        (doc,) = HubJournal(tmp_path).incomplete()
-        assert doc["identity"] == "abc123"
-        assert doc["name"] == "t"
-        assert doc["priority"] == 2
-        assert doc["done"] == [0, 1]
-        assert doc["cached"] == [1]
-        assert doc["total"] == 3
-        assert [t["index"] for t in doc["tasks"]] == [0, 1, 2]
-
-        # Completion removes it from the re-adoption set; the file stays.
-        journal.mark_done("abc123", 2)
-        journal.mark_complete("abc123")
-        assert HubJournal(tmp_path).incomplete() == []
-        assert journal.path_for("abc123").exists()
-
-    def test_failed_sweeps_are_not_readopted(self, tmp_path):
-        journal = HubJournal(tmp_path)
-        journal.record("dead", _items(range(2)))
-        journal.mark_failed("dead", "retries exhausted")
-        assert HubJournal(tmp_path).incomplete() == []
-        document = json.loads(
-            journal.path_for("dead").read_text(encoding="utf-8")
-        )
-        assert document["error"] == "retries exhausted"
-
-    def test_adoption_resets_done_and_counts_restarts(self, tmp_path):
-        journal = HubJournal(tmp_path)
-        journal.record("x", _items(range(2)))
-        journal.mark_done("x", 0)
-        journal.record("x", _items(range(2)), adopted=True)
-        (doc,) = journal.incomplete()
-        assert doc["done"] == []  # re-verified against the store, not trusted
-        assert doc["adopted"] == 1
-        journal.record("x", _items(range(2)), adopted=True)
-        (doc,) = journal.incomplete()
-        assert doc["adopted"] == 2
-
-    def test_unknown_identity_marks_are_ignored(self, tmp_path):
-        journal = HubJournal(tmp_path)
-        journal.mark_done("ghost", 0)
-        journal.mark_complete("ghost")
-        journal.mark_failed("ghost", "boom")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_unreadable_state_file_is_skipped_with_warning(self, tmp_path, capsys):
-        journal = HubJournal(tmp_path)
-        journal.record("ok", _items(range(1)))
-        (tmp_path / "hub-garbage.state.json").write_text("{not json", "utf-8")
-        (doc,) = journal.incomplete()
-        assert doc["identity"] == "ok"
-        assert "skipping unreadable state file" in capsys.readouterr().err
+def _state_file(state_dir):
+    (path,) = state_dir.glob("hub-*.state.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
-# --------------------------------------------------------------------------- #
-# Identity dedupe and stream re-attach
-# --------------------------------------------------------------------------- #
 class TestAdoption:
     def test_adopting_a_live_identity_keeps_its_journaled_done_list(self, tmp_path):
-        hub = SweepHub(state_dir=tmp_path)
-        hub.journal.record("live", _items(range(3)))
+        state_dir = tmp_path / "state"
+        SweepJournal(state_dir / "hub-live.state.json", "identity", "live").begin(
+            [
+                {"index": index, "task": task, "params": params, "module": module}
+                for index, task, params, module in _items(range(3))
+            ],
+            counter="adopted",
+        )
+        store = ArtifactStore(tmp_path / "store")
+        store.store(_configs([0])[0], {"value": 0})
+        hub = SweepHub(store=store, state_dir=state_dir)
         (adopted,) = hub.adopt_journaled()
-        assert adopted["identity"] == "live"
-        hub.journal.mark_done("live", 0)
+        assert adopted["identity"] == "live" and adopted["cached"] == 1
         # The identity is live now; adopting again must leave its record.
         assert hub.adopt_journaled() == []
-        (doc,) = HubJournal(tmp_path).incomplete()
+        doc = _state_file(state_dir)
         assert doc["done"] == [0]
         assert doc["adopted"] == 1
         assert hub.stats["adopted"] == 1
+
+    def test_completion_racing_the_submission_is_journaled(self, tmp_path):
+        """A task completed the instant its submission's lock hold ends --
+        the earliest a worker's dispatch-time dedupe hit can land -- is in
+        the state file, and completes it."""
+        store = ArtifactStore(tmp_path / "store")
+        store.store(_configs([5])[0], {"value": 5})
+        state_dir = tmp_path / "state"
+        hub = SweepHub(store=store, state_dir=state_dir)
+
+        class CompleteOnRelease:
+            """The hub's lock; the first release after a sweep registers
+            completes every registered sweep from the store."""
+
+            def __init__(self, lock):
+                self.lock = lock
+                self.fired = False
+
+            def __enter__(self):
+                self.lock.acquire()
+
+            def __exit__(self, *exc_info):
+                self.lock.release()
+                if hub._queues and not self.fired:
+                    self.fired = True
+                    for sweep in list(hub._queues.values()):
+                        hub.prefill_from_store(sweep)
+
+        hub._lock = CompleteOnRelease(hub._lock)
+        message = {
+            "type": "submit",
+            "protocol": PROTOCOL_VERSION,
+            "tasks": [
+                {"id": index, "task": task, "params": params, "module": module}
+                for index, task, params, module in _items([5])
+            ],
+        }
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.settimeout(10.0)
+            hub._serve_client(ours, None, message)
+            reader = reader_for(theirs)
+            kinds = [read_message(reader)["type"] for _ in range(3)]
+        assert hub._lock.fired
+        assert kinds == ["accepted", "result", "sweep-done"]
+        doc = _state_file(state_dir)
+        assert doc["done"] == [0] and doc["cached"] == [0]
+        assert doc["complete"]
 
 
 class TestIdentityReattach:
