@@ -57,6 +57,7 @@ from repro.runner.distributed.protocol import (
 from repro.runner.faults import CRASH_EXIT_CODE
 from repro.runner.hub import HubSupervisor
 from repro.runner.hub.client import HubSubmission, submit_to_hub
+from repro.runner.journal import HUB_FILE, incomplete_journals
 
 #: tests/test_hub_ha.py -> repository root (for subprocess cwd).
 ROOT = Path(__file__).resolve().parents[1]
@@ -131,24 +132,88 @@ def _raw_submit(address, items, *, name=""):
 
 
 # --------------------------------------------------------------------------- #
-# State-file journaling: adoption and submission ordering
-# (the journal class itself is covered in tests/test_faults.py)
+# State-file journaling: the hub's journal format, re-adoption and
+# submission ordering (the journal class itself is covered in
+# tests/test_faults.py)
 # --------------------------------------------------------------------------- #
 def _state_file(state_dir):
     (path,) = state_dir.glob("hub-*.state.json")
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _hub_journal(state_dir, identity, items, **fields):
+    """Begin ``identity``'s journal with the keys and file name the hub uses."""
+    journal = SweepJournal(
+        state_dir / HUB_FILE.format(identity), "identity", identity
+    )
+    journal.begin(
+        [
+            {"index": index, "task": task, "params": params, "module": module}
+            for index, task, params, module in items
+        ],
+        counter="adopted",
+        **fields,
+    )
+    return journal
+
+
+class TestHubJournal:
+    def test_record_mark_and_readoption_roundtrip(self, tmp_path):
+        journal = _hub_journal(
+            tmp_path, "abc123", _items(range(3)), name="t", priority=2
+        )
+        journal.mark_done(0)
+        journal.mark_done(1, cached=True)
+
+        # The scan a restarted hub runs sees the interrupted sweep.
+        (doc,) = incomplete_journals(tmp_path, HUB_FILE.format("*"))
+        assert doc["identity"] == "abc123"
+        assert doc["name"] == "t"
+        assert doc["priority"] == 2
+        assert doc["done"] == [0, 1]
+        assert doc["cached"] == [1]
+        assert doc["total"] == 3
+        assert [t["index"] for t in doc["tasks"]] == [0, 1, 2]
+
+        # Completion removes it from the re-adoption set; the file stays.
+        journal.mark_done(2)
+        journal.finish()
+        assert incomplete_journals(tmp_path, HUB_FILE.format("*")) == []
+        assert SweepHub(state_dir=tmp_path).adopt_journaled() == []
+        assert journal.path.exists()
+
+    def test_failed_sweeps_are_not_readopted(self, tmp_path):
+        journal = _hub_journal(tmp_path, "dead", _items(range(2)))
+        journal.fail("retries exhausted")
+        assert SweepHub(state_dir=tmp_path).adopt_journaled() == []
+        document = json.loads(journal.path.read_text(encoding="utf-8"))
+        assert document["error"] == "retries exhausted"
+
+    def test_adoption_resets_done_and_counts_restarts(self, tmp_path):
+        journal = _hub_journal(tmp_path, "x", _items(range(2)))
+        journal.mark_done(0)
+        # Each restarted hub re-adopts the sweep and restarts its journal.
+        (adopted,) = SweepHub(state_dir=tmp_path).adopt_journaled()
+        assert adopted["identity"] == "x"
+        doc = _state_file(tmp_path)
+        assert doc["done"] == []  # re-verified against the store, not trusted
+        assert doc["adopted"] == 1
+        (adopted,) = SweepHub(state_dir=tmp_path).adopt_journaled()
+        assert adopted["identity"] == "x"
+        assert _state_file(tmp_path)["adopted"] == 2
+
+    def test_unreadable_state_file_is_skipped_with_warning(self, tmp_path, capsys):
+        _hub_journal(tmp_path, "ok", _items(range(1)))
+        (tmp_path / "hub-garbage.state.json").write_text("{not json", "utf-8")
+        (adopted,) = SweepHub(state_dir=tmp_path).adopt_journaled()
+        assert adopted["identity"] == "ok"
+        assert "skipping unreadable state file" in capsys.readouterr().err
+
+
 class TestAdoption:
     def test_adopting_a_live_identity_keeps_its_journaled_done_list(self, tmp_path):
         state_dir = tmp_path / "state"
-        SweepJournal(state_dir / "hub-live.state.json", "identity", "live").begin(
-            [
-                {"index": index, "task": task, "params": params, "module": module}
-                for index, task, params, module in _items(range(3))
-            ],
-            counter="adopted",
-        )
+        _hub_journal(state_dir, "live", _items(range(3)))
         store = ArtifactStore(tmp_path / "store")
         store.store(_configs([0])[0], {"value": 0})
         hub = SweepHub(store=store, state_dir=state_dir)
