@@ -51,20 +51,20 @@ Sub-commands:
 
 ``hub``
     The standing multi-tenant sweep service (see RUNNER.md, "Sweep Hub").
-    ``hub serve`` runs the daemon (shared worker fleet, concurrent
-    submissions, fair-share dispatch, optional ``--http`` dashboard);
-    ``hub status`` queries a running hub; ``hub dash`` serves the
-    dashboard standalone over an artifact root::
+    ``hub serve`` runs the daemon (concurrent submissions, fair-share
+    dispatch over the fleet that dials in with ``worker --connect``);
+    ``hub status`` queries a running hub::
 
         repro-byzantine-counting hub serve --listen :9876 --artifact-dir .sweeps
+        repro-byzantine-counting worker --connect host:9876
         repro-byzantine-counting scenario run spec.json --connect host:9876 \
             --artifact-dir .sweeps
         repro-byzantine-counting hub status --connect host:9876
 
 ``sweeps``
     List the sweep journals under an artifact root with their status
-    (done/total, resumable, error) -- the building block ``hub status``
-    and the dashboard reuse::
+    (done/total, resumable, error) -- the table ``hub status
+    --artifact-dir`` appends::
 
         repro-byzantine-counting sweeps --artifact-dir .sweeps
 
@@ -514,40 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
         "retry-after) once this many tasks are pending hub-wide",
     )
     hub_serve.add_argument(
-        "--autoscale",
-        default=None,
-        metavar="MIN:MAX",
-        help="supervise a loopback worker pool sized between MIN and MAX "
-        "from the hub's queue depth (without it the supervisor only "
-        "emits scale events)",
-    )
-    hub_serve.add_argument(
-        "--autoscale-procs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="processes per autoscaled loopback worker (default 1)",
-    )
-    hub_serve.add_argument(
         "--fault-plan",
         default=None,
         metavar="JSON|PATH",
         help="chaos-test the hub itself: a FaultPlan document (inline JSON "
         "or a file path) consulted under the 'hub' salt -- see "
         "SCENARIOS.md for the crash-hub / hang-hub sites",
-    )
-    hub_serve.add_argument(
-        "--http",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="also serve the HTML dashboard on this port (0: pick a free one)",
-    )
-    hub_serve.add_argument(
-        "--bench-dir",
-        default=None,
-        help="directory of BENCH_<date>.json files for the dashboard's "
-        "bench-trajectory page",
     )
     hub_status = hub_sub.add_parser("status", help="query a running hub")
     hub_status.add_argument(
@@ -557,24 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--artifact-dir",
         default=None,
         help="also list the sweep journals under this artifact root",
-    )
-    hub_dash = hub_sub.add_parser(
-        "dash", help="serve the HTML dashboard standalone (no hub required)"
-    )
-    hub_dash.add_argument(
-        "--artifact-dir", default=None, help="artifact root for run history"
-    )
-    hub_dash.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="a running hub to show live queue/fleet state from",
-    )
-    hub_dash.add_argument(
-        "--port", type=int, default=8765, help="HTTP port (default 8765)"
-    )
-    hub_dash.add_argument(
-        "--bench-dir", default=None, help="directory of BENCH_<date>.json files"
     )
 
     sweeps_parser = sub.add_parser(
@@ -851,20 +805,6 @@ def _command_sweeps(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_autoscale(spec: str) -> tuple:
-    """``--autoscale MIN:MAX`` -> (min, max) with 0 <= min <= max."""
-    lo_text, sep, hi_text = spec.partition(":")
-    try:
-        if not sep:
-            raise ValueError
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        raise SystemExit(f"--autoscale expects MIN:MAX, got {spec!r}")
-    if lo < 0 or hi < lo:
-        raise SystemExit(f"--autoscale needs 0 <= MIN <= MAX, got {spec!r}")
-    return (lo, hi)
-
-
 def _command_hub_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
@@ -872,11 +812,10 @@ def _command_hub_serve(args: argparse.Namespace) -> int:
     from repro.runner import ArtifactStore, FaultInjector
     from repro.runner.distributed import parse_address
     from repro.runner.faults import CRASH_EXIT_CODE
-    from repro.runner.hub import DashboardServer, HubSupervisor, SweepHub
+    from repro.runner.hub import SweepHub
 
     host, port = parse_address(args.listen)
     store = ArtifactStore(args.artifact_dir) if args.artifact_dir else None
-    autoscale = _parse_autoscale(args.autoscale) if args.autoscale else None
     injector = None
     if args.fault_plan is not None:
         injector = FaultInjector(_parse_fault_plan(args.fault_plan), salt="hub")
@@ -910,30 +849,6 @@ def _command_hub_serve(args: argparse.Namespace) -> int:
                 f"{adopted['cached']}/{adopted['total']} already done)",
                 flush=True,
             )
-    supervisor = HubSupervisor(
-        hub,
-        autoscale=autoscale,
-        procs=args.autoscale_procs,
-        verbose=bool(autoscale),
-    )
-    supervisor.start()
-    if autoscale:
-        print(
-            f"[hub] autoscaling loopback workers in [{autoscale[0]}, "
-            f"{autoscale[1]}]",
-            flush=True,
-        )
-    dashboard = None
-    if args.http is not None:
-        dashboard = DashboardServer(
-            artifact_dir=args.artifact_dir,
-            hub=hub,
-            bench_dir=args.bench_dir,
-            host=host if host not in ("0.0.0.0", "::", "") else "127.0.0.1",
-            port=args.http,
-        )
-        dash_address = dashboard.start()
-        print(f"[hub] dashboard on http://{dash_address[0]}:{dash_address[1]}/", flush=True)
     stop = threading.Event()
     if threading.current_thread() is threading.main_thread():
         signal.signal(signal.SIGTERM, lambda *_: stop.set())
@@ -948,9 +863,6 @@ def _command_hub_serve(args: argparse.Namespace) -> int:
             "[hub] crashed (injected fault)" if crashed else "[hub] shutting down",
             flush=True,
         )
-        supervisor.stop()
-        if dashboard is not None:
-            dashboard.stop()
         if not crashed:
             hub.stop()
     return CRASH_EXIT_CODE if crashed else 0
@@ -990,29 +902,6 @@ def _command_hub_status(args: argparse.Namespace) -> int:
     if args.artifact_dir:
         print()
         print(_sweep_table(ResultsDB(args.artifact_dir).sweep_records()))
-    return 0
-
-
-def _command_hub_dash(args: argparse.Namespace) -> int:
-    from repro.runner.distributed import parse_address
-    from repro.runner.hub import DashboardServer
-
-    dashboard = DashboardServer(
-        artifact_dir=args.artifact_dir,
-        hub_address=parse_address(args.connect) if args.connect else None,
-        bench_dir=args.bench_dir,
-        port=args.port,
-    )
-    address = dashboard.start()
-    print(f"[dash] serving on http://{address[0]}:{address[1]}/", flush=True)
-    try:
-        import threading
-
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        dashboard.stop()
     return 0
 
 
@@ -1073,9 +962,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "hub":
         if args.hub_command == "serve":
             return _command_hub_serve(args)
-        if args.hub_command == "status":
-            return _command_hub_status(args)
-        return _command_hub_dash(args)
+        return _command_hub_status(args)
     if args.command == "sweeps":
         return _command_sweeps(args)
     if args.command == "runs":

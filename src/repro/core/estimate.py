@@ -89,17 +89,35 @@ class CountingOutcome:
     def _eval_records(self) -> List[DecisionRecord]:
         return [self.records[u] for u in sorted(self.evaluation_set)]
 
+    @staticmethod
+    def counts_as_decided(record: DecisionRecord) -> bool:
+        """The one meaning of "decided": the node decided a finite estimate.
+
+        A node that decided ``inf`` (support estimation under ``deflate``)
+        or no value has no answer to score, so every statistic here leaves
+        it out: the decided fraction, the estimates and their medians,
+        ranges and histograms, and the latest decision round.
+        """
+        return (
+            record.decided
+            and record.estimate is not None
+            and math.isfinite(record.estimate)
+        )
+
+    def _decided_records(self, over_evaluation_set: bool) -> List[DecisionRecord]:
+        records = self._eval_records() if over_evaluation_set else self.records.values()
+        return [r for r in records if self.counts_as_decided(r)]
+
     def decided_fraction(self, *, over_evaluation_set: bool = True) -> float:
         """Fraction of (evaluation-set or all honest) nodes that decided."""
-        records = self._eval_records() if over_evaluation_set else list(self.records.values())
-        if not records:
+        total = len(self.evaluation_set) if over_evaluation_set else len(self.records)
+        if not total:
             return 0.0
-        return sum(1 for r in records if r.decided) / len(records)
+        return len(self._decided_records(over_evaluation_set)) / total
 
     def estimates(self, *, over_evaluation_set: bool = True) -> List[float]:
         """Decided estimates (evaluation set by default)."""
-        records = self._eval_records() if over_evaluation_set else list(self.records.values())
-        return [r.estimate for r in records if r.decided and r.estimate is not None]
+        return [r.estimate for r in self._decided_records(over_evaluation_set)]
 
     def fraction_within_band(
         self, lower_factor: float, upper_factor: float, *, over_evaluation_set: bool = True
@@ -134,8 +152,11 @@ class CountingOutcome:
 
     def max_decision_round(self, *, over_evaluation_set: bool = True) -> Optional[int]:
         """The latest decision round among decided nodes -- the ``T`` of Definition 2."""
-        records = self._eval_records() if over_evaluation_set else list(self.records.values())
-        rounds = [r.decision_round for r in records if r.decided and r.decision_round is not None]
+        rounds = [
+            r.decision_round
+            for r in self._decided_records(over_evaluation_set)
+            if r.decision_round is not None
+        ]
         return max(rounds) if rounds else None
 
     def estimate_histogram(self, *, over_evaluation_set: bool = True) -> Dict[float, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.adversary.placement import random_placement
 from repro.adversary.strategies import BeaconFloodAdversary, ValueFakingAdversary
@@ -38,29 +38,6 @@ _BASELINES: Dict[str, tuple] = {
 }
 
 
-def _finite_stats(n: int, estimates: Sequence[Optional[float]]) -> Dict[str, Any]:
-    """E7's baseline columns over the *finite* per-node estimates of ``ln n``.
-
-    A node whose estimate is ``None`` or infinite (support estimation under
-    ``deflate`` decides ``inf``) counts as not decided and is left out of the
-    medians -- unlike :class:`~repro.core.estimate.CountingOutcome`, which
-    counts a decided ``inf`` as decided.
-    """
-    log_n = math.log(max(n, 2))
-    finite = [e for e in estimates if e is not None and math.isfinite(e)]
-    total = len(estimates)
-    return {
-        "median_estimate": statistics.median(finite) if finite else None,
-        "median_relative_error": (
-            statistics.median(abs(e - log_n) / log_n for e in finite) if finite else None
-        ),
-        "fraction_within_2x": (
-            sum(1 for e in finite if 0.5 * log_n <= e <= 2.0 * log_n) / total if total else 0.0
-        ),
-        "decided_fraction": len(finite) / total if total else 0.0,
-    }
-
-
 @sweep_task("e7.baseline")
 def _baseline_cell(*, name: str, n: int, degree: int, num_byz: int, seed: int) -> dict:
     """One (baseline, Byzantine count) cell attacked with its breaking mode."""
@@ -68,18 +45,28 @@ def _baseline_cell(*, name: str, n: int, degree: int, num_byz: int, seed: int) -
     graph = hnd_random_regular_graph(n, degree, seed=seed)
     byz = random_placement(graph, num_byz, seed=seed + num_byz) if num_byz else set()
     adversary = ValueFakingAdversary(mode=attack_mode) if num_byz else None
-    run = baseline_runner(graph, byzantine=byz, adversary=adversary, seed=seed)
-    estimates = [record.estimate for record in run.outcome.records.values()]
-    stats = _finite_stats(n, estimates)
+    # Every honest node is scored; a node that decided ``inf`` (support
+    # estimation under ``deflate``) counts as undecided.
+    outcome = baseline_runner(graph, byzantine=byz, adversary=adversary, seed=seed).outcome
+    log_n = outcome.log_n
+    estimates = outcome.estimates(over_evaluation_set=False)
     return {
         "protocol": name,
         "n": n,
         "byzantine": num_byz,
         "ln_n": round(math.log(n), 2),
-        "median_estimate": stats["median_estimate"],
-        "median_relative_error": stats["median_relative_error"],
-        "fraction_within_2x": round(stats["fraction_within_2x"], 3),
-        "decided_fraction": round(stats["decided_fraction"], 3),
+        "median_estimate": outcome.median_estimate(over_evaluation_set=False),
+        "median_relative_error": (
+            statistics.median(abs(e - log_n) / log_n for e in estimates)
+            if estimates
+            else None
+        ),
+        "fraction_within_2x": round(
+            outcome.fraction_within_band(0.5, 2.0, over_evaluation_set=False), 3
+        ),
+        "decided_fraction": round(
+            outcome.decided_fraction(over_evaluation_set=False), 3
+        ),
     }
 
 

@@ -51,7 +51,9 @@ def _trial(
     contaminated = ball_of_set(graph, byz, 1)
     far = [u for u in outcome.records if u not in contaminated]
     far_decided = (
-        sum(1 for u in far if outcome.records[u].decided) / len(far) if far else 0.0
+        sum(1 for u in far if outcome.counts_as_decided(outcome.records[u])) / len(far)
+        if far
+        else 0.0
     )
     return {
         "decided": outcome.decided_fraction(),

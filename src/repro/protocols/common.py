@@ -88,11 +88,7 @@ def binary_decision_metrics(outcome: CountingOutcome) -> Dict[str, Any]:
         Fraction of decided nodes holding the modal decided value -- a graded
         view of how close the run came to agreement on sparse graphs.
     """
-    values = [
-        record.estimate
-        for record in outcome.records.values()
-        if record.decided and record.estimate is not None
-    ]
+    values = outcome.estimates(over_evaluation_set=False)
     if not values:
         return {
             "agreement_reached": 0.0,

@@ -28,7 +28,7 @@ from repro.runner.distributed import (
 )
 from repro.runner.distributed.broker import InjectedBrokerCrash
 from repro.runner.faults import Backoff, FaultInjector, FaultPlan, InjectedFault
-from repro.runner.hub import DashboardServer, ResultsDB, SweepHub
+from repro.runner.hub import ResultsDB, SweepHub
 from repro.runner.journal import SweepJournal
 from repro.runner.registry import registered_tasks, resolve_task, run_task, sweep_task
 from repro.runner.sweep import SweepRunner
@@ -38,7 +38,6 @@ __all__ = [
     "Backoff",
     "Broker",
     "BrokerError",
-    "DashboardServer",
     "DistributedBackend",
     "ExecutionBackend",
     "FaultInjector",

@@ -174,11 +174,10 @@ def _bench_loopback(
       The delta against ``hub`` is the HA machinery's steady-state cost.
     """
     import contextlib
-    import subprocess
     import tempfile
 
     from repro.runner.distributed import DistributedBackend, spawn_loopback_worker
-    from repro.runner.distributed.backend import LoopbackWorker
+    from repro.runner.distributed.backend import LoopbackWorker, stop_workers
     from repro.runner.faults import FaultPlan
     from repro.runner.hub import SweepHub
     from repro.scenarios.spec import Scenario
@@ -222,15 +221,7 @@ def _bench_loopback(
                 )
                 rows = runner.run(scenario.compile())
             finally:
-                for process in procs:
-                    if process.poll() is None:
-                        process.terminate()
-                for process in procs:
-                    try:
-                        process.wait(timeout=5.0)
-                    except subprocess.TimeoutExpired:
-                        process.kill()
-                        process.wait(timeout=5.0)
+                stop_workers(procs)
                 hub.stop()
     return {
         "rounds": sum(row["rounds"] for row in rows),

@@ -48,13 +48,18 @@ from repro.runner.distributed.protocol import format_address
 from repro.runner.distributed.worker import run_worker
 from repro.runner.faults import FaultInjector, FaultPlan
 
-__all__ = ["DistributedBackend", "LoopbackWorker", "spawn_loopback_worker"]
+__all__ = [
+    "DistributedBackend",
+    "LoopbackWorker",
+    "spawn_loopback_worker",
+    "stop_workers",
+]
 
 
 class LoopbackWorker:
     """A forked loopback worker behind the ``subprocess.Popen`` surface.
 
-    The backend's respawn watch, the hub supervisor and the bench tasks
+    The backend's respawn watch, the bench tasks and :func:`stop_workers`
     manage workers through ``pid``, ``poll()``, ``wait(timeout)``,
     ``terminate()``, ``kill()`` and ``returncode``.  Like ``Popen``, a
     signal death reads as a negative return code.
@@ -127,7 +132,6 @@ def spawn_loopback_worker(
     *,
     procs: int = 1,
     exit_when_drained: bool = True,
-    verbose: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     fault_salt: str = "",
 ) -> LoopbackWorker:
@@ -153,7 +157,6 @@ def spawn_loopback_worker(
     options = {
         "procs": procs,
         "exit_when_drained": exit_when_drained,
-        "verbose": verbose,
         "fault_plan": fault_plan,
         "fault_salt": fault_salt,
     }
@@ -161,6 +164,23 @@ def spawn_loopback_worker(
     if pid == 0:
         _loopback_worker_main(tuple(address), options)
     return LoopbackWorker(pid)
+
+
+def stop_workers(workers: Sequence[LoopbackWorker]) -> None:
+    """SIGTERM every live worker, then reap each; SIGKILL any that is still
+    running 5 seconds later.
+
+    SIGTERM lets a worker drain: it finishes its task in flight and
+    abandons the rest of its lease back to the broker.
+    """
+    for process in workers:
+        process.terminate()
+    for process in workers:
+        try:
+            process.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait(timeout=5.0)
 
 
 class DistributedBackend(ExecutionBackend):
@@ -199,7 +219,7 @@ class DistributedBackend(ExecutionBackend):
         mislead.
     priority / submit_name:
         Hub-submission metadata (connect mode only): fair-share priority
-        and the display name shown by ``hub status`` and the dashboard.
+        and the display name shown by ``hub status``.
     reconnect_attempts:
         Connect mode only: consecutive failed hub-reconnect attempts the
         submission tolerates before giving up (see
@@ -313,7 +333,6 @@ class DistributedBackend(ExecutionBackend):
             else None
         )
         broker = Broker(
-            pending,
             store=store,
             force=force,
             host=host,
@@ -323,6 +342,7 @@ class DistributedBackend(ExecutionBackend):
             chunk_size=self.chunk_size,
             injector=broker_injector,
         )
+        sweep = broker.submit(pending)
         address = broker.start()
         workers: List[LoopbackWorker] = []
         respawns_left = self.respawn_factor * self.spawn_workers
@@ -374,22 +394,14 @@ class DistributedBackend(ExecutionBackend):
                     f"--connect {connect_to}\n"
                 )
                 sys.stderr.flush()
-            yield from broker.results(poll=watch_workers if workers else None)
+            yield from sweep.results(poll=watch_workers if workers else None)
         finally:
             self.last_stats = dict(broker.stats)
             self.last_stats["events_dropped"] = broker.events_dropped
             self.last_events = list(broker.events)
             self.last_faults = dict(broker.fault_counts)
             broker.stop()
-            for process in workers:
-                if process.poll() is None:
-                    process.terminate()
-            for process in workers:
-                try:
-                    process.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait(timeout=5.0)
+            stop_workers(workers)
 
     def _execute_remote(
         self, pending: Sequence[WorkItem], *, force: bool

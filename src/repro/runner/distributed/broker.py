@@ -6,11 +6,11 @@ Two layers live here:
   budget, and completion stream.  It is the sweep-scoped queue core: pure
   bookkeeping, no sockets.
 - :class:`Broker` -- the TCP service that multiplexes any number of
-  SweepQueues over one shared worker fleet.  Constructed with ``items`` it
-  behaves exactly like the historical per-sweep broker (one primary queue,
-  ``results()`` delegates to it); constructed without items it is the
-  long-lived core the Sweep Hub (:mod:`repro.runner.hub`) builds on, with
-  :meth:`Broker.submit` accepting new sweeps while serving.
+  SweepQueues over one shared worker fleet.  :meth:`Broker.submit`
+  registers a sweep (before or while serving) and returns its queue,
+  whose ``results()`` is that sweep's completion stream.  The
+  distributed backend runs a private broker with one submitted sweep;
+  the Sweep Hub (:mod:`repro.runner.hub`) is the long-lived subclass.
 
 Dispatch is **lease-based**:
 
@@ -140,10 +140,9 @@ class SweepQueue:
     """One sweep's task states, pending queue, and completion stream.
 
     Created by :meth:`Broker.submit`; all mutation happens under the
-    broker's lock.  The submitting side consumes :meth:`results` -- the
-    same ``(index, result, meta)`` stream the historical per-sweep broker
-    produced, failures included -- while the broker fills ``_completed``
-    as leases settle.
+    broker's lock.  The submitting side consumes :meth:`results` -- an
+    ``(index, result, meta)`` stream, failures included -- while the
+    broker fills ``_completed`` as leases settle.
     """
 
     def __init__(
@@ -193,7 +192,7 @@ class SweepQueue:
     def publish(self, item: Any) -> None:
         """Hand one completion (or the failure sentinel) to every consumer.
 
-        The classic ``results()`` consumer reads ``_completed``; attached
+        The :meth:`results` consumer reads ``_completed``; attached
         listeners (hub client streams, including clients re-attaching
         after a reconnect) get the same item, and completions are also
         retained in :attr:`history` so a listener attached later can
@@ -291,15 +290,10 @@ class SweepQueue:
 class Broker:
     """Serve sweep work items to TCP workers, lease by lease.
 
+    Sweeps arrive via :meth:`submit`, each as its own :class:`SweepQueue`.
+
     Parameters
     ----------
-    items:
-        The runner's pending work items (config index, task, params,
-        module) for the classic one-sweep-per-broker mode: they become the
-        *primary* :class:`SweepQueue`, and :meth:`results` / :attr:`drained`
-        keep their historical semantics.  ``None`` starts an empty
-        multi-sweep broker (hub mode); sweeps then arrive via
-        :meth:`submit`.
     store / force:
         The artifact cache settings.  With a store and ``force=False`` the
         broker dedupes against the cache at dispatch time (across *all*
@@ -325,7 +319,6 @@ class Broker:
 
     def __init__(
         self,
-        items: Optional[Sequence[WorkItem]] = None,
         *,
         store: Optional[ArtifactStore] = None,
         force: bool = False,
@@ -389,9 +382,6 @@ class Broker:
             "duplicate_results": 0,
             "abandoned": 0,
         }
-        self._primary: Optional[SweepQueue] = (
-            self.submit(items) if items is not None else None
-        )
 
     # ------------------------------------------------------------------ #
     # Structured event log
@@ -569,8 +559,8 @@ class Broker:
 
         Unfinished sweeps are failed (their consumers' ``results()``
         streams raise instead of blocking forever) -- relevant only for a
-        hub stopped mid-submission; the classic backend consumes the
-        primary queue before stopping.
+        hub stopped mid-submission; the backend consumes its sweep before
+        stopping.
         """
         self._stop.set()
         with self._lock:
@@ -637,20 +627,6 @@ class Broker:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
-
-    # ------------------------------------------------------------------ #
-    # Consumption (the backend side)
-    # ------------------------------------------------------------------ #
-    def results(
-        self, *, poll: Optional[Any] = None, poll_interval: float = 0.25
-    ) -> Iterator[CompletedItem]:
-        """The primary sweep's completion stream (classic one-sweep mode)."""
-        if self._primary is None:
-            raise RuntimeError(
-                "results() needs a broker constructed with items; hub-mode "
-                "consumers iterate SweepQueue.results() per submission"
-            )
-        return self._primary.results(poll=poll, poll_interval=poll_interval)
 
     @property
     def drained(self) -> bool:
@@ -867,13 +843,14 @@ class Broker:
     def _empty_done_locked(self) -> bool:
         """The ``done`` flag of an ``empty`` reply.
 
-        Classic one-sweep mode: the primary sweep drained or failed, so
-        one-shot workers may exit.  Hub mode: never -- the fleet is
+        True once every registered sweep has drained or failed, so
+        one-shot workers may exit.  The hub overrides it: its fleet is
         persistent and more sweeps can arrive at any time.
         """
-        if self._primary is not None:
-            return self._primary.outstanding == 0 or self._primary.failure is not None
-        return False
+        return all(
+            q.outstanding == 0 or q.failure is not None
+            for q in self._queues.values()
+        )
 
     def _grant(
         self,

@@ -150,10 +150,10 @@ def close_in_forked_children(sock: socket.socket) -> socket.socket:
     """Have every child this process forks close its copy of ``sock``.
 
     A forked loopback worker (or pool process) would otherwise hold the
-    broker's listener and accepted connections, the hub's, and the
-    dashboard's: a peer whose connection the parent closes would never
-    see EOF, and an orphaned child would keep a listening port bound after
-    its parent died.  The parent's socket is untouched.
+    broker's or the hub's listener and accepted connections: a peer whose
+    connection the parent closes would never see EOF, and an orphaned
+    child would keep a listening port bound after its parent died.  The
+    parent's socket is untouched.
     """
     _PARENT_ONLY_SOCKETS.add(sock)
     return sock

@@ -76,10 +76,10 @@ class HubSubmission:
         Work items ``(index, task, params, module)``; indices are the
         submitting client's own and come back unchanged on each result.
     name / priority / force:
-        Submission metadata: ``name`` labels the sweep in ``hub status``
-        and the dashboard, ``priority`` ranks it for fair-share dispatch
-        (higher preempts at the next lease grant), ``force`` disables the
-        hub-side artifact-cache dedupe for this sweep.
+        Submission metadata: ``name`` labels the sweep in ``hub status``,
+        ``priority`` ranks it for fair-share dispatch (higher preempts at
+        the next lease grant), ``force`` disables the hub-side
+        artifact-cache dedupe for this sweep.
     connect_timeout_s:
         Timeout for establishing the connection and the submit handshake;
         once accepted the read timeout follows the hub's heartbeat cadence
@@ -285,12 +285,10 @@ def submit_to_hub(
     return HubSubmission(address, items, **kwargs)
 
 
-def query_hub_status(
-    address: Tuple[str, int], *, timeout_s: float = 10.0
-) -> Dict[str, Any]:
+def query_hub_status(address: Tuple[str, int]) -> Dict[str, Any]:
     """One-shot ``status`` request; returns the hub's live snapshot."""
     try:
-        sock = connect(address, timeout_s)
+        sock = connect(address, 10.0)
     except OSError as exc:
         raise BrokerError(
             f"cannot reach hub at {address[0]}:{address[1]}: {exc}"

@@ -11,9 +11,8 @@ result" without any schema to migrate or lock in.  Every record is a plain
 JSON-safe dict assembled from the on-disk documents at query time -- delete
 the database concept and nothing is lost.
 
-The same records feed three consumers: the ``repro runs list/show/diff``
-and ``repro sweeps`` CLIs, ``repro hub status``, and the stdlib HTML
-dashboard.
+The same records feed the ``repro runs list/show/diff`` and ``repro
+sweeps`` CLIs and ``repro hub status``.
 """
 
 from __future__ import annotations

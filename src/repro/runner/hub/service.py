@@ -1,8 +1,8 @@
 """The Sweep Hub service: a standing multi-tenant broker.
 
-:class:`SweepHub` subclasses the refactored
-:class:`~repro.runner.distributed.broker.Broker` in hub mode (no primary
-sweep): the lease/retry/heartbeat/fault machinery, fair-share dispatch,
+:class:`SweepHub` subclasses
+:class:`~repro.runner.distributed.broker.Broker`: the
+lease/retry/heartbeat/fault machinery, fair-share dispatch,
 and dedupe-at-dispatch all come from the broker core.  What the hub adds
 is the *client* side of the same port: connections whose first message is
 ``submit`` or ``status`` instead of a worker ``hello`` are handled here
@@ -91,9 +91,9 @@ def _identity_of(items: List[WorkItem]) -> str:
 class SweepHub(Broker):
     """A persistent multi-sweep broker accepting TCP submissions.
 
-    Construct like a :class:`Broker` but without ``items`` (the hub has no
-    primary sweep); ``store`` is the shared artifact root every submission
-    dedupes against and persists into.  ``start()`` / ``stop()`` and the
+    Construct like a :class:`Broker`; ``store`` is the shared artifact
+    root every submission dedupes against and persists into.  Sweeps
+    arrive over TCP (or :meth:`submit`).  ``start()`` / ``stop()`` and the
     worker protocol are inherited unchanged.
 
     Hub-specific parameters
@@ -123,15 +123,13 @@ class SweepHub(Broker):
         admission_retry_s: float = 1.0,
         **kwargs: Any,
     ) -> None:
-        if "items" in kwargs:
-            raise TypeError("SweepHub takes no items; sweeps arrive via submit")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if client_heartbeat_s <= 0:
             raise ValueError(
                 f"client_heartbeat_s must be > 0, got {client_heartbeat_s}"
             )
-        super().__init__(None, **kwargs)
+        super().__init__(**kwargs)
         self.state_dir: Optional[Path] = None
         if state_dir is not None:
             self.state_dir = Path(state_dir)
@@ -261,6 +259,10 @@ class SweepHub(Broker):
             )
             self._journals[identity] = journal
         return sweep
+
+    def _empty_done_locked(self) -> bool:
+        # The fleet is persistent: more sweeps can arrive at any time.
+        return False
 
     # ------------------------------------------------------------------ #
     # Journal hooks (called by the broker core)

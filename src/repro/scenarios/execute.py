@@ -196,8 +196,7 @@ def _churn_metrics(cell: MaterializedCell) -> Dict[str, Any]:
     stale_errors = [
         abs(record.estimate - log_live) / log_live
         for record in outcome.records.values()
-        if record.decided
-        and record.estimate is not None
+        if outcome.counts_as_decided(record)
         and record.decision_round is not None
         and record.decision_round < last_churn
         and record.node not in departed

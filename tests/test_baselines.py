@@ -1,6 +1,7 @@
 """Tests for the non-Byzantine-resilient baselines (Section 1.2 motivation)."""
 
 import math
+import statistics
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.baselines import (
     run_support_estimation_baseline,
 )
 from repro.baselines.common import parse_value, value_payload
-from repro.experiments.e7_baselines import _finite_stats
+from repro.core.estimate import CountingOutcome, DecisionRecord
 from repro.graphs.hnd import hnd_random_regular_graph
 from repro.simulator.messages import Message
 
@@ -22,10 +23,10 @@ def graph():
     return hnd_random_regular_graph(128, 8, seed=23)
 
 
-def finite_stats(run):
-    """E7's finite-only statistics of a baseline run."""
-    estimates = [record.estimate for record in run.outcome.records.values()]
-    return _finite_stats(run.outcome.n, estimates)
+def median_relative_error(outcome):
+    """E7's column: the median over decided nodes of ``|L_u - ln n| / ln n``."""
+    log_n = outcome.log_n
+    return statistics.median(abs(e - log_n) / log_n for e in outcome.estimates())
 
 
 class TestCommonHelpers:
@@ -45,10 +46,19 @@ class TestCommonHelpers:
         assert parse_value(Message(kind="beacon", payload=1.0), "tag") is None
 
     def test_outcome_statistics(self):
-        stats = _finite_stats(100, [math.log(100), None, 50.0])
-        assert stats["decided_fraction"] == pytest.approx(2 / 3)
-        assert stats["median_relative_error"] is not None
-        assert 0 < stats["fraction_within_2x"] < 1
+        estimates = [math.log(100), None, 50.0, math.inf]
+        outcome = CountingOutcome(
+            n=100,
+            records={
+                u: DecisionRecord(u, estimate is not None, estimate, 3)
+                for u, estimate in enumerate(estimates)
+            },
+        )
+        # A decided ``inf`` counts as undecided, like no value at all.
+        assert outcome.decided_fraction() == pytest.approx(2 / 4)
+        assert outcome.estimates() == [math.log(100), 50.0]
+        assert median_relative_error(outcome) is not None
+        assert outcome.fraction_within_band(0.5, 2.0) == pytest.approx(1 / 4)
 
 
 class TestBenignAccuracy:
@@ -61,9 +71,9 @@ class TestBenignAccuracy:
         assert 0.5 * math.log(graph.n) <= outcome.median_estimate() <= 3.0 * math.log(graph.n)
 
     def test_support_estimation_accurate(self, graph):
-        stats = finite_stats(run_support_estimation_baseline(graph, seed=1))
-        assert stats["decided_fraction"] == 1.0
-        assert stats["median_relative_error"] < 0.3
+        outcome = run_support_estimation_baseline(graph, seed=1).outcome
+        assert outcome.decided_fraction() == 1.0
+        assert median_relative_error(outcome) < 0.3
 
     def test_spanning_tree_exact(self, graph):
         outcome = run_spanning_tree_baseline(graph, seed=1).outcome
@@ -86,14 +96,14 @@ class TestSingleByzantineBreaksBaselines:
         attacked = run_geometric_baseline(
             graph, byzantine={0}, adversary=ValueFakingAdversary(), seed=1
         )
-        assert finite_stats(attacked)["median_relative_error"] > 10
+        assert median_relative_error(attacked.outcome) > 10
 
     def test_support_estimation_destroyed_by_deflation(self, graph):
         attacked = run_support_estimation_baseline(
             graph, byzantine={0}, adversary=ValueFakingAdversary(mode="deflate"), seed=1
         )
         # Minima forced to zero make the estimate infinite (no finite answer).
-        assert finite_stats(attacked)["decided_fraction"] < 0.1
+        assert attacked.outcome.decided_fraction() < 0.1
 
     def test_spanning_tree_inflated(self, graph):
         clean = run_spanning_tree_baseline(graph, seed=1)
@@ -106,7 +116,7 @@ class TestSingleByzantineBreaksBaselines:
         attacked = run_flooding_baseline(
             graph, byzantine={0}, adversary=ValueFakingAdversary(), seed=1
         )
-        assert finite_stats(attacked)["median_relative_error"] > 10
+        assert median_relative_error(attacked.outcome) > 10
 
     def test_byzantine_node_not_in_estimates(self, graph):
         attacked = run_geometric_baseline(

@@ -34,6 +34,7 @@ from repro.runner import (
 from repro.runner import registry
 from repro.runner.backends import worker_context
 from repro.runner.distributed import spawn_loopback_worker
+from repro.runner.distributed.backend import stop_workers
 from repro.runner.distributed.protocol import (
     PROTOCOL_VERSION,
     format_address,
@@ -45,7 +46,6 @@ from repro.runner.distributed.protocol import (
 from repro.runner.distributed.worker import WorkerDaemon
 from repro.runner.faults import Backoff
 from repro.runner.hub import SweepHub, client
-from repro.runner.hub.dashboard import DashboardServer
 
 
 def _work_items(configs):
@@ -258,30 +258,9 @@ class TestForkedWorkers:
             assert not held & _socket_inodes(worker.pid)
         finally:
             if worker is not None:
-                worker.terminate()
-                worker.wait(timeout=10)
+                stop_workers([worker])
             first.close()
             broker.stop()
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
-    def test_forked_worker_holds_no_dashboard_socket(self):
-        # ``hub serve --http`` starts the dashboard before its supervisor
-        # forks pool workers; an orphaned worker must not keep the port.
-        dashboard = DashboardServer()
-        dashboard.start()
-        broker = Broker()
-        address = broker.start()
-        worker = None
-        try:
-            listener = os.fstat(dashboard._httpd.fileno()).st_ino
-            worker = _fork_connected_worker(broker, address)
-            assert listener not in _socket_inodes(worker.pid)
-        finally:
-            if worker is not None:
-                worker.terminate()
-                worker.wait(timeout=10)
-            broker.stop()
-            dashboard.stop()
 
     def test_worker_forked_from_a_pool_process_starts_its_own_pool(self):
         # A pool process is daemonic; its loopback worker is not, so a
@@ -313,6 +292,46 @@ class TestForkedWorkers:
         backend = DistributedBackend(spawn_workers=1, quiet=True)
         distributed = SweepRunner(backend=backend, progress=False).run(configs)
         assert distributed == SweepRunner(workers=1, progress=False).run(configs)
+
+
+class TestEmptyReply:
+    """An ``empty`` lease reply's ``done`` flag tells one-shot workers to exit."""
+
+    @pytest.mark.parametrize(
+        "service, drained_done", [(Broker, True), (SweepHub, False)], ids=["broker", "hub"]
+    )
+    def test_done_flag_once_the_sweep_drains(self, service, drained_done):
+        broker = service()
+        broker.submit(_work_items(_ECHO_CONFIGS[:1]))
+        address = broker.start()
+
+        def lease():
+            send_message(sock, {"type": "lease", "capacity": 1})
+            return read_message(reader)
+
+        try:
+            with socket.create_connection(address, timeout=10.0) as sock:
+                _handshake(sock)
+                reader = reader_for(sock)
+                granted = lease()
+                assert granted["type"] == "tasks"
+                # Leased but not finished: the sweep has not drained yet.
+                assert lease() == {"type": "empty", "done": False}
+                (task,) = granted["tasks"]
+                send_message(
+                    sock,
+                    {
+                        "type": "result",
+                        "lease": granted["lease"],
+                        "id": task["id"],
+                        "result": {"value": 0},
+                        "meta": {},
+                    },
+                )
+                # One connection is served in order: the result settles first.
+                assert lease() == {"type": "empty", "done": drained_done}
+        finally:
+            broker.stop()
 
 
 # --------------------------------------------------------------------------- #
@@ -424,12 +443,13 @@ class TestFaultTolerance:
             ]
             + [SweepConfig("testing.sleep_echo", {"value": 3, "sleep_s": 0.05})]
         )
-        broker = Broker(_work_items(configs), lease_ttl_s=15.0, max_retries=2)
+        broker = Broker(lease_ttl_s=15.0, max_retries=2)
+        sweep = broker.submit(_work_items(configs))
         address = broker.start()
         victim = survivor = None
         try:
             victim = spawn_loopback_worker(address, exit_when_drained=False)
-            results_iter = broker.results()
+            results_iter = sweep.results()
             first = next(results_iter)
             # Wait until the victim holds a lease on the next (slow) task,
             # then kill it mid-execution.
@@ -460,7 +480,8 @@ class TestFaultTolerance:
         heartbeats) loses the lease after the TTL; a healthy worker then
         finishes the sweep."""
         configs = [SweepConfig("testing.sleep_echo", {"value": v}) for v in range(3)]
-        broker = Broker(_work_items(configs), lease_ttl_s=0.5, max_retries=2)
+        broker = Broker(lease_ttl_s=0.5, max_retries=2)
+        sweep = broker.submit(_work_items(configs))
         address = broker.start()
         zombie = socket.create_connection(address, timeout=5.0)
         worker = None
@@ -496,7 +517,7 @@ class TestFaultTolerance:
                 },
             )
             worker = spawn_loopback_worker(address, exit_when_drained=True)
-            completed = list(broker.results())
+            completed = list(sweep.results())
         finally:
             broker.stop()
             zombie.close()

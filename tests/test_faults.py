@@ -545,15 +545,15 @@ class TestResume:
             for i in range(2)
         ]
         broker = Broker(
-            items,
             injector=FaultInjector(FaultPlan(seed=0, crash_broker=1.0), salt="broker"),
         )
+        sweep = broker.submit(items)
         with broker._lock:
             broker._mark_done_locked(broker._states[1])
         broker._on_result({"type": "result", "id": 0, "result": {"value": 0}, "meta": {}})
-        assert isinstance(broker._primary.failure, InjectedBrokerCrash)
+        assert isinstance(sweep.failure, InjectedBrokerCrash)
         with pytest.raises(InjectedBrokerCrash):
-            list(broker.results())
+            list(sweep.results())
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ sharing one hub and artifact root with results identical to serial,
 fair-share dispatch and priorities, cross-sweep dedupe through the shared
 store, graceful worker drain (the ``abandon`` path), ``events_dropped``
 accounting in sweep stats and journals, the ResultsDB query layer, the
-``sweeps`` / ``runs`` / ``hub`` CLI, and the stdlib dashboard.
+``sweeps`` / ``runs`` / ``hub`` CLI.
 
 Workers here run as in-thread :class:`WorkerDaemon` instances (the
 subprocess fleet is exercised by ``tests/test_distributed.py`` and
@@ -16,7 +16,6 @@ resolve anywhere.
 import contextlib
 import json
 import threading
-import urllib.request
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro.cli import main
 from repro.runner import (
     ArtifactStore,
     Broker,
-    DashboardServer,
     DistributedBackend,
     ResultsDB,
     SweepConfig,
@@ -207,7 +205,8 @@ class TestGracefulShutdown:
         of the lease (front-requeued, no retry charged), and a replacement
         finishes the sweep."""
         items = _items(range(6), sleep_s=0.2)
-        broker = Broker(items, lease_ttl_s=30.0, chunk_size=6)
+        broker = Broker(lease_ttl_s=30.0, chunk_size=6)
+        sweep = broker.submit(items)
         address = broker.start()
         completed = []
         try:
@@ -216,7 +215,7 @@ class TestGracefulShutdown:
             )
             thread = threading.Thread(target=daemon.run, daemon=True)
             thread.start()
-            results_iter = broker.results()
+            results_iter = sweep.results()
             completed.append(next(results_iter))
             daemon.request_shutdown()
             thread.join(timeout=20)
@@ -307,27 +306,6 @@ class TestResultsDB:
         assert "value" in capsys.readouterr().out
         assert main(["runs", "show", "testing.sleep_echo/nope", "--artifact-dir", root]) == 2
         capsys.readouterr()
-
-
-# --------------------------------------------------------------------------- #
-# Dashboard (stdlib http.server)
-# --------------------------------------------------------------------------- #
-class TestDashboard:
-    def test_pages_render_over_http(self, tmp_path):
-        runner = SweepRunner(artifact_dir=tmp_path)
-        runner.run(_configs(range(2)))
-        dashboard = DashboardServer(artifact_dir=tmp_path)
-        host, port = dashboard.start()
-        try:
-            for route in ("/", "/runs"):
-                with urllib.request.urlopen(
-                    f"http://{host}:{port}{route}", timeout=10
-                ) as response:
-                    assert response.status == 200
-                    body = response.read().decode("utf-8")
-            assert "testing.sleep_echo" in body  # /runs lists the artifacts
-        finally:
-            dashboard.stop()
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,5 @@
 """Tests for hub high availability (hub journal, re-adoption, self-healing
-clients, admission control, supervision).
+clients, admission control).
 
 The flagship scenario (``TestHubSigkillRestart``) runs the hub as a
 subprocess and SIGKILLs it mid-sweep while two tenant clients stream
@@ -15,8 +15,8 @@ the crash -- a test-harness artifact real deployments (separate
 processes) never see.
 
 Unit-level coverage (state-file journaling, re-attach replay, admission
-busy replies, heartbeats, crash-hub injection, supervisor signals) runs
-in-process for speed.
+busy replies, heartbeats, crash-hub injection) runs in-process for
+speed.
 """
 
 import contextlib
@@ -47,7 +47,7 @@ from repro.runner import (
     SweepJournal,
     SweepRunner,
 )
-from repro.runner.distributed.backend import spawn_loopback_worker
+from repro.runner.distributed.backend import spawn_loopback_worker, stop_workers
 from repro.runner.distributed.protocol import (
     PROTOCOL_VERSION,
     read_message,
@@ -55,7 +55,6 @@ from repro.runner.distributed.protocol import (
     send_message,
 )
 from repro.runner.faults import CRASH_EXIT_CODE
-from repro.runner.hub import HubSupervisor
 from repro.runner.hub.client import HubSubmission, submit_to_hub
 from repro.runner.journal import HUB_FILE, incomplete_journals
 
@@ -97,13 +96,7 @@ def running_subprocess_worker(address, *, procs=1):
     try:
         yield process
     finally:
-        if process.poll() is None:
-            process.terminate()
-            try:
-                process.wait(timeout=15.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(timeout=10.0)
+        stop_workers([process])
 
 
 def _raw_submit(address, items, *, name=""):
@@ -445,67 +438,6 @@ class TestHubChaosSites:
 
 
 # --------------------------------------------------------------------------- #
-# Supervision: scale signals and the autoscale pool plan
-# --------------------------------------------------------------------------- #
-class TestHubSupervisor:
-    def test_signal_only_poll_reports_scale_up_and_down(self, tmp_path):
-        with running_hub(tmp_path) as (hub, _address):
-            supervisor = HubSupervisor(hub)
-            tick = supervisor.poll()
-            assert tick == {
-                "backlog": 0,
-                "fleet": 0,
-                "own_workers": 0,
-                "desired": None,
-                "action": None,
-            }
-            hub.submit(_items(range(9)), name="load")
-            tick = supervisor.poll()
-            assert tick["backlog"] == 9
-            assert tick["action"] == "scale-up"
-            assert tick["desired"] is None  # signal-only mode
-            events = [e for e in hub.events if e["event"] == "autoscale"]
-            assert len(events) == 1 and events[0]["action"] == "scale-up"
-            # Transition-gated: a steady backlog emits no second event.
-            supervisor.poll()
-            events = [e for e in hub.events if e["event"] == "autoscale"]
-            assert len(events) == 1
-
-    def test_autoscale_pool_plan_is_clamped(self, tmp_path):
-        with running_hub(tmp_path) as (hub, _address):
-            supervisor = HubSupervisor(
-                hub, autoscale=(1, 3), depth_per_worker=2
-            )
-            # Reconcile would spawn real processes; test the plan only.
-            assert supervisor._desired(0) == 1  # floor holds a warm worker
-            assert supervisor._desired(3) == 2
-            assert supervisor._desired(50) == 3  # ceiling
-        with pytest.raises(ValueError, match="autoscale"):
-            HubSupervisor(hub, autoscale=(3, 1))
-
-    def test_autoscale_spawns_and_retires_loopback_workers(self, tmp_path):
-        with running_hub(tmp_path) as (hub, _address):
-            supervisor = HubSupervisor(
-                hub, autoscale=(0, 2), depth_per_worker=2, interval_s=0.2
-            )
-            supervisor.start()
-            try:
-                submission = hub.submit(_items(range(4), sleep_s=0.05))
-                results = list(submission.results())
-                assert len(results) == 4
-                deadline = time.monotonic() + 20.0
-                while time.monotonic() < deadline:
-                    if supervisor.stats["spawned"] >= 1 and not supervisor._pool:
-                        break
-                    time.sleep(0.1)
-            finally:
-                supervisor.stop()
-            assert supervisor.stats["spawned"] >= 1
-            assert supervisor.stats["retired"] == supervisor.stats["spawned"]
-            assert supervisor._pool == []
-
-
-# --------------------------------------------------------------------------- #
 # The flagship: SIGKILL the hub mid-sweep, restart, clients self-heal
 # --------------------------------------------------------------------------- #
 def _start_hub_process(artifact_dir, state_dir, *, port=0):
@@ -647,14 +579,6 @@ class TestHubSigkillRestart:
 # CLI plumbing for the HA layer
 # --------------------------------------------------------------------------- #
 class TestHaCli:
-    def test_autoscale_spec_parsing(self):
-        from repro.cli import _parse_autoscale
-
-        assert _parse_autoscale("0:4") == (0, 4)
-        for bad in ("4", "2:1", "-1:3", "a:b"):
-            with pytest.raises(SystemExit):
-                _parse_autoscale(bad)
-
     def test_reconnect_attempts_requires_connect(self):
         spec = "examples/scenario_benign_congest.json"
         with pytest.raises(SystemExit, match="--reconnect-attempts"):

@@ -253,6 +253,22 @@ class TestScenarioListSurface:
         assert lines[start : start + len(expected)] == expected
 
 
+class TestDecidedMeansFinite:
+    def test_deflated_support_estimation_decides_nothing(self):
+        """A node that decided ``inf`` is undecided, as E7 always scored it."""
+        spec = mini_scenario(
+            "support-estimation", {}, n=32, count=1, behaviour="value-faking"
+        )
+        spec["adversary"]["params"] = {"mode": "deflate"}
+        # The path ``scenario run`` takes for a single scenario.
+        (row,) = SweepRunner().run(Scenario.from_dict(spec).compile())
+        assert row["decided_fraction"] == 0.0
+        assert row["median_estimate"] is None
+        assert row["decided_fraction_all"] == 0.0
+        assert row["median_estimate_all"] is None
+        assert row["max_decision_round"] is None
+
+
 class TestZooGolden:
     def test_committed_suite_regenerates_golden_table(self, capsys):
         """The committed cross-protocol suite is reproducible from the spec
