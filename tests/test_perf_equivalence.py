@@ -18,7 +18,10 @@ from repro.experiments import (
     e2_congest_theorem2,
     e3_benign,
     e7_baselines,
+    e8_blacklist_ablation,
     e9_adversary_grid,
+    e10_message_size,
+    e11_estimate_distribution,
     e12_scaling,
 )
 from repro.simulator.messages import estimate_payload_bits
@@ -33,8 +36,9 @@ class TestGoldenTables:
     The E2/E12 goldens were rendered by the PR 1 implementation, the E3/E9
     goldens by the PR 2 implementation (before the drivers were re-expressed
     as declarative scenarios), the E7 golden before the baselines lost their
-    second run layer; every later refactor must reproduce all five byte for
-    byte.
+    second run layer, and the E8/E10/E11 goldens before those drivers moved
+    onto scenario cells; every later refactor must reproduce all eight byte
+    for byte.
     """
 
     def test_e2_table_byte_identical(self):
@@ -52,11 +56,25 @@ class TestGoldenTables:
         result = e7_baselines.run_experiment(n=64, byzantine_counts=(0, 1, 4), seed=0)
         assert result.render() + "\n" == (GOLDEN / "e7_small_table.txt").read_text()
 
+    def test_e8_table_byte_identical(self):
+        result = e8_blacklist_ablation.run_experiment(
+            sizes=(64,), trials=1, num_byzantine=2
+        )
+        assert result.render() + "\n" == (GOLDEN / "e8_small_table.txt").read_text()
+
     def test_e9_table_byte_identical(self):
         result = e9_adversary_grid.run_experiment(
             n=64, placements=("random",), congest_byzantine=2
         )
         assert result.render() + "\n" == (GOLDEN / "e9_small_table.txt").read_text()
+
+    def test_e10_table_byte_identical(self):
+        result = e10_message_size.run_experiment(sizes=(64, 128))
+        assert result.render() + "\n" == (GOLDEN / "e10_small_table.txt").read_text()
+
+    def test_e11_table_byte_identical(self):
+        result = e11_estimate_distribution.run_experiment(sizes=(64, 128), trials=2)
+        assert result.render() + "\n" == (GOLDEN / "e11_small_table.txt").read_text()
 
     def test_e12_table_byte_identical(self):
         result = e12_scaling.run_experiment(
