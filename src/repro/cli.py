@@ -9,18 +9,14 @@ Sub-commands:
         repro-byzantine-counting run --algorithm congest --n 256 --byzantine 3 \
             --adversary beacon-flood --seed 1
 
-``experiment``
-    Run one of the E1-E12 experiment drivers with its default (small)
-    configuration and print the regenerated table, e.g.::
-
-        repro-byzantine-counting experiment e3
-
-``sweep``
-    Run one experiment (or ``all``) through the parallel sweep runner, fanning
-    the driver's config list over an execution backend -- serial, a local
-    worker pool, or the distributed broker/worker cluster -- and optionally
+``sweep`` (alias ``experiment``)
+    Run one of the E1-E12 experiment drivers (or ``all``) with its default
+    (small) configuration and print the regenerated table.  The driver's
+    cells go through the sweep runner: serially by default, or fanned over a
+    local worker pool or the distributed broker/worker cluster, optionally
     caching each run as a JSON artifact (see RUNNER.md), e.g.::
 
+        repro-byzantine-counting experiment e3
         repro-byzantine-counting sweep e12 --workers 8 --artifact-dir .sweeps
         repro-byzantine-counting sweep e12 --backend distributed --listen :9876
 
@@ -81,6 +77,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -318,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--max-rounds", type=int, default=None)
 
-    exp_parser = sub.add_parser("experiment", help="run an experiment driver (E1-E12)")
-    exp_parser.add_argument("name", help="experiment id, e.g. e1 or e7")
-
     sweep_parser = sub.add_parser(
-        "sweep", help="run an experiment sweep through the parallel runner"
+        "sweep",
+        aliases=["experiment"],
+        help="run an experiment driver (E1-E12) through the sweep runner",
     )
     sweep_parser.add_argument("name", help="experiment id (e1-e12) or 'all'")
     _add_runner_arguments(sweep_parser)
+    sweep_parser.set_defaults(command="sweep")
 
     worker_parser = sub.add_parser(
         "worker", help="worker daemon for the distributed sweep backend"
@@ -598,19 +595,6 @@ def _command_run(args: argparse.Namespace) -> int:
                 title="decided estimates",
             )
         )
-    return 0
-
-
-def _command_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import ALL_EXPERIMENTS
-
-    name = args.name.lower()
-    if name not in ALL_EXPERIMENTS:
-        print(f"unknown experiment {args.name!r}; options: {sorted(ALL_EXPERIMENTS)}")
-        return 2
-    module = ALL_EXPERIMENTS[name]
-    result = module.run_experiment()
-    print(result.render())
     return 0
 
 
@@ -945,10 +929,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _dispatch(parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed (``... | head``): Python's documented recipe points it
+        # at devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "run":
         return _command_run(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
     if args.command == "sweep":
         return _command_sweep(args)
     if args.command == "worker":

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.tables import render_table
 from repro.runner import SweepConfig, SweepRunner
+from repro.scenarios import Scenario
 
-__all__ = ["ExperimentResult", "mean_or_none", "median_or_none", "run_configs"]
+__all__ = [
+    "ExperimentResult",
+    "mean_or_none",
+    "median_or_none",
+    "run_configs",
+    "run_scenarios",
+]
 
 
 def run_configs(
@@ -23,6 +30,15 @@ def run_configs(
     in-process behaviour exactly.
     """
     return (runner if runner is not None else SweepRunner()).run(configs)
+
+
+def run_scenarios(
+    scenarios: Sequence[Scenario], runner: Optional[SweepRunner] = None
+) -> List[Dict[str, Any]]:
+    """One ``scenario.run`` metrics dict per (scenario, seed), in order."""
+    return run_configs(
+        [config for scenario in scenarios for config in scenario.compile()], runner
+    )
 
 
 def mean_or_none(values: Iterable[Optional[float]]) -> Optional[float]:

@@ -3,6 +3,9 @@
 Claim: in Algorithm 2 most good nodes only ever send messages of ``O(log n)``
 bits plus a constant number of node ids, whereas Algorithm 1 (a LOCAL
 algorithm) sends messages whose size grows polynomially with the view.
+
+Each size is two benign scenario cells on the same graph, one per algorithm;
+a table row joins their message-size metrics.
 """
 
 from __future__ import annotations
@@ -10,63 +13,35 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from repro.core.congest_counting import run_congest_counting
-from repro.core.local_counting import run_local_counting
-from repro.core.parameters import CongestParameters, LocalParameters
-from repro.experiments.common import ExperimentResult, run_configs
-from repro.graphs.hnd import hnd_random_regular_graph
-from repro.runner import SweepConfig, sweep_task
+from repro.experiments.common import ExperimentResult, run_scenarios
+from repro.scenarios import ComponentSpec, Scenario
 
-__all__ = ["run_experiment", "sweep_configs"]
+__all__ = ["run_experiment", "scenarios"]
 
 
-@sweep_task("e10.local")
-def _local_stats(*, n: int, degree: int, seed: int) -> dict:
-    """Algorithm 1 message-size statistics on one graph."""
-    local_params = LocalParameters(max_degree=degree)
-    graph = hnd_random_regular_graph(n, degree, seed=seed + n)
-    run = run_local_counting(graph, params=local_params, seed=seed)
-    metrics = run.result.metrics
-    max_ids = max(
-        (stats.max_message_ids for stats in metrics.per_node.values()), default=0
-    )
-    return {
-        "local_max_message_ids": max_ids,
-        "local_small_message_fraction": round(metrics.small_message_fraction(n), 3),
-        "local_total_messages": metrics.total_messages,
-    }
-
-
-@sweep_task("e10.congest")
-def _congest_stats(*, n: int, degree: int, seed: int) -> dict:
-    """Algorithm 2 message-size statistics on one graph."""
-    congest_params = CongestParameters(d=degree)
-    graph = hnd_random_regular_graph(n, degree, seed=seed + n)
-    run = run_congest_counting(graph, params=congest_params, seed=seed)
-    metrics = run.result.metrics
-    max_ids = max(
-        (stats.max_message_ids for stats in metrics.per_node.values()), default=0
-    )
-    return {
-        "congest_max_message_ids": max_ids,
-        "congest_small_message_fraction": round(metrics.small_message_fraction(n), 3),
-        "congest_total_messages": metrics.total_messages,
-    }
-
-
-def sweep_configs(
+def scenarios(
     *,
     sizes: Sequence[int] = (64, 128, 256, 512),
     degree: int = 8,
     seed: int = 0,
-) -> List[SweepConfig]:
-    """Per size: one Algorithm 1 run and one Algorithm 2 run (interleaved)."""
-    configs: List[SweepConfig] = []
-    for n in sizes:
-        params = {"n": n, "degree": degree, "seed": seed}
-        configs.append(SweepConfig("e10.local", params))
-        configs.append(SweepConfig("e10.congest", params))
-    return configs
+) -> List[Scenario]:
+    """Per size: one Algorithm 1 cell and one Algorithm 2 cell (interleaved)."""
+    protocols = (
+        ComponentSpec("local", {"max_degree": degree}),
+        ComponentSpec("congest", {"d": degree}),
+    )
+    return [
+        Scenario(
+            name=f"e10-{protocol.name}-n{n}",
+            graph=ComponentSpec("hnd", {"n": n, "degree": degree}, seed_offset=n),
+            adversary=ComponentSpec("silent"),
+            placement=ComponentSpec("random", {"count": 0}),
+            protocol=protocol,
+            seeds=(seed,),
+        )
+        for n in sizes
+        for protocol in protocols
+    ]
 
 
 def run_experiment(
@@ -77,8 +52,7 @@ def run_experiment(
     runner=None,
 ) -> ExperimentResult:
     """Per-algorithm message-size statistics across network sizes."""
-    configs = sweep_configs(sizes=sizes, degree=degree, seed=seed)
-    flat = run_configs(configs, runner)
+    flat = run_scenarios(scenarios(sizes=sizes, degree=degree, seed=seed), runner)
 
     result = ExperimentResult(
         experiment="E10",
@@ -89,14 +63,14 @@ def run_experiment(
         ),
     )
     for index, n in enumerate(sizes):
-        local_stats = flat[2 * index]
-        congest_stats = flat[2 * index + 1]
-        result.add_row(
-            n=n,
-            ln_n=round(math.log(n), 2),
-            **local_stats,
-            **congest_stats,
-        )
+        columns = {}
+        for prefix, metrics in zip(("local", "congest"), flat[2 * index : 2 * index + 2]):
+            columns[f"{prefix}_max_message_ids"] = metrics["max_message_ids"]
+            columns[f"{prefix}_small_message_fraction"] = round(
+                metrics["small_message_fraction"], 3
+            )
+            columns[f"{prefix}_total_messages"] = metrics["messages"]
+        result.add_row(n=n, ln_n=round(math.log(n), 2), **columns)
     result.add_note(
         "local_max_message_ids grows roughly like n·d (the algorithm ships "
         "whole neighborhoods), so local_small_message_fraction collapses as n "

@@ -5,6 +5,9 @@ factor is not universal) but, with high probability, every GoodTL node's
 estimate is upper-bounded by ``⌈ln n⌉`` plus an additive constant, and
 lower-bounded by the early-phase bound ρ (at simulable scales, by a constant
 fraction of ``log_d n``).
+
+Each (size, trial) is one benign Algorithm 2 scenario cell; a table row
+pools the ``estimate_counts`` of its size's trials into one histogram.
 """
 
 from __future__ import annotations
@@ -13,39 +16,30 @@ import math
 from collections import Counter
 from typing import List, Sequence
 
-from repro.core.congest_counting import run_congest_counting
-from repro.core.parameters import CongestParameters
-from repro.experiments.common import ExperimentResult, run_configs
-from repro.graphs.hnd import hnd_random_regular_graph
-from repro.runner import SweepConfig, sweep_task
+from repro.experiments.common import ExperimentResult, run_scenarios
+from repro.scenarios import ComponentSpec, Scenario
 
-__all__ = ["run_experiment", "sweep_configs"]
+__all__ = ["run_experiment", "scenarios"]
 
 
-@sweep_task("e11.trial")
-def _trial(*, n: int, degree: int, trial_seed: int) -> List[float]:
-    """Decided estimates of one benign Algorithm 2 run."""
-    params = CongestParameters(d=degree)
-    graph = hnd_random_regular_graph(n, degree, seed=trial_seed)
-    run = run_congest_counting(graph, params=params, seed=trial_seed)
-    return list(run.outcome.estimates())
-
-
-def sweep_configs(
+def scenarios(
     *,
     sizes: Sequence[int] = (128, 256, 512),
     degree: int = 8,
     trials: int = 2,
     seed: int = 0,
-) -> List[SweepConfig]:
-    """The experiment's sweep as a flat config list (trials nested per size)."""
+) -> List[Scenario]:
+    """One benign Algorithm 2 scenario per size; its seeds are the trials."""
     return [
-        SweepConfig(
-            "e11.trial",
-            {"n": n, "degree": degree, "trial_seed": seed + 23 * trial + n},
+        Scenario(
+            name=f"e11-n{n}",
+            graph=ComponentSpec("hnd", {"n": n, "degree": degree}),
+            adversary=ComponentSpec("silent"),
+            placement=ComponentSpec("random", {"count": 0}),
+            protocol=ComponentSpec("congest", {"d": degree}),
+            seeds=tuple(seed + 23 * trial + n for trial in range(trials)),
         )
         for n in sizes
-        for trial in range(trials)
     ]
 
 
@@ -58,8 +52,9 @@ def run_experiment(
     runner=None,
 ) -> ExperimentResult:
     """Histogram of decided values per network size (benign runs)."""
-    configs = sweep_configs(sizes=sizes, degree=degree, trials=trials, seed=seed)
-    flat = run_configs(configs, runner)
+    flat = run_scenarios(
+        scenarios(sizes=sizes, degree=degree, trials=trials, seed=seed), runner
+    )
 
     result = ExperimentResult(
         experiment="E11",
@@ -70,8 +65,8 @@ def run_experiment(
     )
     for index, n in enumerate(sizes):
         histogram: Counter = Counter()
-        for estimates in flat[index * trials : (index + 1) * trials]:
-            histogram.update(estimates)
+        for metrics in flat[index * trials : (index + 1) * trials]:
+            histogram.update(dict(metrics["estimate_counts"]))
         total = sum(histogram.values())
         values = sorted(histogram)
         result.add_row(

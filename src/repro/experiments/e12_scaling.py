@@ -17,11 +17,10 @@ from typing import List, Sequence
 
 from repro.analysis.complexity import fit_blog2_model, fit_log_model
 from repro.core.parameters import CongestParameters
-from repro.experiments.common import ExperimentResult, run_configs
-from repro.runner import SweepConfig
+from repro.experiments.common import ExperimentResult, run_scenarios
 from repro.scenarios import ComponentSpec, Scenario
 
-__all__ = ["run_experiment", "scenarios", "sweep_configs"]
+__all__ = ["run_experiment", "scenarios"]
 
 
 def scenarios(
@@ -67,13 +66,6 @@ def scenarios(
     return cells
 
 
-def sweep_configs(**kwargs: object) -> List[SweepConfig]:
-    """Algorithm 1 configs (per size), then Algorithm 2 configs (size × B)."""
-    return [
-        config for scenario in scenarios(**kwargs) for config in scenario.compile()
-    ]
-
-
 def run_experiment(
     *,
     local_sizes: Sequence[int] = (64, 128, 256, 512),
@@ -84,14 +76,14 @@ def run_experiment(
     runner=None,
 ) -> ExperimentResult:
     """Measure rounds for both algorithms and fit the paper's complexity models."""
-    configs = sweep_configs(
+    cells = scenarios(
         local_sizes=local_sizes,
         congest_sizes=congest_sizes,
         degree=degree,
         congest_byzantine_counts=congest_byzantine_counts,
         seed=seed,
     )
-    flat = run_configs(configs, runner)
+    flat = run_scenarios(cells, runner)
 
     result = ExperimentResult(
         experiment="E12",

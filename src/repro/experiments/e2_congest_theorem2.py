@@ -19,10 +19,9 @@ from typing import List, Sequence
 
 from repro.core.parameters import CongestParameters
 from repro.experiments.common import ExperimentResult
-from repro.runner import SweepConfig
 from repro.scenarios import ComponentSpec, Scenario, ScenarioSuite, SuiteRow
 
-__all__ = ["run_experiment", "scenario_suite", "sweep_configs"]
+__all__ = ["run_experiment", "scenario_suite"]
 
 
 def scenario_suite(
@@ -101,10 +100,6 @@ def scenario_suite(
         ],
     )
 
-
-def sweep_configs(**kwargs: object) -> List[SweepConfig]:
-    """The experiment's sweep as a flat config list (trials nested per size)."""
-    return scenario_suite(**kwargs).compile()
 
 
 def run_experiment(*, runner=None, **kwargs: object) -> ExperimentResult:

@@ -7,7 +7,6 @@ Claim: in an ``H(n, d)`` random graph, with high probability at least
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
 from repro.experiments.common import ExperimentResult, mean_or_none, run_configs

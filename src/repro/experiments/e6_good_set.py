@@ -7,7 +7,6 @@ nodes whose induced subgraph still has constant vertex expansion.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
 from repro.core.parameters import byzantine_budget

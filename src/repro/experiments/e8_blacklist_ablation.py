@@ -4,6 +4,12 @@ Claim: blacklisting is what stops Byzantine beacon flooding from inflating the
 estimate (or preventing decisions) indefinitely; with it disabled, good nodes
 keep seeing acceptable beacons every iteration and overshoot (or never
 decide), while with it enabled the overshoot is bounded (Remark 2).
+
+The sweep is a :class:`~repro.scenarios.suite.ScenarioSuite`: one scenario
+per (blacklist on/off, size) whose seeds are the trials.  Its evaluation set
+is the honest nodes at distance >= 2 from every Byzantine node, so
+``decided_fraction`` is the far-node column and the ``*_all`` metrics are
+the all-honest ones.
 """
 
 from __future__ import annotations
@@ -11,64 +17,14 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from repro.adversary.placement import spread_placement
-from repro.adversary.strategies import BeaconFloodAdversary
-from repro.core.congest_counting import run_congest_counting
 from repro.core.parameters import CongestParameters
-from repro.experiments.common import ExperimentResult, mean_or_none, run_configs
-from repro.graphs.hnd import hnd_random_regular_graph
-from repro.graphs.neighborhoods import ball_of_set
-from repro.runner import SweepConfig, sweep_task
+from repro.experiments.common import ExperimentResult
+from repro.scenarios import ComponentSpec, Scenario, ScenarioSuite, SuiteRow
 
-__all__ = ["run_experiment", "sweep_configs"]
+__all__ = ["run_experiment", "scenario_suite"]
 
 
-@sweep_task("e8.trial")
-def _trial(
-    *,
-    blacklist_enabled: bool,
-    n: int,
-    degree: int,
-    num_byzantine: int,
-    gamma: float,
-    budget: int,
-    trial_seed: int,
-) -> dict:
-    """One beacon-flood run with blacklisting on or off."""
-    params = CongestParameters(gamma=gamma, d=degree, blacklist_enabled=blacklist_enabled)
-    graph = hnd_random_regular_graph(n, degree, seed=trial_seed)
-    byz = spread_placement(graph, num_byzantine, seed=trial_seed)
-    adversary = BeaconFloodAdversary(params)
-    run = run_congest_counting(
-        graph,
-        byzantine=byz,
-        adversary=adversary,
-        params=params,
-        seed=trial_seed,
-        max_rounds=budget,
-    )
-    outcome = run.outcome
-    contaminated = ball_of_set(graph, byz, 1)
-    far = [u for u in outcome.records if u not in contaminated]
-    far_decided = (
-        sum(1 for u in far if outcome.counts_as_decided(outcome.records[u])) / len(far)
-        if far
-        else 0.0
-    )
-    return {
-        "decided": outcome.decided_fraction(),
-        "far_decided": far_decided,
-        "median": outcome.median_estimate(),
-        "max_est": outcome.estimate_range()[1],
-    }
-
-
-def _budget_for(n: int, gamma: float, degree: int, extra_phases: int) -> int:
-    params = CongestParameters(gamma=gamma, d=degree)
-    return params.rounds_through_phase(int(math.ceil(math.log(n))) + extra_phases)
-
-
-def sweep_configs(
+def scenario_suite(
     *,
     sizes: Sequence[int] = (128, 256),
     degree: int = 8,
@@ -77,82 +33,67 @@ def sweep_configs(
     trials: int = 1,
     seed: int = 0,
     extra_phases: int = 2,
-) -> List[SweepConfig]:
-    """The (blacklist on/off, size, trial) grid as a flat config list."""
-    return [
-        SweepConfig(
-            "e8.trial",
-            {
-                "blacklist_enabled": blacklist_enabled,
-                "n": n,
-                "degree": degree,
-                "num_byzantine": num_byzantine,
-                "gamma": gamma,
-                "budget": _budget_for(n, gamma, degree, extra_phases),
-                "trial_seed": seed + 977 * trial + n,
-            },
-        )
-        for blacklist_enabled in (True, False)
-        for n in sizes
-        for trial in range(trials)
-    ]
-
-
-def run_experiment(
-    *,
-    sizes: Sequence[int] = (128, 256),
-    degree: int = 8,
-    num_byzantine: int = 3,
-    gamma: float = 0.5,
-    trials: int = 1,
-    seed: int = 0,
-    extra_phases: int = 2,
-    runner=None,
-) -> ExperimentResult:
-    """Run the beacon-flood attack with blacklisting enabled vs disabled."""
-    configs = sweep_configs(
-        sizes=sizes,
-        degree=degree,
-        num_byzantine=num_byzantine,
-        gamma=gamma,
-        trials=trials,
-        seed=seed,
-        extra_phases=extra_phases,
-    )
-    flat = run_configs(configs, runner)
-
-    result = ExperimentResult(
+) -> ScenarioSuite:
+    """The beacon-flood attack with blacklisting on, then off, per size."""
+    rows: List[SuiteRow] = []
+    for blacklist_enabled in (True, False):
+        for n in sizes:
+            budget = CongestParameters(gamma=gamma, d=degree).rounds_through_phase(
+                int(math.ceil(math.log(n))) + extra_phases
+            )
+            scenario = Scenario(
+                name=f"e8-n{n}-blacklist-{'on' if blacklist_enabled else 'off'}",
+                graph=ComponentSpec("hnd", {"n": n, "degree": degree}),
+                adversary=ComponentSpec("beacon-flood"),
+                placement=ComponentSpec("spread", {"count": num_byzantine}),
+                protocol=ComponentSpec(
+                    "congest",
+                    {
+                        "gamma": gamma,
+                        "d": degree,
+                        "blacklist_enabled": blacklist_enabled,
+                        "max_rounds": budget,
+                    },
+                ),
+                params={"evaluation": {"kind": "far", "radius": 1}},
+                seeds=tuple(seed + 977 * trial + n for trial in range(trials)),
+            )
+            rows.append(
+                SuiteRow(
+                    scenario=scenario,
+                    static={
+                        "blacklist": blacklist_enabled,
+                        "n": n,
+                        "ceil_ln_n": math.ceil(math.log(n)),
+                        "byzantine": num_byzantine,
+                        "round_budget": budget,
+                    },
+                    columns={
+                        "decided_fraction": "decided_fraction_all",
+                        "far_node_decided_fraction": "decided_fraction",
+                        "median_estimate": "median_estimate_all",
+                        "max_estimate": "max_estimate_all",
+                    },
+                )
+            )
+    return ScenarioSuite(
         experiment="E8",
         claim=(
             "Section 5 / Remark 2: the blacklisting mechanism bounds the "
             "estimate overshoot caused by Byzantine beacon flooding; without "
             "it, far-from-Byzantine nodes fail to decide within the round budget"
         ),
+        rows=rows,
+        notes=[
+            "With blacklist=yes, far-from-Byzantine nodes decide within the budget "
+            "and max_estimate stays within a small constant of ceil_ln_n; with "
+            "blacklist=no, the flooding adversary keeps far nodes undecided "
+            "(far_node_decided_fraction collapses) because every iteration still "
+            "delivers an acceptable beacon."
+        ],
     )
-    index = 0
-    for blacklist_enabled in (True, False):
-        for n in sizes:
-            budget = _budget_for(n, gamma, degree, extra_phases)
-            per_trial = flat[index : index + trials]
-            index += trials
-            result.add_row(
-                blacklist=blacklist_enabled,
-                n=n,
-                ceil_ln_n=math.ceil(math.log(n)),
-                byzantine=num_byzantine,
-                round_budget=budget,
-                decided_fraction=mean_or_none([t["decided"] for t in per_trial]),
-                far_node_decided_fraction=mean_or_none(
-                    [t["far_decided"] for t in per_trial]
-                ),
-                median_estimate=mean_or_none([t["median"] for t in per_trial]),
-                max_estimate=mean_or_none([t["max_est"] for t in per_trial]),
-            )
-    result.add_note(
-        "With blacklist=yes, far-from-Byzantine nodes decide within the budget "
-        "and max_estimate stays within a small constant of ceil_ln_n; with "
-        "blacklist=no, the flooding adversary keeps far nodes undecided "
-        "(far_node_decided_fraction collapses) because every iteration still "
-        "delivers an acceptable beacon."
-    )
-    return result
+
+
+def run_experiment(*, runner=None, **kwargs: object) -> ExperimentResult:
+    """Run the beacon-flood attack with blacklisting enabled vs disabled."""
+    return scenario_suite(**kwargs).run(runner)

@@ -18,10 +18,9 @@ from typing import List, Sequence
 
 from repro.core.parameters import CongestParameters, byzantine_budget
 from repro.experiments.common import ExperimentResult
-from repro.runner import SweepConfig
 from repro.scenarios import ComponentSpec, Scenario, ScenarioSuite, SuiteRow
 
-__all__ = ["run_experiment", "scenario_suite", "sweep_configs"]
+__all__ = ["run_experiment", "scenario_suite"]
 
 #: Behaviours each algorithm's grid half sweeps (in display order).
 LOCAL_BEHAVIOURS: Sequence[str] = ("silent", "fake-topology", "inconsistent")
@@ -147,10 +146,6 @@ def scenario_suite(
         ],
     )
 
-
-def sweep_configs(**kwargs: object) -> List[SweepConfig]:
-    """Algorithm 1 grid configs first, then the Algorithm 2 grid configs."""
-    return scenario_suite(**kwargs).compile()
 
 
 def run_experiment(*, runner=None, **kwargs: object) -> ExperimentResult:

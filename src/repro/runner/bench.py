@@ -48,23 +48,48 @@ BENCH_PREFIX = "BENCH_"
 # --------------------------------------------------------------------------- #
 # Bench tasks (registered sweep tasks so they ride the runner/artifact layer)
 # --------------------------------------------------------------------------- #
+def _bench_metrics(
+    seed: int,
+    *,
+    n: int,
+    degree: int,
+    graph_offset: int,
+    protocol: Tuple[str, Dict[str, Any]],
+    behaviour: str = "silent",
+    num_byz: int = 0,
+    churn: Tuple[str, Dict[str, Any]] = ("none", {}),
+) -> Dict[str, Any]:
+    """The ``scenario.run`` metrics of one ``hnd`` cell (spread placement)."""
+    from repro.scenarios import ComponentSpec, Scenario, materialize
+
+    scenario = Scenario(
+        graph=ComponentSpec("hnd", {"n": n, "degree": degree}, seed_offset=graph_offset),
+        adversary=ComponentSpec(behaviour),
+        placement=ComponentSpec("spread", {"count": num_byz}, seed_offset=num_byz),
+        protocol=ComponentSpec(*protocol),
+        churn=ComponentSpec(*churn),
+    )
+    return materialize(scenario, seed).metrics
+
+
+def _counters(metrics: Dict[str, Any], rounds: str = "rounds") -> Dict[str, Any]:
+    """The deterministic counters a bench row records."""
+    return {
+        "rounds": metrics[rounds],
+        "messages": metrics["messages"],
+        "bits": metrics["bits"],
+        "decided_fraction": metrics["decided_fraction_all"],
+    }
+
+
 @sweep_task("bench.local")
 def _bench_local(*, n: int, degree: int, seed: int) -> Dict[str, Any]:
     """One Algorithm 1 run (benign), parameterized like the E12 local sweep."""
-    from repro.core.local_counting import run_local_counting
-    from repro.core.parameters import LocalParameters
-    from repro.graphs.hnd import hnd_random_regular_graph
-
-    graph = hnd_random_regular_graph(n, degree, seed=seed + n)
-    run = run_local_counting(graph, params=LocalParameters(max_degree=degree), seed=seed)
-    outcome = run.outcome
-    return {
-        "rounds": outcome.max_decision_round(over_evaluation_set=False)
-        or outcome.rounds_executed,
-        "messages": outcome.total_messages,
-        "bits": outcome.total_bits,
-        "decided_fraction": outcome.decided_fraction(over_evaluation_set=False),
-    }
+    return _counters(
+        _bench_metrics(
+            seed, n=n, degree=degree, graph_offset=n, protocol=("local", {"max_degree": degree})
+        )
+    )
 
 
 @sweep_task("bench.congest")
@@ -72,39 +97,20 @@ def _bench_congest(
     *, n: int, degree: int, num_byz: int, behaviour: str, seed: int
 ) -> Dict[str, Any]:
     """One Algorithm 2 run, parameterized like the E2/E3 congest sweeps."""
-    from repro.adversary.placement import spread_placement
-    from repro.adversary.strategies import BeaconFloodAdversary
-    from repro.core.congest_counting import run_congest_counting
     from repro.core.parameters import CongestParameters
-    from repro.graphs.hnd import hnd_random_regular_graph
-    from repro.simulator.byzantine import SilentAdversary
 
-    params = CongestParameters(d=degree)
-    graph = hnd_random_regular_graph(n, degree, seed=seed + n + num_byz)
-    byz = spread_placement(graph, num_byz, seed=seed + num_byz) if num_byz else set()
-    if behaviour == "beacon-flood":
-        adversary = BeaconFloodAdversary(params)
-    elif behaviour == "silent":
-        adversary = SilentAdversary()
-    else:
-        raise ValueError(f"unknown bench behaviour {behaviour!r}")
-    budget = params.rounds_through_phase(int(math.ceil(math.log(n))) + 1)
-    run = run_congest_counting(
-        graph,
-        byzantine=byz,
-        adversary=adversary,
-        params=params,
-        seed=seed,
-        max_rounds=budget,
+    budget = CongestParameters(d=degree).rounds_through_phase(int(math.ceil(math.log(n))) + 1)
+    return _counters(
+        _bench_metrics(
+            seed,
+            n=n,
+            degree=degree,
+            graph_offset=n + num_byz,
+            protocol=("congest", {"d": degree, "max_rounds": budget}),
+            behaviour=behaviour,
+            num_byz=num_byz,
+        )
     )
-    outcome = run.outcome
-    return {
-        "rounds": outcome.max_decision_round(over_evaluation_set=False)
-        or outcome.rounds_executed,
-        "messages": outcome.total_messages,
-        "bits": outcome.total_bits,
-        "decided_fraction": outcome.decided_fraction(over_evaluation_set=False),
-    }
 
 
 @sweep_task("bench.local_churn")
@@ -119,26 +125,15 @@ def _bench_local_churn(
     The deterministic counters therefore cover the churn delta application
     and the claim updates and retractions, not just the static hot path.
     """
-    from repro.core.local_counting import run_local_counting
-    from repro.core.parameters import LocalParameters
-    from repro.graphs.hnd import hnd_random_regular_graph
-    from repro.scenarios.churn import build_churn
-
-    graph = hnd_random_regular_graph(n, degree, seed=seed + n)
-    churn = build_churn(
-        "node-leave-join", graph, seed=seed, count=count, start=start, absence=absence
+    metrics = _bench_metrics(
+        seed,
+        n=n,
+        degree=degree,
+        graph_offset=n,
+        protocol=("local", {"max_degree": degree}),
+        churn=("node-leave-join", {"count": count, "start": start, "absence": absence}),
     )
-    run = run_local_counting(
-        graph, params=LocalParameters(max_degree=degree), seed=seed, churn=churn
-    )
-    outcome = run.outcome
-    return {
-        "rounds": outcome.rounds_executed,
-        "messages": outcome.total_messages,
-        "bits": outcome.total_bits,
-        "decided_fraction": outcome.decided_fraction(over_evaluation_set=False),
-        "churn_events": run.result.metrics.churn_events,
-    }
+    return {**_counters(metrics, "rounds_executed"), "churn_events": metrics["churn_events"]}
 
 
 def _bench_loopback(

@@ -3,10 +3,9 @@
 Configs reference tasks by *name* (a plain string) so that a
 :class:`~repro.runner.config.SweepConfig` stays JSON-serializable and can be
 executed in a worker process that only shares the installed code, not any
-Python objects.  Experiment modules register their per-trial functions at
-import time::
+Python objects.  Modules register their task functions at import time::
 
-    @sweep_task("e3.trial")
+    @sweep_task("e5.trial")
     def _trial(*, n, degree, trial_seed): ...
 
 Resolution is lazy: the first lookup of an unknown name imports

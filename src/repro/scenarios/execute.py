@@ -13,11 +13,12 @@ the regenerated tables are byte-identical to the pre-scenario ones.
 from __future__ import annotations
 
 import math
+import statistics
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Set, Union
 
-from repro.analysis.accuracy import corollary1_check, theorem1_check, theorem2_check
+from repro.analysis import accuracy
 from repro.graphs.expansion import good_set
 from repro.graphs.graph import Graph
 from repro.graphs.neighborhoods import ball_of_set
@@ -28,15 +29,12 @@ from repro.scenarios.placements import place_byzantine
 from repro.scenarios.protocols import run_protocol
 from repro.scenarios.spec import SCENARIO_TASK, Scenario
 
-__all__ = ["MaterializedCell", "materialize", "execute_cell", "DEFAULT_BAND"]
-
-#: Definition 2's constant-factor band used across the experiments.
-DEFAULT_BAND = (0.35, 1.6)
+__all__ = ["MaterializedCell", "materialize", "execute_cell"]
 
 _CHECKS = {
-    "theorem1": theorem1_check,
-    "theorem2": theorem2_check,
-    "corollary1": corollary1_check,
+    "theorem1": accuracy.theorem1_check,
+    "theorem2": accuracy.theorem2_check,
+    "corollary1": accuracy.corollary1_check,
 }
 
 
@@ -110,9 +108,10 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
     scenario = cell.scenario
     run = cell.run
     outcome = run.outcome
-    low, high = scenario.params.get("band", DEFAULT_BAND)
+    low, high = scenario.params.get("band", accuracy.DEFAULT_BAND)
 
-    histogram = Counter(outcome.estimates())
+    estimates = outcome.estimates()
+    histogram = Counter(estimates)
     modal_value, modal_count = (
         histogram.most_common(1)[0] if histogram else (None, 0)
     )
@@ -124,6 +123,10 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
     )
     min_estimate, max_estimate = outcome.estimate_range()
     round_budget = scenario.protocol.params.get("max_rounds")
+    log_n = outcome.log_n
+    median = statistics.median(estimates) if estimates else None
+    relative_errors = [abs(e - log_n) / log_n for e in estimates]
+    per_node = result_metrics.per_node if result_metrics is not None else {}
 
     metrics = {
         "n": outcome.n,
@@ -135,10 +138,20 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
         "fraction_in_band_all": outcome.fraction_within_band(
             low, high, over_evaluation_set=False
         ),
-        "median_estimate": outcome.median_estimate(),
+        "median_estimate": median,
         "median_estimate_all": outcome.median_estimate(over_evaluation_set=False),
+        # Two error statistics: the median of the per-node errors, and the
+        # error of the median estimate.
+        "median_relative_error": (
+            statistics.median(relative_errors) if relative_errors else None
+        ),
+        "median_estimate_error": (
+            abs(median - log_n) / log_n if median is not None else None
+        ),
         "min_estimate": min_estimate,
         "max_estimate": max_estimate,
+        "max_estimate_all": outcome.estimate_range(over_evaluation_set=False)[1],
+        "estimate_counts": [[value, count] for value, count in sorted(histogram.items())],
         "modal_estimate": modal_value,
         "modal_fraction": modal_count / max(1, len(outcome.records)),
         "max_decision_round": outcome.max_decision_round(),
@@ -150,6 +163,11 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
         "small_message_fraction": outcome.small_message_fraction,
         "messages": outcome.total_messages,
         "bits": outcome.total_bits,
+        # Most node ids in one message sent by an honest node (footnote 1).
+        "max_message_ids": max(
+            (per_node[u].max_message_ids for u in outcome.records if u in per_node),
+            default=0,
+        ),
         "quiescent": 1.0 if quiescent else 0.0,
         "check_passed": _run_check(
             scenario.params.get("check"),

@@ -107,9 +107,6 @@ class ScenarioSuite:
     notes: List[str] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
-    def scenarios(self) -> List[Scenario]:
-        return [row.scenario for row in self.rows]
-
     def compile(self) -> List[SweepConfig]:
         """The flat config list of every scenario (in row, then seed order)."""
         return [config for row in self.rows for config in row.scenario.compile()]

@@ -370,7 +370,7 @@ class TestBackendEquivalence:
     def test_e3_mini_sweep_identical_across_backends(self, tmp_path):
         """Property: all three backends produce identical results *and*
         identical artifact documents for a seeded E3 mini-sweep."""
-        configs = e3_benign.sweep_configs(sizes=(48,), trials=2, seed=0)
+        configs = e3_benign.scenario_suite(sizes=(48,), trials=2, seed=0).compile()
         backends = {
             "serial": SerialBackend(),
             "pool": PoolBackend(2),

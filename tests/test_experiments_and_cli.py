@@ -2,6 +2,9 @@
 
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,18 @@ class TestCommon:
 
     def test_registry_complete(self):
         assert set(ALL_EXPERIMENTS) == {f"e{i}" for i in range(1, 13)}
+
+    def test_only_protocol_free_drivers_register_tasks(self):
+        """Every driver that runs a protocol goes through ``scenario.run``;
+        the tasks left in the experiment modules run no protocol."""
+        from repro.runner import registered_tasks
+
+        mine = {
+            name
+            for name, fn in registered_tasks().items()
+            if fn.__module__.startswith("repro.experiments.")
+        }
+        assert mine == {"e4.glued", "e4.control", "e5.trial", "e6.trial"}
 
 
 class TestExperimentDrivers:
@@ -159,6 +174,32 @@ class TestCli:
 
     def test_experiment_command_unknown(self, capsys):
         assert main(["experiment", "e99"]) == 2
+
+    def test_experiment_is_an_alias_of_sweep(self):
+        args = build_parser().parse_args(["experiment", "e3", "--workers", "2"])
+        assert (args.command, args.name, args.workers) == ("sweep", "e3", 2)
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # The read end closes before the child starts, so its first write
+        # to stdout fails with EPIPE on every run.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        root = Path(__file__).resolve().parents[1]
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "scenario", "list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=str(root),
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+        assert "BrokenPipeError" not in child.stderr
 
     def test_experiment_command_runs(self, capsys, monkeypatch):
         import repro.experiments.e5_treelike as e5

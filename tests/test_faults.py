@@ -503,7 +503,7 @@ class TestResume:
         assert "resuming sweep" in capsys.readouterr().err
 
     def test_resume_after_injected_broker_crash_matches_serial(self, tmp_path):
-        configs = e3_benign.sweep_configs(sizes=(48,), trials=2, seed=0)
+        configs = e3_benign.scenario_suite(sizes=(48,), trials=2, seed=0).compile()
         serial = SweepRunner().run(configs)
 
         # crash_broker=1.0: the broker persists the first streamed result,
@@ -720,7 +720,7 @@ CHAOS_RATES = dict(
 class TestChaosEquivalence:
     @pytest.mark.parametrize("plan_seed", [1, 2])
     def test_faulty_sweep_is_byte_identical_to_serial(self, tmp_path, plan_seed):
-        configs = e3_benign.sweep_configs(sizes=(48,), trials=2, seed=0)
+        configs = e3_benign.scenario_suite(sizes=(48,), trials=2, seed=0).compile()
         serial_dir = tmp_path / "serial"
         chaos_dir = tmp_path / f"chaos-{plan_seed}"
         serial = SweepRunner(artifact_dir=serial_dir).run(configs)
