@@ -440,8 +440,9 @@ def run_congest_counting(
         decided -- the decisions are irrevocable so nothing further can
         change.  Set to false to observe the quiescence of Corollary 1.
     evaluation_set:
-        Nodes over which outcome statistics are computed (defaults to all
-        honest nodes; experiments may pass ``GoodTL``).
+        Nodes over which outcome statistics are computed (``None`` means
+        all honest nodes, an empty set none; experiments may pass
+        ``GoodTL``).
     churn:
         Optional mid-run topology schedule, applied at the *engine* level
         (edge cuts, departures, fresh protocol slots for joiners).  The
@@ -505,7 +506,7 @@ def run_congest_counting(
     outcome = CountingOutcome(
         n=graph.n,
         records=records,
-        evaluation_set=set(evaluation_set) if evaluation_set is not None else set(),
+        evaluation_set=evaluation_set,
         rounds_executed=result.rounds_executed,
         total_messages=result.metrics.total_messages,
         total_bits=result.metrics.total_bits,

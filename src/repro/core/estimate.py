@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["DecisionRecord", "CountingOutcome", "approximation_band"]
@@ -56,7 +56,10 @@ class CountingOutcome:
     evaluation_set:
         The subset of honest nodes against which the theorem's guarantee is
         evaluated (``Good`` for Theorem 1, ``GoodTL``-style sets or all honest
-        nodes for Theorem 2).  Defaults to all honest nodes.
+        nodes for Theorem 2).  ``None`` (the default) means all honest
+        nodes; an empty set stays empty, so a run whose evaluation set
+        holds no honest node scores no node (``decided_fraction`` 0.0, no
+        median).
     rounds_executed:
         Number of rounds the simulation ran.
     total_messages, total_bits:
@@ -68,14 +71,14 @@ class CountingOutcome:
 
     n: int
     records: Dict[int, DecisionRecord]
-    evaluation_set: Set[int] = field(default_factory=set)
+    evaluation_set: Optional[Set[int]] = None
     rounds_executed: int = 0
     total_messages: int = 0
     total_bits: int = 0
     small_message_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.evaluation_set:
+        if self.evaluation_set is None:
             self.evaluation_set = set(self.records)
         else:
             self.evaluation_set = set(self.evaluation_set) & set(self.records)

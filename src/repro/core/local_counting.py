@@ -68,14 +68,20 @@ Implementation notes
   so a run's :class:`ClaimInterner` parses each claim value once, gives each
   valid one a run-wide record id, and places it in one run-wide vertex slot
   space: each node's first valid claim and its edge mask, reverse-adjacency
-  masks, and which nodes made conflicting claims.  A :class:`LocalView`
-  only records which vertices it knows (a slot mask), which claims it has
-  seen (a record-id mask) and which nodes it settled (a slot mask); a
-  settled node's claim is the run's first one for it unless the view's
-  small override dict says otherwise, which only happens for nodes with
-  conflicting claims.  The BFS layers, interior and out-boundary the
-  expansion check reads are derived from those, at most once per round,
-  when the check asks.
+  masks, the one-sided part of each reverse mask (the claimers a vertex's
+  first claim does not name back, empty for every vertex when all claims
+  are symmetric, as honest ones are), and which nodes made conflicting
+  claims.  A :class:`LocalView` only records which vertices it knows (a
+  slot mask), which claims it has seen (a record-id mask) and which nodes
+  it settled (a slot mask); a settled node's claim is the run's first one
+  for it unless the view's small override dict says otherwise, which only
+  happens for nodes with conflicting claims.  The BFS layers, interior and
+  out-boundary the expansion check reads are derived from those, at most
+  once per round, when the check asks: a BFS layer reads one mask per
+  settled vertex with symmetric claims, and the interior pass finds the
+  candidates still waiting on an unsettled vertex as one OR of the
+  unsettled vertices' reverse masks.  Byzantine claim entries are parsed
+  once per entry object, honest ones once per claim value.
 """
 
 from __future__ import annotations
@@ -217,9 +223,11 @@ class ClaimInterner:
     entry that reaches a view by the per-entry path is recognized with one
     identity lookup, and its parse is done once per *run* instead of once
     per (receiver, arrival).  The table pins the singleton entries, so the
-    ids stay stable.  Byzantine entries that are not type-pure are parsed
-    directly (raising like the reference for unhashable containers) and only
-    interned when valid.
+    ids stay stable.  :meth:`resolve` also keys a valid Byzantine entry of
+    exact types by its ``id`` and pins it in ``pinned``, so an entry object
+    broadcast to many receivers is parsed once.  Byzantine entries that are
+    not type-pure are parsed directly on every arrival (raising like the
+    reference for unhashable containers) and only interned when valid.
 
     Each valid record gets a run-wide record id on registration: ``rid`` is
     its index in ``records`` and ``rbit`` is ``1 << rid``, so views keep
@@ -231,16 +239,23 @@ class ClaimInterner:
     with a valid claim, and ``conflicted`` the nodes the run has seen two
     different valid claims for.  ``first[j]`` is the first valid record
     registered for the node in slot ``j`` and ``cmask[j]`` its neighbor
-    mask; ``max_size`` is the largest edge count of any valid record.  For
-    a node outside ``conflicted`` the one claim a view can settle is
-    ``first`` of its slot, the one ``grev`` recorded, so views read their
-    adjacency off ``cmask`` and ``grev`` and only treat conflicted nodes
-    claim by claim (see :meth:`LocalView._derive`).
+    mask; ``max_size`` is the largest edge count of any valid record.
+    ``asym[j] == grev[j] & ~cmask[j]`` holds the claimers of slot ``j``
+    that its first claim does not name back (all of ``grev[j]`` while the
+    node has no valid claim), and ``asym_slots`` marks the slots where it
+    is non-zero; both are kept up to date on every registration.  Honest
+    claims are symmetric, so ``asym`` is non-zero only around Byzantine
+    and fake vertices.  For a node outside ``conflicted`` the one claim a
+    view can settle is ``first`` of its slot, the one ``grev`` recorded,
+    so views read their adjacency off ``cmask``, ``asym`` and ``grev`` and
+    only treat conflicted nodes claim by claim (see
+    :meth:`LocalView._derive`).
     """
 
     __slots__ = (
         "by_id", "by_value", "records", "slot_of", "ids", "vertex_bits", "grev",
-        "first", "cmask", "claimed", "conflicted", "max_size", "positions",
+        "first", "cmask", "asym", "asym_slots", "claimed", "conflicted", "max_size",
+        "positions", "pinned",
     )
 
     def __init__(self) -> None:
@@ -253,6 +268,8 @@ class ClaimInterner:
         self.grev: List[int] = []
         self.first: List[Optional[_ClaimRecord]] = []
         self.cmask: List[int] = []
+        self.asym: List[int] = []
+        self.asym_slots = 0
         self.claimed = 0
         self.conflicted = 0
         self.max_size = 0
@@ -260,6 +277,9 @@ class ClaimInterner:
         # far, so ``bits`` selects shared int objects instead of counting
         # (which allocates an int object per position above 256).
         self.positions: List[int] = []
+        # Byzantine entry objects keyed in ``by_id``: pinned so their ids
+        # are never reused by another object.
+        self.pinned: List[ClaimEntry] = []
 
     def bits(self, mask: int) -> Iterator[int]:
         """Positions of the set bits of a slot or record-id ``mask``, lowest
@@ -278,6 +298,7 @@ class ClaimInterner:
             self.grev.append(0)
             self.first.append(None)
             self.cmask.append(0)
+            self.asym.append(0)
             # The id's ``estimate_payload_bits`` cost inside a vertex tuple.
             b = node_id.bit_length()
             self.vertex_bits.append((b if b else 1) + 2)
@@ -293,7 +314,14 @@ class ClaimInterner:
         return record
 
     def resolve(self, entry) -> _ClaimRecord:
-        """Record for one payload entry that missed the identity table."""
+        """Record for one payload entry that missed the identity table.
+
+        A valid entry made of exact types (a ``tuple`` of an ``int`` id and
+        a ``tuple`` of ``int`` edge ids) is also keyed in ``by_id`` and
+        pinned, so a Byzantine entry object broadcast to many receivers is
+        parsed once, not once per receiver.  Any other entry (a list, a
+        tuple subclass, a float id) is parsed on every arrival.
+        """
         node_id, edge_ids = entry
         # Only *type-pure* entries (int id, tuple of ints) may touch the
         # value-keyed table: numerically equal but differently typed claims
@@ -308,6 +336,14 @@ class ClaimInterner:
             if record is None:
                 record = self._register(_ClaimRecord(node_id, edge_ids))
                 self.by_value[entry] = record
+            if (
+                record.valid
+                and type(entry) is tuple
+                and type(node_id) is int
+                and all(type(v) is int for v in edge_ids)
+            ):
+                self.by_id[id(entry)] = record
+                self.pinned.append(entry)
             return record
         return self._register(_ClaimRecord(node_id, edge_ids))
 
@@ -329,11 +365,17 @@ class ClaimInterner:
         slot = place(record.node_id)
         bit = 1 << slot
         grev = self.grev
+        cmask = self.cmask
+        asym = self.asym
         mask = 0
         for v in record.canonical:
             j = place(v)
             mask |= 1 << j
             grev[j] |= bit
+            if not cmask[j] & bit:
+                # ``j``'s first claim (if any yet) does not name this node.
+                asym[j] |= bit
+                self.asym_slots |= 1 << j
         record.slot = slot
         record.bit = bit
         record.mask = mask
@@ -343,7 +385,13 @@ class ClaimInterner:
         else:
             self.claimed |= bit
             self.first[slot] = record
-            self.cmask[slot] = mask
+            cmask[slot] = mask
+            lone = grev[slot] & ~mask
+            asym[slot] = lone
+            if lone:
+                self.asym_slots |= bit
+            else:
+                self.asym_slots &= ~bit
         if record.size > self.max_size:
             self.max_size = record.size
         return record
@@ -371,10 +419,12 @@ class LocalView:
     change, when :meth:`expansion_check_candidates` (or another query) asks:
     the symmetric adjacency (a settled vertex's claim, read off the run's
     ``cmask`` unless the node has conflicting claims, plus the settled
-    claimers of a vertex read off the run's ``grev`` masks, plus an exact
-    pass over conflicted settled claimers), the BFS layers from the owner,
-    the interior set, and the interior's out-boundary.  Layer and boundary
-    sizes are popcounts.  The dict/set views (``vertices``, ``adjacency()``,
+    claimers of a vertex, read off the run's ``asym`` masks for a settled
+    vertex and its ``grev`` masks otherwise, plus an exact pass over
+    conflicted settled claimers), the BFS layers from the owner, the
+    interior set (grown by a reverse-mask pass over the unsettled
+    vertices), and the interior's out-boundary.  Layer and boundary sizes
+    are popcounts.  The dict/set views (``vertices``, ``adjacency()``,
     ``layer_prefixes()``, ``interior_set()``, ``edge_sets``) are built on
     demand for tests and the exhaustive check;
     :class:`repro.core.local_view_reference.SetBasedLocalView` is the
@@ -430,16 +480,17 @@ class LocalView:
         max_degree: int,
         allow_updates: bool = False,
         inbox: Sequence[TopologyDelta] = (),
-    ) -> Tuple[bool, List[ClaimEntry], List[int]]:
+    ) -> Tuple[bool, int]:
         """Merge received topology information.
 
         Integrates the payloads of ``inbox`` in arrival order, then the one
         payload ``(reported_edges, reported_vertices)`` if it is not empty.
-        Returns ``(inconsistent, new_edge_sets, new_vertices)``: the claims
-        this call settled and the vertices it learned, which also go into the
-        pending delta.  Malformed claims (non-int ids, a self-loop, more than
-        ``max_degree`` edges) and non-int vertex ids are flagged inconsistent
-        and never integrated.
+        Returns ``(inconsistent, added)``, where ``added`` is the number of
+        vertices this call learned.  The claims it settled and the vertices
+        it learned go into the pending delta (``delta_records`` and
+        ``delta_vertices``); no list of them is built.  Malformed claims
+        (non-int ids, a self-loop, more than ``max_degree`` edges) and
+        non-int vertex ids are flagged inconsistent and never integrated.
 
         A valid claim conflicting with the settled one for the same node is
         flagged inconsistent (Line 18 of Algorithm 1) unless
@@ -463,35 +514,28 @@ class LocalView:
         path in arrival order instead.  Every other payload (a Byzantine
         node's tuple, or the positional one) always takes the per-entry
         path, in order: an entry resolves to its shared record by identity
-        or by value, and new items are listed in arrival order.  A raising
-        entry (unhashable edge container) propagates, keeping every claim
-        integrated before it, like the reference implementation.
+        or by value.  A raising entry (unhashable edge container)
+        propagates, keeping every claim integrated before it, like the
+        reference implementation.
         """
-        new_edge_sets: List[ClaimEntry] = []
-        new_vertices: List[int] = []
+        start = self._known
         inconsistent = False
         payloads = inbox
         if reported_edges or reported_vertices:
             payloads = (*inbox, (reported_edges, reported_vertices))
         for masked, run in groupby(payloads, _is_delta):
             if masked:
-                inconsistent |= self._merge_deltas(
-                    list(run), max_degree, allow_updates, new_edge_sets, new_vertices
-                )
+                inconsistent |= self._merge_deltas(list(run), max_degree, allow_updates)
                 continue
             for entries, vertices in run:
                 inconsistent |= self._integrate_entries(
-                    entries, vertices, max_degree, allow_updates, new_edge_sets, new_vertices
+                    entries, vertices, max_degree, allow_updates
                 )
-        return inconsistent, new_edge_sets, new_vertices
+        # Known vertices are never forgotten, so the new ones are the XOR.
+        return inconsistent, (self._known ^ start).bit_count()
 
     def _merge_deltas(
-        self,
-        deltas: List[_Delta],
-        max_degree: int,
-        allow_updates: bool,
-        new_edge_sets: List[ClaimEntry],
-        new_vertices: List[int],
+        self, deltas: List[_Delta], max_degree: int, allow_updates: bool
     ) -> bool:
         """Integrate honest delta payloads by their OR-ed masks."""
         records = slots = nodes = span = 0
@@ -503,9 +547,7 @@ class LocalView:
         interner = self._interner
         new = records & ~self._seen
         if nodes & interner.conflicted or interner.max_size > max_degree:
-            return self._merge_claims(
-                deltas, new, slots, max_degree, allow_updates, new_edge_sets, new_vertices
-            )
+            return self._merge_claims(deltas, new, slots, max_degree, allow_updates)
         # Every claim here is its node's only valid claim in the run and
         # fits the degree bound, so each new one settles: a node it claims
         # for is either unsettled or holds this very claim (only the own
@@ -519,8 +561,6 @@ class LocalView:
         self._seen |= new
         if not (fresh or grown):
             return False
-        new_edge_sets.extend(map(_ENTRY, map(interner.records.__getitem__, interner.bits(fresh))))
-        new_vertices.extend(self._mask_ids(grown))
         self._settled |= nodes
         self._known |= grown
         self.delta_records |= fresh
@@ -535,8 +575,6 @@ class LocalView:
         slots: int,
         max_degree: int,
         allow_updates: bool,
-        new_edge_sets: List[ClaimEntry],
-        new_vertices: List[int],
     ) -> bool:
         """Integrate honest delta payloads claim by claim (``new`` unseen)."""
         claims = list(map(self._interner.records.__getitem__, self._interner.bits(new)))
@@ -546,7 +584,7 @@ class LocalView:
             inconsistent = False
             for entries, vertices in deltas:
                 inconsistent |= self._integrate_entries(
-                    entries, vertices, max_degree, allow_updates, new_edge_sets, new_vertices
+                    entries, vertices, max_degree, allow_updates
                 )
             return inconsistent
         record_of = self._record
@@ -568,8 +606,6 @@ class LocalView:
                 self._settle(record)
                 kept.append(record)
         grown = reduce(or_, map(_VMASK, kept), slots) & ~self._known
-        new_edge_sets.extend(map(_ENTRY, kept))
-        new_vertices.extend(self._mask_ids(grown))
         self._seen |= new
         self._known |= grown
         self.delta_records |= fresh
@@ -583,13 +619,10 @@ class LocalView:
         reported_vertices: Sequence[int],
         max_degree: int,
         allow_updates: bool,
-        new_edge_sets: List[ClaimEntry],
-        new_vertices: List[int],
     ) -> bool:
         """Integrate one payload entry by entry, in arrival order."""
         interner = self._interner
         by_id = interner.by_id
-        slot_of = interner.slot_of
         record_of = self._record
         seen = self._seen
         known = start = self._known
@@ -622,23 +655,12 @@ class LocalView:
                     continue
                 self._settle(record)
                 fresh |= record.rbit
-                new_edge_sets.append(record.entry)
-                grown = record.vmask & ~known
-                if grown:
-                    known |= grown
-                    if grown & record.bit:
-                        new_vertices.append(record.node_id)
-                    for v in record.edge_set:
-                        if grown >> slot_of[v] & 1:
-                            new_vertices.append(v)
+                known |= record.vmask
             for node_id in reported_vertices:
                 if not isinstance(node_id, int):
                     inconsistent = True
                     continue
-                bit = 1 << interner.slot(node_id)
-                if not known & bit:
-                    known |= bit
-                    new_vertices.append(node_id)
+                known |= 1 << interner.slot(node_id)
         finally:
             # A raising entry keeps every claim integrated before it.
             self._seen = seen
@@ -760,16 +782,39 @@ class LocalView:
 
     def _conflicted_claims(self) -> List[_ClaimRecord]:
         """Settled claims of the nodes the run has seen conflicting claims for."""
-        interner = self._interner
-        return list(map(self._record, interner.bits(interner.conflicted & self._settled)))
+        mask = self._interner.conflicted & self._settled
+        if not mask:
+            return []
+        return list(map(self._record, self._interner.bits(mask)))
 
     def _derive(self) -> None:
-        """Recompute BFS layers, interior and out-boundary if the view changed."""
+        """Recompute BFS layers, interior and out-boundary if the view changed.
+
+        A vertex's neighbors in the view are its settled claim plus the
+        settled nodes claiming it.  For a settled *plain* vertex ``j`` (its
+        node made one valid claim in the run) the settled plain claimers
+        are ``grev[j] & plain``, and ``grev[j] & ~cmask[j]`` is the run's
+        ``asym[j]``, so ``cmask[j] | (grev[j] & plain) == cmask[j] |
+        (asym[j] & plain)``: a BFS layer ORs ``cmask`` over its plain
+        slots, ``asym`` over those of them in ``asym_slots`` and ``grev``
+        over the rest (unsettled or conflicted).  On a run whose claims are
+        all symmetric that is one lookup per settled slot.
+
+        A plain candidate for the interior is blocked iff it claims an
+        unsettled vertex, i.e. iff it is in ``grev`` of one, so the blocked
+        candidates are one OR over the unsettled slots.  A blocked node is
+        in the out-boundary iff it claims an interior vertex: either that
+        vertex's claim names it back (then it is in ``interior_claims``) or
+        it is in ``asym`` of a plain interior vertex or ``grev`` of a
+        conflicted one.
+        """
         if self._derived_epoch == self._epoch:
             return
         interner = self._interner
         grev = interner.grev
         cmask = interner.cmask
+        asym = interner.asym
+        asym_slots = interner.asym_slots
         bits = interner.bits
         settled = self._settled
         conflicted = self._conflicted_claims()
@@ -785,11 +830,17 @@ class LocalView:
         visited = frontier = self._own_bit
         layers = [frontier]
         while visited != known:
-            slots = list(bits(frontier))
-            reach = reduce(or_, map(grev.__getitem__, slots), 0) & plain
-            if frontier & ~plain:
-                slots = bits(frontier & plain)
-            reach = reduce(or_, map(cmask.__getitem__, slots), reach)
+            own = frontier & plain
+            rest = frontier ^ own
+            reach = 0
+            if rest:
+                reach = reduce(or_, map(grev.__getitem__, bits(rest)))
+            lone = own & asym_slots
+            if lone:
+                reach = reduce(or_, map(asym.__getitem__, bits(lone)), reach)
+            reach &= plain
+            if own:
+                reach = reduce(or_, map(cmask.__getitem__, bits(own)), reach)
             for record in conflicted:
                 if record.bit & frontier:
                     reach |= record.mask
@@ -809,14 +860,14 @@ class LocalView:
         interior_claims = self._interior_claims
         unsettled = known & ~settled
         candidates = settled & ~interior
-        waiting: List[int] = []
-        for slot in bits(candidates & plain):
-            mask = cmask[slot]
-            if mask & unsettled:
-                waiting.append(slot)
-            else:
-                interior |= 1 << slot
-                interior_claims |= mask
+        ready = candidates & plain
+        blocked = 0
+        if ready and unsettled:
+            blocked = reduce(or_, map(grev.__getitem__, bits(unsettled))) & ready
+            ready &= ~blocked
+        if ready:
+            interior |= ready
+            interior_claims = reduce(or_, map(cmask.__getitem__, bits(ready)), interior_claims)
         pending: List[_ClaimRecord] = []
         for record in conflicted:
             if not record.bit & candidates:
@@ -827,9 +878,16 @@ class LocalView:
                 interior |= record.bit
                 interior_claims |= record.mask
         out = interior_claims & ~interior
-        for slot in waiting:
-            if cmask[slot] & interior:
-                out |= 1 << slot
+        waiting = blocked & ~out
+        if waiting:
+            claimers = 0
+            lone = interior & asym_slots
+            if lone:
+                claimers = reduce(or_, map(asym.__getitem__, bits(lone)))
+            odd = interior & interner.conflicted
+            if odd:
+                claimers = reduce(or_, map(grev.__getitem__, bits(odd)), claimers)
+            out |= waiting & claimers
         for record in pending:
             if record.mask & interior:
                 out |= record.bit
@@ -1103,7 +1161,7 @@ class LocalCountingProtocol(Protocol):
         else:
             mute_neighbor = not speakers.issuperset(ctx.neighbors)
         try:
-            bad, _, new_vertices = self.view.integrate(
+            bad, newly_added = self.view.integrate(
                 inbox=payloads,
                 max_degree=self.params.max_degree,
                 allow_updates=self._dynamic,
@@ -1114,7 +1172,6 @@ class LocalCountingProtocol(Protocol):
             inconsistent = True
         else:
             inconsistent = inconsistent or bad
-            newly_added = len(new_vertices)
 
         if inconsistent or mute_neighbor:
             self._decide(round_number)
@@ -1198,8 +1255,9 @@ def run_local_counting(
         Safety cap; defaults to ``6·ceil(log2 n) + 20``, far above the
         ``diam(G)+1`` bound of Theorem 1 for the expander workloads.
     evaluation_set:
-        Nodes over which the outcome statistics are computed (defaults to all
-        honest nodes; experiments pass the Lemma 1 ``Good`` set).
+        Nodes over which the outcome statistics are computed (``None``
+        means all honest nodes, an empty set none; experiments pass the
+        Lemma 1 ``Good`` set).
     churn:
         Optional mid-run topology schedule.  Enables the protocol's dynamic
         mode (claim updates, churn-aware mute check); ``None`` takes the
@@ -1241,7 +1299,7 @@ def run_local_counting(
     outcome = CountingOutcome(
         n=graph.n,
         records=records,
-        evaluation_set=set(evaluation_set) if evaluation_set is not None else set(),
+        evaluation_set=evaluation_set,
         rounds_executed=result.rounds_executed,
         total_messages=result.metrics.total_messages,
         total_bits=result.metrics.total_bits,

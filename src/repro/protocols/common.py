@@ -65,7 +65,7 @@ def build_outcome(
     return CountingOutcome(
         n=graph.n,
         records=records,
-        evaluation_set=set(evaluation_set) if evaluation_set is not None else set(),
+        evaluation_set=evaluation_set,
         rounds_executed=result.rounds_executed,
         total_messages=result.metrics.total_messages,
         total_bits=result.metrics.total_bits,

@@ -15,6 +15,7 @@ from repro.graphs.hnd import hnd_random_regular_graph
 from repro.simulator.byzantine import Adversary
 from repro.simulator.messages import Message
 from repro.simulator.node import NodeContext
+from view_delta import integrate_tracked
 
 
 class TestIntegrateFuzz:
@@ -24,37 +25,37 @@ class TestIntegrateFuzz:
         return LocalView(100, [101, 102])
 
     def test_non_int_node_id_flagged(self):
-        bad, new_edges, new_vertices = self._view().integrate(
-            [("evil", (1, 2))], [], max_degree=4
+        bad, added, new_edges, new_vertices = integrate_tracked(
+            self._view(), [("evil", (1, 2))], [], max_degree=4
         )
-        assert bad and new_edges == [] and new_vertices == []
+        assert bad and added == 0 and new_edges == [] and new_vertices == []
 
     def test_non_int_edge_ids_flagged(self):
-        bad, new_edges, _ = self._view().integrate(
-            [(101, ("a", "b"))], [], max_degree=4
+        bad, added, new_edges, _ = integrate_tracked(
+            self._view(), [(101, ("a", "b"))], [], max_degree=4
         )
-        assert bad and new_edges == []
+        assert bad and added == 0 and new_edges == []
 
     def test_nested_tuple_ids_flagged(self):
-        bad, new_edges, _ = self._view().integrate(
-            [((1, 2), (3,)), (103, ((4, 5), 6))], [], max_degree=4
+        bad, added, new_edges, _ = integrate_tracked(
+            self._view(), [((1, 2), (3,)), (103, ((4, 5), 6))], [], max_degree=4
         )
-        assert bad and new_edges == []
+        assert bad and added == 0 and new_edges == []
 
     def test_non_int_reported_vertices_flagged(self):
-        bad, _, new_vertices = self._view().integrate(
-            [], ["ghost", (1,), None], max_degree=4
+        bad, added, _, new_vertices = integrate_tracked(
+            self._view(), [], ["ghost", (1,), None], max_degree=4
         )
-        assert bad and new_vertices == []
+        assert bad and added == 0 and new_vertices == []
 
     def test_oversized_edge_set_flagged(self):
-        bad, _, _ = self._view().integrate(
+        bad, _ = self._view().integrate(
             [(103, tuple(range(200, 300)))], [], max_degree=8
         )
         assert bad
 
     def test_self_loop_flagged(self):
-        bad, _, _ = self._view().integrate([(103, (103, 104))], [], max_degree=4)
+        bad, _ = self._view().integrate([(103, (103, 104))], [], max_degree=4)
         assert bad
 
     def test_float_ids_equal_to_settled_edge_set_flagged(self):
@@ -64,10 +65,10 @@ class TestIntegrateFuzz:
         # settled ints.
         view = self._view()
         view.integrate([(3, (1, 2))], [], max_degree=4)
-        bad, new_edges, new_vertices = view.integrate(
-            [(3, (1.0, 2.0))], [], max_degree=4
+        bad, added, new_edges, new_vertices = integrate_tracked(
+            view, [(3, (1.0, 2.0))], [], max_degree=4
         )
-        assert bad and new_edges == [] and new_vertices == []
+        assert bad and added == 0 and new_edges == [] and new_vertices == []
 
     def test_malformed_reports_do_not_contaminate_view(self):
         view = self._view()

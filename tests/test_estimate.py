@@ -19,7 +19,7 @@ def _outcome(n, estimates, *, eval_set=None, rounds=10):
     return CountingOutcome(
         n=n,
         records=records,
-        evaluation_set=set(eval_set) if eval_set is not None else set(),
+        evaluation_set=set(eval_set) if eval_set is not None else None,
         rounds_executed=rounds,
         total_messages=100,
         total_bits=1000,
@@ -56,6 +56,15 @@ class TestCountingOutcome:
     def test_evaluation_set_defaults_to_all(self):
         outcome = _outcome(100, {0: 4.0, 1: 5.0})
         assert outcome.evaluation_set == {0, 1}
+
+    def test_empty_evaluation_set_stays_empty(self):
+        outcome = _outcome(100, {0: 4.0, 1: 5.0}, eval_set=set())
+        assert outcome.evaluation_set == set()
+        summary = outcome.summary()
+        assert summary["eval_nodes"] == 0
+        assert summary["decided_fraction"] == 0.0
+        assert summary["median_estimate"] is None
+        assert outcome.decided_fraction(over_evaluation_set=False) == 1.0
 
     def test_evaluation_set_intersected_with_records(self):
         outcome = _outcome(100, {0: 4.0, 1: 5.0}, eval_set={1, 99})

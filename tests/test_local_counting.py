@@ -5,12 +5,19 @@ import math
 import pytest
 
 from repro.adversary.strategies import FakeTopologyAdversary, InconsistentTopologyAdversary
-from repro.core.local_counting import LocalCountingProtocol, LocalView, run_local_counting
+from repro.core.local_counting import (
+    ClaimInterner,
+    LocalCountingProtocol,
+    LocalView,
+    run_local_counting,
+)
 from repro.core.parameters import LocalParameters
 from repro.graphs.expansion import good_set
 from repro.graphs.generators import cycle_graph
 from repro.graphs.hnd import hnd_random_regular_graph
+from repro.scenarios import ComponentSpec, Scenario, materialize
 from repro.simulator.byzantine import SilentAdversary
+from view_delta import integrate_tracked
 
 
 class TestLocalView:
@@ -25,41 +32,43 @@ class TestLocalView:
 
     def test_integrate_new_edge_set(self):
         view = self._view()
-        bad, new_edges, new_vertices = view.integrate(
-            [(101, (100, 103))], [], max_degree=4
+        bad, added, new_edges, new_vertices = integrate_tracked(
+            view, [(101, (100, 103))], [], max_degree=4
         )
         assert not bad
-        assert (101, (100, 103)) in new_edges
-        assert 103 in new_vertices
+        assert new_edges == [(101, (100, 103))]
+        assert added == 1 and new_vertices == [103]
         assert view.edge_sets[101] == frozenset({100, 103})
 
     def test_integrate_duplicate_identical_is_fine(self):
         view = self._view()
         view.integrate([(101, (100, 103))], [], max_degree=4)
-        bad, new_edges, _ = view.integrate([(101, (103, 100))], [], max_degree=4)
-        assert not bad and new_edges == []
+        bad, added, new_edges, _ = integrate_tracked(
+            view, [(101, (103, 100))], [], max_degree=4
+        )
+        assert not bad and added == 0 and new_edges == []
 
     def test_integrate_conflicting_edge_sets_flagged(self):
         view = self._view()
         view.integrate([(101, (100, 103))], [], max_degree=4)
-        bad, _, _ = view.integrate([(101, (100, 104))], [], max_degree=4)
+        bad, _ = view.integrate([(101, (100, 104))], [], max_degree=4)
         assert bad
 
     def test_integrate_degree_violation_flagged(self):
         view = self._view()
-        bad, _, _ = view.integrate([(101, (1, 2, 3, 4, 5))], [], max_degree=4)
+        bad, _ = view.integrate([(101, (1, 2, 3, 4, 5))], [], max_degree=4)
         assert bad
 
     def test_integrate_self_loop_flagged(self):
         view = self._view()
-        bad, _, _ = view.integrate([(101, (101, 100))], [], max_degree=4)
+        bad, _ = view.integrate([(101, (101, 100))], [], max_degree=4)
         assert bad
 
     def test_integrate_new_frontier_vertices(self):
         view = self._view()
-        bad, _, new_vertices = view.integrate([], [200, 201], max_degree=4)
+        bad, added, _, new_vertices = integrate_tracked(view, [], [200, 201], max_degree=4)
         assert not bad
-        assert set(new_vertices) == {200, 201}
+        assert added == 2 and new_vertices == [200, 201]
 
     def test_layer_prefixes_are_nested(self):
         view = self._view()
@@ -184,6 +193,33 @@ class TestByzantineRuns:
         for u in evaluation:
             record = run.outcome.records[u]
             assert record.estimate is None or record.estimate >= max(1, lower)
+
+
+class TestByzantineEntryCache:
+    def test_each_byzantine_entry_object_resolves_once(self, monkeypatch):
+        # One alg1-local-shaped cell: a fake-topology node broadcasts each
+        # claim entry object to all its neighbors, and honest forwarders
+        # re-broadcast the interned entries, so the run parses each
+        # Byzantine entry object once (the 68 entry objects of this cell;
+        # parsing per receiver took 457 calls).
+        resolve = ClaimInterner.resolve
+        misses = []
+
+        def counting_resolve(self, entry):
+            misses.append(entry)  # kept alive, so the ids stay distinct
+            return resolve(self, entry)
+
+        monkeypatch.setattr(ClaimInterner, "resolve", counting_resolve)
+        scenario = Scenario(
+            graph=ComponentSpec("hnd", {"n": 128, "degree": 8}),
+            adversary=ComponentSpec("fake-topology"),
+            placement=ComponentSpec("spread", {"count": 4}),
+            protocol=ComponentSpec("local", {"gamma": 0.7, "max_degree": 8}),
+            params={"evaluation": {"kind": "good", "gamma": 0.7}, "check": {"name": "theorem1"}},
+        )
+        cell = materialize(scenario, 1)
+        assert cell.metrics["check_passed"] == 1.0
+        assert len({id(entry) for entry in misses}) == len(misses) == 68
 
 
 class TestTracedEntry:

@@ -8,7 +8,8 @@ payloads -- and assert after every step that
 * the bitset/columnar ``LocalView`` equals the quantities recomputed from
   scratch off the adjacency (the pre-refactor definitions), and
 * the bitset ``LocalView`` agrees observable-for-observable (including
-  ``integrate``'s return values) with the retained set-based reference
+  what ``integrate`` returns and adds to the pending delta, see
+  ``view_delta``) with the retained set-based reference
   implementation :class:`repro.core.local_view_reference.SetBasedLocalView`,
   also when it integrates honest nodes' masked deltas by their masks and
   the reference is fed the same payloads one by one.
@@ -17,12 +18,13 @@ payloads -- and assert after every step that
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.local_counting import ClaimInterner, LocalCountingProtocol, LocalView
 from repro.core.local_view_reference import SetBasedLocalView
 from repro.core.parameters import LocalParameters
 from repro.simulator.node import NodeContext
+from view_delta import integrate_tracked, reference_result
 
 
 # --------------------------------------------------------------------------- #
@@ -173,12 +175,13 @@ class TestIncrementalMatchesScratch:
         rng = random.Random(99)
         view = LocalView(100, [101, 102])
         for _ in range(10):
-            bad, new_edges, new_vertices = view.integrate(
+            bad, added, new_edges, new_vertices = integrate_tracked(
+                view,
                 [("evil", (1, 2)), (3, ("a",)), (4, (4, 5))],
                 ["ghost", None],
                 max_degree=4,
             )
-            assert bad and new_edges == [] and new_vertices == []
+            assert bad and added == 0 and new_edges == [] and new_vertices == []
             assert_matches_scratch(view)
         assert all(isinstance(v, int) for v in view.vertices)
 
@@ -208,6 +211,10 @@ class TestIncrementalMatchesScratch:
         assert 50 in view.vertices and 60 in view.vertices
 
 
+class _TupleEntry(tuple):
+    """A claim entry of a tuple subclass (never keyed by identity)."""
+
+
 # --------------------------------------------------------------------------- #
 # Bitset LocalView vs the retained set-based reference implementation
 # --------------------------------------------------------------------------- #
@@ -232,14 +239,14 @@ def assert_views_equal(bitset: LocalView, reference: SetBasedLocalView):
 def drive_both(bitset, reference, entries, vertices, max_degree=MAX_DEGREE):
     """Feed both views one delta; their results (or raises) must agree."""
     try:
-        got = bitset.integrate(entries, vertices, max_degree=max_degree)
+        got = integrate_tracked(bitset, entries, vertices, max_degree=max_degree)
     except (TypeError, ValueError) as bitset_exc:
         with pytest.raises(type(bitset_exc)):
             reference.integrate(entries, vertices, max_degree=max_degree)
         # Claims preceding the raising one were integrated by both.
         assert_views_equal(bitset, reference)
         return None
-    expected = reference.integrate(entries, vertices, max_degree=max_degree)
+    expected = reference_result(reference.integrate(entries, vertices, max_degree=max_degree))
     assert got == expected
     assert_views_equal(bitset, reference)
     return got
@@ -281,32 +288,60 @@ class TestBitsetMatchesSetBasedReference:
         bitset, reference = self.make_pair(0, [1])
         assert drive_both(bitset, reference, [(5, (6, 7))], []) == (
             False,
+            3,
             [(5, (6, 7))],
             [5, 6, 7],
         )
         # Same claim again (canonical and permuted): silently deduplicated.
-        assert drive_both(bitset, reference, [(5, (6, 7))], []) == (False, [], [])
-        assert drive_both(bitset, reference, [(5, (7, 6))], []) == (False, [], [])
+        assert drive_both(bitset, reference, [(5, (6, 7))], []) == (False, 0, [], [])
+        assert drive_both(bitset, reference, [(5, (7, 6))], []) == (False, 0, [], [])
         # Set-equal re-announcement in a *list* container (bypasses the
         # interner's value table): silent both times, and later fresh claims
         # must still integrate (regression: transient uncached records used
         # to leak recyclable ids into the seen-entries set).
-        assert drive_both(bitset, reference, [(5, [6, 7])], []) == (False, [], [])
-        assert drive_both(bitset, reference, [(5, [7, 6])], []) == (False, [], [])
+        assert drive_both(bitset, reference, [(5, [6, 7])], []) == (False, 0, [], [])
+        assert drive_both(bitset, reference, [(5, [7, 6])], []) == (False, 0, [], [])
         assert drive_both(bitset, reference, [(6, (5, 7))], []) == (
             False,
+            0,
             [(6, (5, 7))],
             [],
         )
         # Conflicting claim for the settled node 5: flagged, not integrated.
-        assert drive_both(bitset, reference, [(5, (8, 9))], []) == (True, [], [])
+        assert drive_both(bitset, reference, [(5, (8, 9))], []) == (True, 0, [], [])
         # Float re-announcement that compares equal to the settled ints.
-        assert drive_both(bitset, reference, [(5, (6.0, 7.0))], []) == (True, [], [])
+        assert drive_both(bitset, reference, [(5, (6.0, 7.0))], []) == (True, 0, [], [])
+        # Only valid entries of exact types are keyed by identity in the
+        # run's interner.  A list edge container, a tuple subclass, a float
+        # node id and a float edge id are parsed again on every arrival,
+        # with the same outcome each time.
+        odd = [
+            ((5, [7, 6]), False),
+            (_TupleEntry((5, (7, 6))), False),
+            ((5.0, (6, 7)), True),
+            ((5, (6.0, 7.0)), True),
+        ]
+        for _ in range(2):
+            for entry, flagged in odd:
+                assert drive_both(bitset, reference, [entry], []) == (flagged, 0, [], [])
+        interner = bitset._interner
+        assert not any(id(entry) in interner.by_id for entry, _ in odd)
+        assert not any(pinned is entry for pinned in interner.pinned for entry, _ in odd)
+        # A fresh valid entry of exact types is keyed by identity and pinned.
+        fresh = (20, (22, 21))
+        assert drive_both(bitset, reference, [fresh], []) == (
+            False,
+            3,
+            [(20, (21, 22))],
+            [20, 21, 22],
+        )
+        assert interner.by_id[id(fresh)] is interner.intern(20, (21, 22))
+        assert interner.pinned[-1] is fresh
         # Degree-bound violation and self-loop claims.
         assert drive_both(
             bitset, reference, [(10, tuple(range(20, 20 + MAX_DEGREE + 2)))], []
-        ) == (True, [], [])
-        assert drive_both(bitset, reference, [(11, (11, 12))], []) == (True, [], [])
+        ) == (True, 0, [], [])
+        assert drive_both(bitset, reference, [(11, (11, 12))], []) == (True, 0, [], [])
 
     def test_unhashable_edge_container_raises_in_both(self):
         bitset, reference = self.make_pair(0, [1])
@@ -333,16 +368,18 @@ class TestBitsetMatchesSetBasedReference:
                 random_edge_entry(rng, bit_a, fresh_base=3000 + 200 * step)
                 for _ in range(rng.randrange(1, 3))
             ]
-            _, new_a, _ = bit_a.integrate(entries, [], max_degree=MAX_DEGREE)
-            _, ref_new_a, _ = ref_a.integrate(entries, [], max_degree=MAX_DEGREE)
-            assert new_a == ref_new_a
+            got = integrate_tracked(bit_a, entries, [], max_degree=MAX_DEGREE)
+            expected = reference_result(ref_a.integrate(entries, [], max_degree=MAX_DEGREE))
+            assert got == expected
             assert_views_equal(bit_a, ref_a)
-            pending_b.extend(new_a)
+            pending_b.extend(got[2])
             # b integrates a's forwarded singleton entries (identity-deduped
             # on later arrivals), twice to exercise the duplicate path.
             for _ in range(2):
-                got = bit_b.integrate(list(pending_b), [], max_degree=MAX_DEGREE)
-                expected = ref_b.integrate(list(pending_b), [], max_degree=MAX_DEGREE)
+                got = integrate_tracked(bit_b, list(pending_b), [], max_degree=MAX_DEGREE)
+                expected = reference_result(
+                    ref_b.integrate(list(pending_b), [], max_degree=MAX_DEGREE)
+                )
                 assert got == expected
                 assert_views_equal(bit_b, ref_b)
             pending_b = []
@@ -355,8 +392,8 @@ def drive_both_dynamic(bitset, reference, entries, vertices, max_degree=MAX_DEGR
     """``drive_both`` for the churn path: ``allow_updates=True`` plus a
     from-scratch re-verification of the bitset view after every delta."""
     try:
-        got = bitset.integrate(
-            entries, vertices, max_degree=max_degree, allow_updates=True
+        got = integrate_tracked(
+            bitset, entries, vertices, max_degree=max_degree, allow_updates=True
         )
     except (TypeError, ValueError) as bitset_exc:
         with pytest.raises(type(bitset_exc)):
@@ -366,8 +403,8 @@ def drive_both_dynamic(bitset, reference, entries, vertices, max_degree=MAX_DEGR
         assert_views_equal(bitset, reference)
         assert_matches_scratch(bitset)
         return None
-    expected = reference.integrate(
-        entries, vertices, max_degree=max_degree, allow_updates=True
+    expected = reference_result(
+        reference.integrate(entries, vertices, max_degree=max_degree, allow_updates=True)
     )
     assert got == expected
     assert_views_equal(bitset, reference)
@@ -440,7 +477,7 @@ class TestDynamicChurnParity:
         assert bitset.edge_sets[5] == frozenset({7})
         assert drive_both_dynamic(
             bitset, reference, [(5, (6, 7)), (6, (5, 7))], []
-        ) == (False, [], [])
+        ) == (False, 0, [], [])
         assert bitset.edge_sets[5] == frozenset({7})
         assert bitset.edge_sets[6] == frozenset({7})
 
@@ -455,6 +492,7 @@ class TestDynamicChurnParity:
         assert_views_equal(bitset, reference)
         assert drive_both_dynamic(bitset, reference, [(5, (6, 7))], []) == (
             False,
+            0,
             [(5, (6, 7))],
             [],
         )
@@ -466,11 +504,12 @@ class TestDynamicChurnParity:
         bitset, reference = self.make_pair(0, [1])
         drive_both_dynamic(bitset, reference, [(5, (6, 7))], [])
         got = drive_both_dynamic(bitset, reference, [(5, (6, 8))], [])
-        assert got == (False, [(5, (6, 8))], [8])
+        assert got == (False, 1, [(5, (6, 8))], [8])
         assert bitset.edge_sets[5] == frozenset({6, 8})
         # ...but the superseded claim stays seen: echoing it does nothing.
         assert drive_both_dynamic(bitset, reference, [(5, (6, 7))], []) == (
             False,
+            0,
             [],
             [],
         )
@@ -492,10 +531,11 @@ class TestDynamicChurnParity:
         ]
         for entries, vertices in malformed:
             got = drive_both_dynamic(bitset, reference, entries, vertices)
-            assert got is not None and got[0] is True and got[1] == []
+            assert got is not None and got[0] is True and got[2] == []
         # A fresh honest claim after the garbage still integrates.
         assert drive_both_dynamic(bitset, reference, [(6, (2, 5))], []) == (
             False,
+            0,
             [(6, (2, 5))],
             [],
         )
@@ -544,12 +584,14 @@ class TestCanonicalClaimRecords:
         alias = interner.intern(5, (7, 6)).entry
         assert drive_both_dynamic(bitset, reference, [alias], []) == (
             False,
+            3,
             [(5, (6, 7))],
             [5, 6, 7],
         )
         assert bitset.retract_claim(5) is reference.retract_claim(5) is True
         assert drive_both_dynamic(bitset, reference, [alias], []) == (
             False,
+            0,
             [(5, (6, 7))],
             [],
         )
@@ -621,14 +663,16 @@ class TestSharedInternerFuzz:
                 else:
                     # Re-broadcast another view's singleton delta entries.
                     entries, vertices = outgoing[op[2] % len(pairs)], []
-                got = bitset.integrate(
-                    entries, vertices, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                got = integrate_tracked(
+                    bitset, entries, vertices, max_degree=MAX_DEGREE, allow_updates=allow_updates
                 )
-                expected = reference.integrate(
-                    entries, vertices, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                expected = reference_result(
+                    reference.integrate(
+                        entries, vertices, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                    )
                 )
                 assert got == expected
-                outgoing[k] = got[1]
+                outgoing[k] = got[2]
             elif kind == "retract":
                 assert bitset.retract_claim(op[2]) == reference.retract_claim(op[2])
             elif not allow_updates:
@@ -643,6 +687,78 @@ class TestSharedInternerFuzz:
             for view, ref in pairs:
                 assert_views_equal(view, ref)
                 assert set(view.settled_entries()) == set(ref.settled_entries())
+
+
+def assert_asym_invariant(interner):
+    """``asym[j] == grev[j] & ~cmask[j]`` for every slot, and ``asym_slots``
+    marks exactly the slots where it is non-zero."""
+    slots = 0
+    for j, (claimers, claim, lone) in enumerate(
+        zip(interner.grev, interner.cmask, interner.asym)
+    ):
+        assert lone == claimers & ~claim
+        if lone:
+            slots |= 1 << j
+    assert interner.asym_slots == slots
+
+
+registrations = st.lists(
+    st.tuples(
+        st.sampled_from(POOL),
+        st.lists(st.sampled_from(POOL), max_size=MAX_DEGREE),
+        st.sampled_from(("canonical", "permuted", "list")),
+    ),
+    max_size=25,
+)
+
+
+class TestAsymmetricClaimGeometry:
+    """``ClaimInterner.asym``: the claimers of a slot its first claim does
+    not name back."""
+
+    @given(ops=registrations)
+    @example(
+        ops=[
+            (1, [2], "canonical"),  # 1 claims 2 before 2's first claim
+            (2, [1, 3], "canonical"),
+            (2, [3], "canonical"),  # a conflicting second claim for 2
+            (2, [3, 1], "permuted"),  # permuted duplicates of both claims
+            (1, [2], "list"),
+        ]
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_asym_tracks_unreturned_claimers(self, ops):
+        interner = ClaimInterner()
+        for node, edges, form in ops:
+            edges = sorted(set(edges) - {node})
+            if form == "canonical":
+                interner.intern(node, tuple(edges))
+            elif form == "permuted":
+                interner.resolve((node, tuple(reversed(edges))))
+            else:
+                interner.resolve((node, list(reversed(edges))))
+            assert_asym_invariant(interner)
+
+    def test_first_claim_clears_and_conflicts_keep(self):
+        interner = ClaimInterner()
+        interner.intern(1, (2,))
+        slot = interner.slot_of
+        assert interner.asym[slot[2]] == 1 << slot[1]
+        # 2's first claim names 1 back: 2 is symmetric again.
+        interner.intern(2, (1, 3))
+        assert interner.asym[slot[2]] == 0
+        assert interner.asym_slots == 1 << slot[3]
+        # A second claim for 2 that drops 1 does not change 2's first claim,
+        # but 3 is still claimed by 2 without claiming anything itself.
+        interner.intern(2, (3,))
+        assert interner.conflicted == 1 << slot[2]
+        assert interner.asym[slot[2]] == 0
+        assert interner.asym[slot[3]] == 1 << slot[2]
+        # 4 claims 1, whose first claim does not name 4.
+        interner.resolve((4, (1,)))
+        assert interner.asym[slot[1]] == 1 << slot[4]
+        assert interner.asym_slots == (1 << slot[3]) | (1 << slot[1])
+        assert_asym_invariant(interner)
 
 
 # --------------------------------------------------------------------------- #
@@ -709,6 +825,16 @@ mask_ops = st.one_of(
         st.integers(0, len(POOL)),
         st.lists(st.sampled_from(POOL), max_size=MAX_DEGREE),
     ),
+    # A Byzantine node that is no owner tells one view a claim naming only
+    # some of the owners that name it, plus fake vertices whose own claims
+    # do not name it back, as FakeTopologyAdversary does: one-sided claims.
+    st.tuples(
+        st.just("one-sided"),
+        st.integers(0, 3),
+        st.integers(0, len(POOL)),
+        st.integers(0, 3),
+        st.lists(st.integers(20, 24), max_size=2, unique=True),
+    ),
 )
 
 
@@ -716,7 +842,9 @@ class TestMaskedDeltaFuzz:
     """2-4 nodes on one interner exchanging masked deltas, mixed with
     Byzantine per-entry payloads, each view against its own reference.
 
-    The draws reach every guard of the mask-only merge: a node that turns
+    ``one-sided`` claims make the run's claim geometry asymmetric (non-zero
+    ``asym`` masks), which the BFS and the interior pass read.  The draws
+    reach every guard of the mask-only merge: a node that turns
     conflicted after views settled its first claim (``equivocate`` and the
     Byzantine payloads), an owner whose own claim exceeds the degree bound
     (``oversize``: the run holds a valid claim over ``max_degree``, which
@@ -740,7 +868,7 @@ class TestMaskedDeltaFuzz:
         self, allow_updates, owners, twin, oversize, ops
     ):
         interner = ClaimInterner()
-        nodes, references, pending = [], [], []
+        nodes, references, pending, neighbor_lists = [], [], [], []
         if twin:
             owners[1] = (owners[0][0], owners[1][1])
         if oversize:
@@ -750,6 +878,7 @@ class TestMaskedDeltaFuzz:
             neighbors = sorted(set(neighbors) - {own})
             node = honest_node(interner, own, neighbors, allow_updates)
             nodes.append(node)
+            neighbor_lists.append(neighbors)
             references.append(SetBasedLocalView(own, neighbors))
             # The reference's pending delta: B̂(u, 1) to start with.
             pending.append(({node.view.settled_entries()[0]}, set(neighbors)))
@@ -774,8 +903,8 @@ class TestMaskedDeltaFuzz:
                         if receiver % len(nodes) == k:
                             inbox.insert(place, payload)
                     try:
-                        got = view.integrate(
-                            inbox=inbox, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                        got = integrate_tracked(
+                            view, inbox=inbox, max_degree=MAX_DEGREE, allow_updates=allow_updates
                         )
                     except TypeError:
                         # The reference raises too.  A node that raised
@@ -785,9 +914,7 @@ class TestMaskedDeltaFuzz:
                         live.remove(k)
                         continue
                     expected = integrate_in_order(reference, inbox, allow_updates)
-                    assert got[0] == expected[0]
-                    assert sorted(got[1]) == sorted(expected[1])
-                    assert sorted(got[2]) == sorted(expected[2])
+                    assert got == reference_result(expected)
                     pending[k][0].update(expected[1])
                     pending[k][1].update(expected[2])
                     assert_views_equal(view, reference)
@@ -804,11 +931,28 @@ class TestMaskedDeltaFuzz:
                 node = settled[op[2] % len(settled)]
                 claim = (node, tuple(sorted(set(op[3]) - {node})))
                 inbox = [((claim,), ())]
-                got = view.integrate(
-                    inbox=inbox, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                got = integrate_tracked(
+                    view, inbox=inbox, max_degree=MAX_DEGREE, allow_updates=allow_updates
                 )
                 expected = integrate_in_order(reference, inbox, allow_updates)
-                assert got == expected
+                assert got == reference_result(expected)
+                pending[k][0].update(expected[1])
+                pending[k][1].update(expected[2])
+            elif op[0] == "one-sided":
+                _, _, pick, keep, fakes = op
+                outsiders = [v for v in POOL if v not in {own for own, _ in owners}]
+                node = outsiders[pick % len(outsiders)]
+                real = sorted(
+                    {n.view.own_id for n, nbrs in zip(nodes, neighbor_lists) if node in nbrs}
+                )
+                claim = (node, tuple(sorted(set(real[:keep]) | set(fakes))))
+                fake_claims = tuple((fake, (fake + 10,)) for fake in fakes)
+                inbox = [((claim,) + fake_claims, ())]
+                got = integrate_tracked(
+                    view, inbox=inbox, max_degree=MAX_DEGREE, allow_updates=allow_updates
+                )
+                expected = integrate_in_order(reference, inbox, allow_updates)
+                assert got == reference_result(expected)
                 pending[k][0].update(expected[1])
                 pending[k][1].update(expected[2])
             elif op[0] == "retract":
@@ -841,7 +985,7 @@ class TestMaskedDeltaOrder:
         for inbox in (honest + [byzantine], [byzantine] + honest[::-1]):
             receiver = honest_node(interner, 0, (1, 2, 3, 4))
             receiver._delta_message()  # its initial delta
-            bad, _, _ = receiver.view.integrate(inbox=inbox, max_degree=MAX_DEGREE)
+            bad, _ = receiver.view.integrate(inbox=inbox, max_degree=MAX_DEGREE)
             assert not bad
             forwarded.append(receiver._delta_message().payload)
         first, second = forwarded
@@ -866,9 +1010,11 @@ class TestMaskedDeltaOrder:
         for inbox, winner in (([from_a, from_b], {6, 8}), ([from_b, from_a], {6, 7})):
             view = LocalView(0, (1, 2), interner=interner)
             reference = SetBasedLocalView(0, (1, 2))
-            got = view.integrate(inbox=inbox, max_degree=MAX_DEGREE, allow_updates=True)
+            got = integrate_tracked(
+                view, inbox=inbox, max_degree=MAX_DEGREE, allow_updates=True
+            )
             expected = integrate_in_order(reference, inbox, allow_updates=True)
             assert view.edge_sets[5] == reference.edge_sets[5] == frozenset(winner)
             assert got[0] is expected[0] is False
-            assert sorted(got[1]) == sorted(expected[1])
+            assert got == reference_result(expected)
             assert_views_equal(view, reference)

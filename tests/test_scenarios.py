@@ -511,6 +511,24 @@ class TestMaterialize:
         assert cell.metrics["decided_fraction"] > 0.0
         assert cell.metrics["check_passed"] is None
 
+    def test_empty_evaluation_set_scores_no_node(self):
+        # Every honest node of this cell is within one hop of a Byzantine
+        # node, so the far evaluation set is empty and must stay empty:
+        # no node is scored, instead of every honest one.
+        scenario = Scenario(
+            graph=ComponentSpec("hnd", {"n": 16}),
+            adversary=ComponentSpec("beacon-flood"),
+            placement=ComponentSpec("spread", {"count": 4}),
+            protocol=ComponentSpec("congest"),
+            params={"evaluation": {"kind": "far", "radius": 1}},
+        )
+        cell = materialize(scenario, 0)
+        assert cell.evaluation_set == set()
+        assert cell.run.outcome.evaluation_set == set()
+        assert cell.metrics["eval_nodes"] == 0
+        assert cell.metrics["decided_fraction"] == 0.0
+        assert cell.metrics["median_estimate"] is None
+
     def test_unknown_evaluation_kind_rejected(self):
         scenario = Scenario(
             graph=ComponentSpec("hnd", {"n": 16, "degree": 4}),
