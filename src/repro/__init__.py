@@ -24,14 +24,13 @@ experiment harness that regenerates every quantitative claim of the paper.
 
 from repro.core import (
     CongestCountingProtocol,
-    CongestCountingRun,
     CongestParameters,
     CountingOutcome,
     DecisionRecord,
     LocalCountingProtocol,
-    LocalCountingRun,
     LocalParameters,
     PhaseSchedule,
+    ProtocolRun,
     byzantine_budget,
     run_congest_counting,
     run_local_counting,
@@ -71,11 +70,10 @@ __all__ = [
     "byzantine_budget",
     "DecisionRecord",
     "CountingOutcome",
+    "ProtocolRun",
     "LocalCountingProtocol",
-    "LocalCountingRun",
     "run_local_counting",
     "CongestCountingProtocol",
-    "CongestCountingRun",
     "PhaseSchedule",
     "run_congest_counting",
     # graphs

@@ -16,13 +16,13 @@ size estimators all collapse as soon as a single Byzantine node is present:
   nodes estimate ``log n`` from the flood's arrival times (≈ diameter for an
   expander); a Byzantine node can replay or fabricate tokens and hop counts.
 
-Each module has one run function, ``run_<name>_baseline``, that returns a
-:class:`~repro.protocols.common.ZooRun` through
-:func:`repro.baselines.common.run_baseline`.  Experiment E7 calls them with
-zero, one, and several Byzantine nodes to regenerate the motivating claim,
-and :mod:`repro.scenarios.protocols` registers the same functions as the
-``flooding``, ``geometric``, ``spanning-tree`` and ``support-estimation``
-scenario protocols.
+Each module has one run function, ``run_<name>_baseline``, that returns the
+:class:`~repro.core.estimate.ProtocolRun` every protocol returns (with empty
+``extra_metrics``) through :func:`repro.baselines.common.run_baseline`.
+Experiment E7 calls them with zero, one, and several Byzantine nodes to
+regenerate the motivating claim, and :mod:`repro.scenarios.protocols`
+registers the same functions as the ``flooding``, ``geometric``,
+``spanning-tree`` and ``support-estimation`` scenario protocols.
 """
 
 from repro.baselines.geometric import GeometricMaxProtocol, run_geometric_baseline

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Iterable, Optional, Set
 
+from repro.core.estimate import CountingOutcome, ProtocolRun
 from repro.graphs.graph import Graph
-from repro.protocols.common import ZooRun, build_outcome
 from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
 from repro.simulator.engine import SynchronousEngine
@@ -91,8 +91,8 @@ def run_baseline(
     evaluation_set: Optional[Set[int]],
     churn: Optional[ChurnSchedule],
     params: Dict[str, Any],
-) -> ZooRun:
-    """Run one baseline protocol and summarize it into a :class:`ZooRun`.
+) -> ProtocolRun:
+    """Run one baseline protocol and summarize it into a :class:`ProtocolRun`.
 
     A node's ``estimate`` is its estimate of ``ln n``; ``None`` means it
     produced none (e.g. the flood never reached it).
@@ -107,5 +107,8 @@ def run_baseline(
         churn=churn,
     )
     result = engine.run()
-    outcome = build_outcome(graph, result, evaluation_set=evaluation_set)
-    return ZooRun(result=result, params=params, outcome=outcome)
+    return ProtocolRun(
+        result=result,
+        params=params,
+        outcome=CountingOutcome.from_run(result, evaluation_set),
+    )

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Set
 
 from repro.baselines.common import BaselineProtocol, default_budget, run_baseline
+from repro.core.estimate import ProtocolRun
 from repro.graphs.graph import Graph
-from repro.protocols.common import ZooRun
 from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
 from repro.simulator.messages import Message
@@ -130,7 +130,7 @@ def run_flooding_baseline(
     phase_rounds: Optional[int] = None,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> ZooRun:
+) -> ProtocolRun:
     """Run the flooding baseline; estimates are the learned leader eccentricity.
 
     The flood and the eccentricity propagation get ``phase_rounds`` rounds

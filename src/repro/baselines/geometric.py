@@ -21,8 +21,8 @@ from repro.baselines.common import (
     run_baseline,
     value_payload,
 )
+from repro.core.estimate import ProtocolRun
 from repro.graphs.graph import Graph
-from repro.protocols.common import ZooRun
 from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
 from repro.simulator.node import NodeContext, Outbox, Protocol
@@ -80,7 +80,7 @@ def run_geometric_baseline(
     rounds_budget: Optional[int] = None,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> ZooRun:
+) -> ProtocolRun:
     """Run the geometric-maximum baseline; ``rounds_budget`` defaults to
     :func:`~repro.baselines.common.default_budget`."""
     if rounds_budget is None:

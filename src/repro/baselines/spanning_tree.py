@@ -24,8 +24,8 @@ import math
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.baselines.common import BaselineProtocol, default_budget, run_baseline
+from repro.core.estimate import ProtocolRun
 from repro.graphs.graph import Graph
-from repro.protocols.common import ZooRun
 from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
 from repro.simulator.messages import Message
@@ -172,7 +172,7 @@ def run_spanning_tree_baseline(
     phase_rounds: Optional[int] = None,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> ZooRun:
+) -> ProtocolRun:
     """Run the spanning-tree baseline; each of its three phases gets
     ``phase_rounds`` rounds (default :func:`~repro.baselines.common.default_budget`)."""
     if phase_rounds is None:

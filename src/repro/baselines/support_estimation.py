@@ -14,8 +14,8 @@ import math
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.baselines.common import BaselineProtocol, default_budget, run_baseline
+from repro.core.estimate import ProtocolRun
 from repro.graphs.graph import Graph
-from repro.protocols.common import ZooRun
 from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
 from repro.simulator.messages import Message
@@ -103,7 +103,7 @@ def run_support_estimation_baseline(
     k: int = 16,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> ZooRun:
+) -> ProtocolRun:
     """Run the support-estimation baseline; ``rounds_budget`` defaults to
     :func:`~repro.baselines.common.default_budget`."""
     if rounds_budget is None:

@@ -8,19 +8,20 @@
 * :mod:`repro.core.parameters` -- the parameter sets (γ, ξ, δ, η, ε, c, c₁, α′)
   and the derived quantities of Equations (2)-(4).
 * :mod:`repro.core.estimate` -- decision records and outcome statistics used
-  to state the theorems' guarantees quantitatively.
+  to state the theorems' guarantees quantitatively, and the one run type
+  every protocol returns.
 """
 
 from repro.core.parameters import LocalParameters, CongestParameters, byzantine_budget
-from repro.core.estimate import DecisionRecord, CountingOutcome, approximation_band
-from repro.core.local_counting import (
-    LocalCountingProtocol,
-    LocalCountingRun,
-    run_local_counting,
+from repro.core.estimate import (
+    CountingOutcome,
+    DecisionRecord,
+    ProtocolRun,
+    approximation_band,
 )
+from repro.core.local_counting import LocalCountingProtocol, run_local_counting
 from repro.core.congest_counting import (
     CongestCountingProtocol,
-    CongestCountingRun,
     PhaseSchedule,
     run_congest_counting,
 )
@@ -32,12 +33,11 @@ __all__ = [
     "byzantine_budget",
     "DecisionRecord",
     "CountingOutcome",
+    "ProtocolRun",
     "approximation_band",
     "LocalCountingProtocol",
-    "LocalCountingRun",
     "run_local_counting",
     "CongestCountingProtocol",
-    "CongestCountingRun",
     "PhaseSchedule",
     "run_congest_counting",
     "BeaconPayload",

@@ -43,7 +43,7 @@ Implementation notes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.simulator.byzantine import Adversary
@@ -57,11 +57,11 @@ from repro.core.beacon import (
     parse_beacon,
 )
 from repro.core.blacklist import PhaseBlacklist, split_trusted_suffix
-from repro.core.estimate import CountingOutcome, DecisionRecord
+from repro.core.estimate import CountingOutcome, ProtocolRun
 from repro.core.parameters import CongestParameters
 from repro.graphs.graph import Graph
 from repro.simulator.churn import ChurnSchedule
-from repro.simulator.engine import RunResult, SynchronousEngine
+from repro.simulator.engine import SynchronousEngine
 from repro.simulator.messages import Message
 from repro.simulator.network import Network
 from repro.simulator.node import Broadcast, NodeContext, Outbox, Protocol
@@ -70,7 +70,6 @@ __all__ = [
     "PhaseSchedule",
     "SchedulePosition",
     "CongestCountingProtocol",
-    "CongestCountingRun",
     "run_congest_counting",
 ]
 
@@ -396,16 +395,6 @@ class CongestCountingProtocol(Protocol):
         return outbox
 
 
-@dataclass
-class CongestCountingRun:
-    """Result wrapper of one Algorithm 2 execution."""
-
-    result: RunResult
-    params: CongestParameters
-    outcome: CountingOutcome
-    schedule: PhaseSchedule
-
-
 def run_congest_counting(
     graph: Graph,
     *,
@@ -417,7 +406,7 @@ def run_congest_counting(
     stop_when_all_decided: bool = True,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> CongestCountingRun:
+) -> ProtocolRun:
     """Execute Algorithm 2 on ``graph`` and summarize the outcome.
 
     Parameters
@@ -494,24 +483,8 @@ def run_congest_counting(
 
     engine.stop_condition = stop_condition
     result = engine.run()
-
-    records: Dict[int, DecisionRecord] = {}
-    for u, protocol in result.protocols.items():
-        records[u] = DecisionRecord(
-            node=u,
-            decided=protocol.decided,
-            estimate=protocol.estimate,
-            decision_round=protocol.decision_round,
-        )
-    outcome = CountingOutcome(
-        n=graph.n,
-        records=records,
-        evaluation_set=evaluation_set,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
-        total_bits=result.metrics.total_bits,
-        small_message_fraction=result.metrics.small_message_fraction(
-            graph.n, list(result.protocols.keys())
-        ),
+    return ProtocolRun(
+        result=result,
+        params=params,
+        outcome=CountingOutcome.from_run(result, evaluation_set),
     )
-    return CongestCountingRun(result=result, params=params, outcome=outcome, schedule=schedule)

@@ -3,9 +3,10 @@
 Definition 2 (Byzantine counting) asks that every honest node irrevocably
 decide an estimate ``L_u`` of ``log n`` within ``T`` rounds and that a large
 set ``S`` of honest nodes have ``c1·log n <= L_u <= c2·log n`` for fixed
-constants ``c1, c2``.  :class:`CountingOutcome` turns a raw simulation run
-into exactly these quantities so that every experiment and test states its
-acceptance criteria in the paper's own terms.
+constants ``c1, c2``.  :meth:`CountingOutcome.from_run` turns a raw
+simulation run into exactly these quantities so that every experiment and
+test states its acceptance criteria in the paper's own terms, and
+:class:`ProtocolRun` is what every protocol's run function returns.
 
 All logarithms here are natural logarithms (the paper's phase counts and
 ``⌈log n⌉`` bounds are stated in natural logarithms; see Lemma 11).
@@ -15,10 +16,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-__all__ = ["DecisionRecord", "CountingOutcome", "approximation_band"]
+from repro.simulator.engine import RunResult
+
+__all__ = ["DecisionRecord", "CountingOutcome", "ProtocolRun", "approximation_band"]
 
 
 def approximation_band(
@@ -82,6 +85,33 @@ class CountingOutcome:
             self.evaluation_set = set(self.records)
         else:
             self.evaluation_set = set(self.evaluation_set) & set(self.records)
+
+    @classmethod
+    def from_run(
+        cls, result: RunResult, evaluation_set: Optional[Set[int]] = None
+    ) -> "CountingOutcome":
+        """Summarize an engine run: one :class:`DecisionRecord` per honest
+        node, plus the run's round and communication totals."""
+        n = result.network.n
+        protocols = result.protocols
+        metrics = result.metrics
+        return cls(
+            n=n,
+            records={
+                u: DecisionRecord(
+                    node=u,
+                    decided=p.decided,
+                    estimate=p.estimate,
+                    decision_round=p.decision_round,
+                )
+                for u, p in protocols.items()
+            },
+            evaluation_set=evaluation_set,
+            rounds_executed=result.rounds_executed,
+            total_messages=metrics.total_messages,
+            total_bits=metrics.total_bits,
+            small_message_fraction=metrics.small_message_fraction(n, list(protocols)),
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -198,3 +228,24 @@ class CountingOutcome:
             "total_messages": self.total_messages,
             "small_message_fraction": self.small_message_fraction,
         }
+
+
+@dataclass
+class ProtocolRun:
+    """One protocol execution, whatever the protocol.
+
+    ``result`` is the engine's raw :class:`RunResult`, ``params`` the
+    effective parameters (a parameter object for the paper's algorithms, a
+    dict for the zoo and the baselines), ``outcome`` the run's
+    :class:`CountingOutcome` and ``extra_metrics`` the protocol-specific
+    values the scenario metrics add after the uniform keys (empty for the
+    paper's algorithms and the baselines).  For binary-consensus families
+    the "estimate" is the decided value (0.0 or 1.0), so the band metrics
+    mean nothing for them, but decision fractions, rounds and communication
+    volume come from the same code as for the paper's protocols.
+    """
+
+    result: RunResult
+    params: Any
+    outcome: CountingOutcome
+    extra_metrics: Dict[str, Any] = field(default_factory=dict)

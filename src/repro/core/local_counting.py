@@ -88,18 +88,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, groupby
 from operator import attrgetter, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.estimate import CountingOutcome, DecisionRecord
+from repro.core.estimate import CountingOutcome, ProtocolRun
 from repro.core.parameters import LocalParameters
 from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
 from repro.graphs.graph import Graph
-from repro.simulator.engine import RunResult, SynchronousEngine
+from repro.simulator.engine import SynchronousEngine
 from repro.simulator.messages import Message
 from repro.simulator.network import Network
 from repro.simulator.node import Broadcast, NodeContext, Outbox, Protocol
@@ -108,7 +107,6 @@ __all__ = [
     "LocalView",
     "ClaimInterner",
     "LocalCountingProtocol",
-    "LocalCountingRun",
     "run_local_counting",
 ]
 
@@ -427,7 +425,7 @@ class LocalView:
     are popcounts.  The dict/set views (``vertices``, ``adjacency()``,
     ``layer_prefixes()``, ``interior_set()``, ``edge_sets``) are built on
     demand for tests and the exhaustive check;
-    :class:`repro.core.local_view_reference.SetBasedLocalView` is the
+    ``tests/local_view_reference.py``'s ``SetBasedLocalView`` is the
     independent set-based implementation they are tested against.
     """
 
@@ -1215,15 +1213,6 @@ class LocalCountingProtocol(Protocol):
             view.delta_records |= record.rbit
 
 
-@dataclass
-class LocalCountingRun:
-    """Result wrapper of one Algorithm 1 execution."""
-
-    result: RunResult
-    params: LocalParameters
-    outcome: CountingOutcome
-
-
 def run_local_counting(
     graph: Graph,
     *,
@@ -1234,7 +1223,7 @@ def run_local_counting(
     max_rounds: Optional[int] = None,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> LocalCountingRun:
+) -> ProtocolRun:
     """Execute Algorithm 1 on ``graph`` and summarize the outcome.
 
     Parameters
@@ -1287,24 +1276,8 @@ def run_local_counting(
         churn=churn if dynamic else None,
     )
     result = engine.run()
-
-    records: Dict[int, DecisionRecord] = {}
-    for u, protocol in result.protocols.items():
-        records[u] = DecisionRecord(
-            node=u,
-            decided=protocol.decided,
-            estimate=protocol.estimate,
-            decision_round=protocol.decision_round,
-        )
-    outcome = CountingOutcome(
-        n=graph.n,
-        records=records,
-        evaluation_set=evaluation_set,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
-        total_bits=result.metrics.total_bits,
-        small_message_fraction=result.metrics.small_message_fraction(
-            graph.n, list(result.protocols.keys())
-        ),
+    return ProtocolRun(
+        result=result,
+        params=params,
+        outcome=CountingOutcome.from_run(result, evaluation_set),
     )
-    return LocalCountingRun(result=result, params=params, outcome=outcome)

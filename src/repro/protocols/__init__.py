@@ -10,19 +10,17 @@ that seam with protocol families that have nothing to do with counting:
 * :mod:`repro.protocols.grouped_bft` -- consistent-hash node grouping with
   per-group OM(m)-style Byzantine agreement and cross-group aggregation.
 
-The four Section 1.2 baseline estimators (:mod:`repro.baselines`) return the
-same :class:`~repro.protocols.common.ZooRun`.
-
-Every family ships a run wrapper returning a :class:`~repro.protocols.common.
-ZooRun` whose ``.outcome`` is an ordinary
-:class:`~repro.core.estimate.CountingOutcome`, so the generic scenario
-metrics extraction, suite reducers, and experiment tables work unchanged;
-protocol-specific metrics (agreement reached, decided-value distribution,
-phases-to-decide) ride along in ``.extra_metrics``.  Registration into the
-``PROTOCOLS`` registry happens in :mod:`repro.scenarios.protocols`.
+Every family ships a run function returning the
+:class:`~repro.core.estimate.ProtocolRun` that the paper's algorithms and
+the Section 1.2 baselines (:mod:`repro.baselines`) return too, so the
+generic scenario metrics extraction, suite reducers, and experiment tables
+work unchanged; protocol-specific metrics (agreement reached, decided-value
+distribution, phases-to-decide) ride along in ``.extra_metrics``.
+Registration into the ``PROTOCOLS`` registry happens in
+:mod:`repro.scenarios.protocols`.
 """
 
-from repro.protocols.common import ZooRun, build_outcome, binary_decision_metrics
+from repro.protocols.common import binary_decision_metrics
 from repro.protocols.grouping import GroupAssignment, assign_groups, ring_hash
 from repro.protocols.benor import BenOrProtocol, run_benor, spec_validate_benor
 from repro.protocols.grouped_bft import (
@@ -32,8 +30,6 @@ from repro.protocols.grouped_bft import (
 )
 
 __all__ = [
-    "ZooRun",
-    "build_outcome",
     "binary_decision_metrics",
     "GroupAssignment",
     "assign_groups",

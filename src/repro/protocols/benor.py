@@ -30,8 +30,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
 
+from repro.core.estimate import CountingOutcome, ProtocolRun
 from repro.graphs.graph import Graph
-from repro.protocols.common import ZooRun, binary_decision_metrics, build_outcome
+from repro.protocols.common import binary_decision_metrics
 from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
 from repro.simulator.engine import SynchronousEngine
@@ -206,7 +207,7 @@ def run_benor(
     max_rounds: Optional[int] = None,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> ZooRun:
+) -> ProtocolRun:
     """Execute BenOr-style consensus on ``graph`` and summarize the outcome.
 
     ``max_phases`` defaults to ``6·ceil(log2 n) + 16`` -- far beyond the
@@ -238,7 +239,7 @@ def run_benor(
         churn=churn,
     )
     result = engine.run()
-    outcome = build_outcome(graph, result, evaluation_set=evaluation_set)
+    outcome = CountingOutcome.from_run(result, evaluation_set)
     decided_phases = [
         p.decided_phase
         for p in result.protocols.values()
@@ -252,4 +253,4 @@ def run_benor(
         "max_phases": max_phases,
         "max_rounds": max_rounds,
     }
-    return ZooRun(result=result, params=params, outcome=outcome, extra_metrics=extra)
+    return ProtocolRun(result=result, params=params, outcome=outcome, extra_metrics=extra)

@@ -1,12 +1,10 @@
-"""Shared plumbing of the protocol zoo.
+"""Consensus-flavoured metrics shared by the protocol zoo.
 
-Every zoo family funnels its engine run through :class:`ZooRun`: the raw
-:class:`~repro.simulator.engine.RunResult`, the effective parameters, a
-standard :class:`~repro.core.estimate.CountingOutcome` (so the generic
-``scenario.run`` metrics extraction works on zoo protocols exactly as on the
-paper's algorithms), and an ``extra_metrics`` dict of protocol-specific
-values that :func:`repro.scenarios.execute._collect_metrics` merges into the
-uniform metrics dict -- which is how agreement rates and decided-value
+Every zoo family returns the same :class:`~repro.core.estimate.ProtocolRun`
+as the paper's algorithms.  The binary-consensus families fill its
+``extra_metrics`` with :func:`binary_decision_metrics` (plus their own
+values), which :func:`repro.scenarios.execute._collect_metrics` merges into
+the uniform metrics dict -- which is how agreement rates and decided-value
 distributions flow through the existing suite reducers with zero new
 aggregation code.
 """
@@ -14,65 +12,11 @@ aggregation code.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict
 
-from repro.core.estimate import CountingOutcome, DecisionRecord
-from repro.graphs.graph import Graph
-from repro.simulator.engine import RunResult
+from repro.core.estimate import CountingOutcome
 
-__all__ = ["ZooRun", "build_outcome", "binary_decision_metrics"]
-
-
-@dataclass
-class ZooRun:
-    """Result wrapper of one protocol-zoo execution.
-
-    ``outcome`` is a plain :class:`CountingOutcome` -- for binary-consensus
-    families the "estimate" is the decided value (0.0 or 1.0) rather than an
-    approximation of ``log n``, so the band metrics are not meaningful for
-    them, but decision fractions, rounds, and communication volume are
-    computed by exactly the same code as for the paper's protocols.
-    """
-
-    result: RunResult
-    params: Dict[str, Any]
-    outcome: CountingOutcome
-    #: Protocol-specific metrics merged into the uniform metrics dict.
-    extra_metrics: Dict[str, Any] = field(default_factory=dict)
-
-
-def build_outcome(
-    graph: Graph,
-    result: RunResult,
-    *,
-    evaluation_set: Optional[Set[int]] = None,
-) -> CountingOutcome:
-    """Summarize an engine run into a :class:`CountingOutcome`.
-
-    Identical to the paper protocols' run wrappers: one
-    :class:`DecisionRecord` per honest node, plus the run's round and
-    communication totals.
-    """
-    records: Dict[int, DecisionRecord] = {}
-    for u, protocol in result.protocols.items():
-        records[u] = DecisionRecord(
-            node=u,
-            decided=protocol.decided,
-            estimate=protocol.estimate,
-            decision_round=protocol.decision_round,
-        )
-    return CountingOutcome(
-        n=graph.n,
-        records=records,
-        evaluation_set=evaluation_set,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
-        total_bits=result.metrics.total_bits,
-        small_message_fraction=result.metrics.small_message_fraction(
-            graph.n, list(result.protocols.keys())
-        ),
-    )
+__all__ = ["binary_decision_metrics"]
 
 
 def binary_decision_metrics(outcome: CountingOutcome) -> Dict[str, Any]:

@@ -38,8 +38,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.core.estimate import CountingOutcome, ProtocolRun
 from repro.graphs.graph import Graph
-from repro.protocols.common import ZooRun, binary_decision_metrics, build_outcome
+from repro.protocols.common import binary_decision_metrics
 from repro.protocols.grouping import GroupAssignment, assign_groups
 from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
@@ -289,7 +290,7 @@ def run_grouped_bft(
     max_rounds: Optional[int] = None,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> ZooRun:
+) -> ProtocolRun:
     """Execute grouped OM(f) agreement on ``graph`` and summarize the outcome.
 
     ``groups`` defaults to ``max(1, n // (4·(3f + 1)))`` -- expected group
@@ -332,7 +333,7 @@ def run_grouped_bft(
         churn=churn,
     )
     result = engine.run()
-    outcome = build_outcome(graph, result, evaluation_set=evaluation_set)
+    outcome = CountingOutcome.from_run(result, evaluation_set)
     sizes = [len(ids) for ids in assignment.members if ids]
     extra = binary_decision_metrics(outcome)
     extra.update(
@@ -349,4 +350,4 @@ def run_grouped_bft(
         "initial": initial,
         "max_rounds": max_rounds,
     }
-    return ZooRun(result=result, params=params, outcome=outcome, extra_metrics=extra)
+    return ProtocolRun(result=result, params=params, outcome=outcome, extra_metrics=extra)

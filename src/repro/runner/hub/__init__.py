@@ -30,7 +30,7 @@ Entry points: ``repro hub serve`` (daemon), ``repro hub status``, plus
 See RUNNER.md's "Sweep Hub" section for the protocol and a quickstart.
 """
 
-from repro.runner.hub.client import HubSubmission, query_hub_status, submit_to_hub
+from repro.runner.hub.client import HubSubmission, query_hub_status
 from repro.runner.hub.resultsdb import ResultsDB
 from repro.runner.hub.service import SweepHub
 
@@ -39,5 +39,4 @@ __all__ = [
     "ResultsDB",
     "SweepHub",
     "query_hub_status",
-    "submit_to_hub",
 ]

@@ -49,7 +49,7 @@ from repro.runner.distributed.protocol import (
 )
 from repro.runner.faults import Backoff
 
-__all__ = ["HubSubmission", "submit_to_hub", "query_hub_status"]
+__all__ = ["HubSubmission", "query_hub_status"]
 
 #: Read-timeout multiple of the hub's advertised heartbeat interval: a
 #: stream with no result *and* no heartbeat for this many intervals is a
@@ -274,15 +274,6 @@ class HubSubmission:
                 sock.close()
             except OSError:
                 pass
-
-
-def submit_to_hub(
-    address: Tuple[str, int],
-    items: Sequence[WorkItem],
-    **kwargs: Any,
-) -> HubSubmission:
-    """Convenience constructor mirroring the backend's call shape."""
-    return HubSubmission(address, items, **kwargs)
 
 
 def query_hub_status(address: Tuple[str, int]) -> Dict[str, Any]:

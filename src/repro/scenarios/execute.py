@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Set, Union
 
 from repro.analysis import accuracy
+from repro.core.estimate import ProtocolRun
 from repro.graphs.expansion import good_set
 from repro.graphs.graph import Graph
 from repro.graphs.neighborhoods import ball_of_set
@@ -48,7 +49,7 @@ class MaterializedCell:
     graph: Graph
     byzantine: Set[int]
     evaluation_set: Optional[Set[int]]
-    run: Any
+    run: ProtocolRun
     metrics: Dict[str, Any]
 
 
@@ -108,6 +109,7 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
     scenario = cell.scenario
     run = cell.run
     outcome = run.outcome
+    result_metrics = run.result.metrics
     low, high = scenario.params.get("band", accuracy.DEFAULT_BAND)
 
     estimates = outcome.estimates()
@@ -115,20 +117,16 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
     modal_value, modal_count = (
         histogram.most_common(1)[0] if histogram else (None, 0)
     )
-    result_metrics = getattr(getattr(run, "result", None), "metrics", None)
-    quiescent = (
-        result_metrics.messages_per_round[-1] == 0
-        if result_metrics is not None and result_metrics.messages_per_round
-        else False
-    )
+    messages_per_round = result_metrics.messages_per_round
+    quiescent = bool(messages_per_round) and messages_per_round[-1] == 0
     min_estimate, max_estimate = outcome.estimate_range()
     round_budget = scenario.protocol.params.get("max_rounds")
     log_n = outcome.log_n
     median = statistics.median(estimates) if estimates else None
     relative_errors = [abs(e - log_n) / log_n for e in estimates]
-    per_node = result_metrics.per_node if result_metrics is not None else {}
+    per_node = result_metrics.per_node
 
-    metrics = {
+    return {
         "n": outcome.n,
         "num_byzantine": len(cell.byzantine),
         "eval_nodes": len(outcome.evaluation_set),
@@ -153,7 +151,7 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
         "max_estimate_all": outcome.estimate_range(over_evaluation_set=False)[1],
         "estimate_counts": [[value, count] for value, count in sorted(histogram.items())],
         "modal_estimate": modal_value,
-        "modal_fraction": modal_count / max(1, len(outcome.records)),
+        "modal_fraction": modal_count / max(1, len(outcome.evaluation_set)),
         "max_decision_round": outcome.max_decision_round(),
         "max_decision_round_all": outcome.max_decision_round(
             over_evaluation_set=False
@@ -176,34 +174,29 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
             round_budget=round_budget,
         ),
         **_churn_metrics(cell),
+        # Protocol-specific metrics (agreement rates, decided-value
+        # distributions, phases-to-decide, group sizes), merged *after* the
+        # uniform keys so zoo columns flow through the suite reducers like
+        # any other metric; the paper protocols and the baselines add none.
+        **run.extra_metrics,
     }
-    # Protocol-specific metrics (protocol-zoo run wrappers expose an
-    # ``extra_metrics`` dict: agreement rates, decided-value distributions,
-    # phases-to-decide, group sizes).  Merged *after* the uniform keys so zoo
-    # columns flow through the suite reducers like any other metric; the
-    # paper protocols have no such attribute and their metrics dicts -- and
-    # hence every existing golden table -- are byte-identical.
-    extra = getattr(run, "extra_metrics", None)
-    if extra:
-        metrics.update(extra)
-    return metrics
 
 
 def _churn_metrics(cell: MaterializedCell) -> Dict[str, Any]:
     """Dynamic-topology metrics (present for every cell; None-valued when the
     run had no churn, so static tables and reducers are unaffected)."""
-    result = getattr(cell.run, "result", None)
-    metrics = getattr(result, "metrics", None)
-    last_churn = getattr(metrics, "last_churn_round", None)
+    result = cell.run.result
+    metrics = result.metrics
+    last_churn = metrics.last_churn_round
     outcome = cell.run.outcome
     if last_churn is None:
         return {
-            "churn_events": getattr(metrics, "churn_events", 0),
+            "churn_events": metrics.churn_events,
             "rounds_to_reconverge": None,
             "stale_estimate_error": None,
         }
 
-    departed = getattr(result, "departed", frozenset())
+    departed = result.departed
     # Rounds the network needed after the last delta before going quiet: the
     # final executed round only re-confirms quiescence, hence the -1.
     reconverge = max(0, (outcome.rounds_executed - 1) - last_churn)

@@ -4,10 +4,10 @@ Each entry owns the full "run protocol P" recipe: build the parameter object
 from the spec's protocol params (defaulting degree bounds from the graph the
 way the CLI historically did), construct the adversary behaviour *with those
 parameters* (scheduled Algorithm 2 attacks read their round schedule from
-them), and execute the run.  Entries return the protocol's run object
-(``LocalCountingRun`` / ``CongestCountingRun`` /
-:class:`~repro.protocols.common.ZooRun`), whose ``.outcome`` feeds the
-generic metrics extraction in :mod:`repro.scenarios.execute`.
+them), and execute the run.  Every entry returns a
+:class:`~repro.core.estimate.ProtocolRun`, whose ``.result``, ``.outcome``
+and ``.extra_metrics`` feed the generic metrics extraction in
+:mod:`repro.scenarios.execute`.
 
 Entry metadata (the protocol-zoo contract)
 ------------------------------------------
@@ -34,12 +34,12 @@ from repro.baselines import (
     run_spanning_tree_baseline,
     run_support_estimation_baseline,
 )
-from repro.core.congest_counting import CongestCountingRun, run_congest_counting
-from repro.core.local_counting import LocalCountingRun, run_local_counting
+from repro.core.congest_counting import run_congest_counting
+from repro.core.estimate import ProtocolRun
+from repro.core.local_counting import run_local_counting
 from repro.core.parameters import CongestParameters, LocalParameters
 from repro.graphs.graph import Graph
 from repro.protocols import (
-    ZooRun,
     run_benor,
     run_grouped_bft,
     spec_validate_benor,
@@ -63,8 +63,8 @@ def run_protocol(
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
     **params: Any,
-):
-    """Run the registered protocol ``name`` and return its run object."""
+) -> ProtocolRun:
+    """Run the registered protocol ``name`` and return its run."""
     return PROTOCOLS.build(
         name,
         graph,
@@ -102,7 +102,7 @@ def _local(
     max_rounds: Optional[int] = None,
     churn: Optional[ChurnSchedule] = None,
     **params: Any,
-) -> LocalCountingRun:
+) -> ProtocolRun:
     """Algorithm 1: deterministic LOCAL counting (Theorem 1)."""
     if "max_degree" not in params:
         params = {**params, "max_degree": max(2, graph.max_degree())}
@@ -150,7 +150,7 @@ def _congest(
     stop_when_all_decided: bool = True,
     churn: Optional[ChurnSchedule] = None,
     **params: Any,
-) -> CongestCountingRun:
+) -> ProtocolRun:
     """Algorithm 2: randomized small-message CONGEST counting (Theorem 2)."""
     if "d" not in params:
         params = {**params, "d": max(3, graph.max_degree())}
@@ -233,7 +233,9 @@ _ZOO = (
 )
 
 
-def _zoo_adapter(run: Callable[..., ZooRun], description: str) -> Callable[..., ZooRun]:
+def _zoo_adapter(
+    run: Callable[..., ProtocolRun], description: str
+) -> Callable[..., ProtocolRun]:
     def adapter(
         graph: Graph,
         *,
@@ -244,7 +246,7 @@ def _zoo_adapter(run: Callable[..., ZooRun], description: str) -> Callable[..., 
         evaluation_set: Optional[Set[int]] = None,
         churn: Optional[ChurnSchedule] = None,
         **params: Any,
-    ) -> ZooRun:
+    ) -> ProtocolRun:
         adversary = make_adversary(behaviour, None, **behaviour_params)
         return run(
             graph,

@@ -58,7 +58,8 @@ ProtocolFactory = Callable[[NodeContext], Protocol]
 class RunResult:
     """Outcome of a simulation run.
 
-    ``departed`` holds the nodes that left via churn and had not rejoined by
+    :meth:`repro.core.estimate.CountingOutcome.from_run` turns it into the
+    decision statistics.  ``departed`` holds the nodes that left via churn and had not rejoined by
     the end of the run.  A departed honest node is *not* halted: its protocol
     entry in ``protocols`` is the state frozen at departure (or, after a
     rejoin, the fresh instance spawned on rejoin).
@@ -70,22 +71,6 @@ class RunResult:
     metrics: SimulationMetrics
     completed: bool
     departed: FrozenSet[int] = field(default_factory=frozenset)
-
-    @property
-    def honest_nodes(self) -> Tuple[int, ...]:
-        """Indices of honest nodes."""
-        return self.network.honest
-
-    def estimates(self) -> Dict[int, Optional[float]]:
-        """Map from honest node to its decided estimate (None if undecided)."""
-        return {u: p.estimate if p.decided else None for u, p in self.protocols.items()}
-
-    def decided_fraction(self) -> float:
-        """Fraction of honest nodes that decided."""
-        if not self.protocols:
-            return 0.0
-        decided = sum(1 for p in self.protocols.values() if p.decided)
-        return decided / len(self.protocols)
 
 
 class SynchronousEngine:
@@ -357,77 +342,61 @@ class SynchronousEngine:
             return new_env
 
         def deliver_targeted(
-            byz_outboxes: ByzantineOutbox, buckets: Dict[int, List[Message]]
+            sender: int,
+            outbox: Mapping[int, List[Message]],
+            buckets: Dict[int, List[Message]],
         ) -> None:
-            """Classic per-target delivery of Byzantine outboxes into buckets."""
-            for b, per_target in byz_outboxes.items():
-                sender_id = node_ids[b]
-                envelopes: Dict[int, List] = {}
-                for target, msgs in per_target.items():
-                    bucket = buckets.get(target)
-                    if bucket is None:
-                        bucket = buckets[target] = []
-                    for msg in msgs:
-                        entry = envelopes.get(id(msg))
-                        if entry is None:
-                            entry = envelopes[id(msg)] = [
-                                DeliveredMessage(msg, b, sender_id),
-                                0,
-                            ]
-                        entry[1] += 1
-                        bucket.append(entry[0])
-                for stamped, copies in envelopes.values():
-                    record_broadcast(b, stamped, copies)
+            """Classic per-target delivery of one outbox into ``buckets``.
+
+            One envelope per distinct outbox message: a message object put
+            in several targets' lists is delivered as a single shared,
+            sender-stamped envelope instead of one clone per edge, and is
+            accounted once with its delivery count.  Delivered messages are
+            read-only by contract.
+            """
+            sender_id = node_ids[sender]
+            envelopes: Dict[int, List] = {}
+            for target, msgs in outbox.items():
+                bucket = buckets.get(target)
+                if bucket is None:
+                    bucket = buckets[target] = []
+                for msg in msgs:
+                    entry = envelopes.get(id(msg))
+                    if entry is None:
+                        entry = envelopes[id(msg)] = [
+                            DeliveredMessage(msg, sender, sender_id),
+                            0,
+                        ]
+                    entry[1] += 1
+                    bucket.append(entry[0])
+            for stamped, copies in envelopes.values():
+                record_broadcast(sender, stamped, copies)
 
         def deliver_slow(
             deliveries: List[Tuple[int, Outbox]], byz_outboxes: ByzantineOutbox
         ) -> Dict[int, List[Message]]:
             """Classic delivery for rounds with non-broadcast honest outboxes.
 
-            One envelope per distinct outbox message: a broadcast that puts
-            the same Message object in every target's list is delivered as a
-            single shared, sender-stamped envelope instead of one clone per
-            edge, and is accounted once with its delivery count.  Delivered
-            messages are read-only by contract.
+            A Broadcast is one shared envelope for all its targets; every
+            other outbox goes through :func:`deliver_targeted`.
             """
             inboxes: Dict[int, List[Message]] = {}
-
-            def deliver_from(sender: int, outbox: Mapping[int, List[Message]]) -> None:
-                sender_id = node_ids[sender]
+            for sender, outbox in deliveries:
                 if isinstance(outbox, Broadcast):
                     targets = outbox.targets
                     if not targets:
-                        return
-                    stamped = DeliveredMessage(outbox.message, sender, sender_id)
+                        continue
+                    stamped = DeliveredMessage(outbox.message, sender, node_ids[sender])
                     for target in targets:
                         bucket = inboxes.get(target)
                         if bucket is None:
                             bucket = inboxes[target] = []
                         bucket.append(stamped)
                     record_broadcast(sender, stamped, len(targets))
-                    return
-                envelopes: Dict[int, List] = {}
-                for target, msgs in outbox.items():
-                    bucket = inboxes.get(target)
-                    if bucket is None:
-                        bucket = inboxes[target] = []
-                    for msg in msgs:
-                        entry = envelopes.get(id(msg))
-                        if entry is None:
-                            entry = envelopes[id(msg)] = [
-                                DeliveredMessage(msg, sender, sender_id),
-                                0,
-                            ]
-                        entry[1] += 1
-                        bucket.append(entry[0])
-                for stamped, copies in envelopes.values():
-                    record_broadcast(sender, stamped, copies)
-
-            for sender, outbox in deliveries:
-                deliver_from(sender, outbox)
+                else:
+                    deliver_targeted(sender, outbox, inboxes)
             for sender, outbox in byz_outboxes.items():
-                if outbox:
-                    deliver_from(sender, outbox)
+                deliver_targeted(sender, outbox, inboxes)
             return inboxes
 
         def adversary_step(round_number: int) -> ByzantineOutbox:
@@ -653,20 +622,33 @@ class SynchronousEngine:
 
             metrics.record_churn(round_number, events)
 
+        def execute_round(round_number: int, start: bool) -> None:
+            """The honest phase, the adversary phase and delivery of one round."""
+            nonlocal env, extra, slow, active
+            metrics.start_round()
+            deliveries, fast, any_halted = run_phase(round_number, active, start)
+            byz_outboxes = adversary_step(round_number)
+            if fast:
+                env = deliver_fast(deliveries)
+                extra = {}
+                slow = None
+                for b, per_target in byz_outboxes.items():
+                    deliver_targeted(b, per_target, extra)
+            else:
+                slow = deliver_slow(deliveries, byz_outboxes)
+            if any_halted:
+                active = compact_active(active)
+
+        def stopped() -> bool:
+            # The default stop waits for any still-scheduled churn: a join
+            # can repopulate an empty active list (``churn_last`` is 0 for
+            # static runs, leaving the condition unchanged).
+            if stop is None:
+                return not active and executed >= churn_last
+            return stop(protocols_map, executed)
+
         # Round 0: on_start for every honest node.
-        metrics.start_round()
-        deliveries, fast, any_halted = run_phase(0, active, True)
-        byz_outboxes = adversary_step(0)
-        if fast:
-            env = deliver_fast(deliveries)
-            extra = {}
-            slow = None
-            if byz_outboxes:
-                deliver_targeted(byz_outboxes, extra)
-        else:
-            slow = deliver_slow(deliveries, byz_outboxes)
-        if any_halted:
-            active = compact_active(active)
+        execute_round(0, True)
 
         # ``executed`` is the last fully executed round (round 0 ran above);
         # the stop condition is always evaluated with it, whether the run ends
@@ -675,40 +657,17 @@ class SynchronousEngine:
         completed = False
         executed = 0
         for round_number in range(1, limit + 1):
-            # The default stop waits for any still-scheduled churn: a join
-            # can repopulate an empty active list (``churn_last`` is 0 for
-            # static runs, leaving the condition unchanged).
-            if (
-                (not active and executed >= churn_last)
-                if stop is None
-                else stop(protocols_map, executed)
-            ):
+            if stopped():
                 completed = True
                 break
             if churn is not None:
                 delta = churn.delta_for_round(round_number)
                 if delta is not None:
                     apply_delta(round_number, delta)
-            metrics.start_round()
-            deliveries, fast, any_halted = run_phase(round_number, active, False)
-            byz_outboxes = adversary_step(round_number)
-            if fast:
-                env = deliver_fast(deliveries)
-                extra = {}
-                slow = None
-                if byz_outboxes:
-                    deliver_targeted(byz_outboxes, extra)
-            else:
-                slow = deliver_slow(deliveries, byz_outboxes)
-            if any_halted:
-                active = compact_active(active)
+            execute_round(round_number, False)
             executed = round_number
         else:
-            completed = (
-                (not active and executed >= churn_last)
-                if stop is None
-                else stop(protocols_map, executed)
-            )
+            completed = stopped()
 
         return RunResult(
             network=self.network,

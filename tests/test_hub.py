@@ -31,7 +31,7 @@ from repro.runner import (
     SweepRunner,
     WorkerDaemon,
 )
-from repro.runner.hub.client import query_hub_status, submit_to_hub
+from repro.runner.hub.client import HubSubmission, query_hub_status
 
 
 def _items(values, *, sleep_s=0.0, start=0):
@@ -83,7 +83,7 @@ class TestHubSubmissions:
         serial = SweepRunner().run(_configs(range(4)))
         with running_hub(tmp_path) as (_hub, address):
             with running_worker(address):
-                completed = list(submit_to_hub(address, _items(range(4))))
+                completed = list(HubSubmission(address, _items(range(4))))
         results = [None] * 4
         for index, result, _meta in completed:
             results[index] = result
@@ -131,10 +131,10 @@ class TestHubSubmissions:
         the shared artifact store at dispatch time."""
         with running_hub(tmp_path) as (hub, address):
             with running_worker(address):
-                first = submit_to_hub(address, _items(range(4)))
+                first = HubSubmission(address, _items(range(4)))
                 assert len(list(first)) == 4
                 assert first.stats["completed"] == 4
-                second = submit_to_hub(address, _items(range(2, 6)))
+                second = HubSubmission(address, _items(range(2, 6)))
                 completed = list(second)
         results = [None] * 4
         cache_hits = 0
@@ -186,7 +186,7 @@ class TestHubSubmissions:
     def test_status_query_reports_sweeps_and_workers(self, tmp_path):
         with running_hub(tmp_path) as (_hub, address):
             with running_worker(address, worker_id="w-test"):
-                submission = submit_to_hub(address, _items(range(2)), name="probe")
+                submission = HubSubmission(address, _items(range(2)), name="probe")
                 assert len(list(submission)) == 2
                 status = query_hub_status(address)
         assert status["stats"]["completed"] == 2

@@ -55,7 +55,7 @@ from repro.runner.distributed.protocol import (
     send_message,
 )
 from repro.runner.faults import CRASH_EXIT_CODE
-from repro.runner.hub.client import HubSubmission, submit_to_hub
+from repro.runner.hub.client import HubSubmission
 from repro.runner.journal import HUB_FILE, incomplete_journals
 
 #: tests/test_hub_ha.py -> repository root (for subprocess cwd).
@@ -272,11 +272,11 @@ class TestIdentityReattach:
     def test_resubmitted_identity_replays_without_reexecution(self, tmp_path):
         with running_hub(tmp_path) as (hub, address):
             with running_subprocess_worker(address):
-                first = submit_to_hub(address, _items(range(4)))
+                first = HubSubmission(address, _items(range(4)))
                 assert len(list(first)) == 4
                 # Identical task list: the hub re-attaches to the finished
                 # queue and replays its history; nothing executes again.
-                second = submit_to_hub(address, _items(range(4)))
+                second = HubSubmission(address, _items(range(4)))
                 completed = list(second)
             assert second.reattached is True
             assert first.reattached is False
@@ -381,7 +381,7 @@ class TestHubChaosSites:
             tmp_path, injector=FaultInjector(plan, salt="hub")
         ) as (hub, address):
             with running_subprocess_worker(address):
-                submission = submit_to_hub(
+                submission = HubSubmission(
                     address, _items(range(3)), reconnect_attempts=0, quiet=True
                 )
                 with pytest.raises(BrokerError, match="unavailable"):
@@ -397,7 +397,7 @@ class TestHubChaosSites:
             tmp_path, injector=FaultInjector(plan, salt="hub")
         ) as (hub, address):
             with running_subprocess_worker(address):
-                submission = submit_to_hub(address, _items(range(2)), quiet=True)
+                submission = HubSubmission(address, _items(range(2)), quiet=True)
                 completed = list(submission)
             assert hub.fault_counts.get("hang-hub", 0) >= 2
         assert sorted(index for index, _r, _m in completed) == [0, 1]

@@ -10,7 +10,7 @@ payloads -- and assert after every step that
 * the bitset ``LocalView`` agrees observable-for-observable (including
   what ``integrate`` returns and adds to the pending delta, see
   ``view_delta``) with the retained set-based reference
-  implementation :class:`repro.core.local_view_reference.SetBasedLocalView`,
+  implementation ``SetBasedLocalView`` (``local_view_reference``),
   also when it integrates honest nodes' masked deltas by their masks and
   the reference is fed the same payloads one by one.
 """
@@ -21,9 +21,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.local_counting import ClaimInterner, LocalCountingProtocol, LocalView
-from repro.core.local_view_reference import SetBasedLocalView
 from repro.core.parameters import LocalParameters
 from repro.simulator.node import NodeContext
+from local_view_reference import SetBasedLocalView
 from view_delta import integrate_tracked, reference_result
 
 

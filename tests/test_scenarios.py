@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.estimate import ProtocolRun
 from repro.core.parameters import CongestParameters, LocalParameters
 from repro.scenarios import (
     ADVERSARIES,
@@ -529,6 +530,28 @@ class TestMaterialize:
         assert cell.metrics["decided_fraction"] == 0.0
         assert cell.metrics["median_estimate"] is None
 
+    def test_modal_fraction_counts_the_evaluation_set(self):
+        # All 49 evaluation nodes decide 3.0: the modal share is 49/49, not
+        # 49 over all 62 honest nodes.
+        def cell(params):
+            return materialize(
+                Scenario(
+                    graph=ComponentSpec("hnd", {"n": 64, "degree": 8}),
+                    adversary=ComponentSpec("silent"),
+                    placement=ComponentSpec("spread", {"count": 2}),
+                    protocol=ComponentSpec("congest", {"d": 8}),
+                    params=params,
+                ),
+                0,
+            ).metrics
+
+        far = cell({"evaluation": {"kind": "far", "radius": 1}})
+        assert far["estimate_counts"] == [[3.0, 49]]
+        assert far["modal_fraction"] == 1.0
+        everyone = cell({})
+        assert everyone["estimate_counts"] == [[3.0, 62]]
+        assert everyone["modal_fraction"] == 1.0
+
     def test_unknown_evaluation_kind_rejected(self):
         scenario = Scenario(
             graph=ComponentSpec("hnd", {"n": 16, "degree": 4}),
@@ -550,3 +573,40 @@ class TestMaterialize:
         )
         with pytest.raises(ValueError, match="unknown check"):
             materialize(scenario, 0)
+
+
+#: The metrics every ``scenario.run`` cell reports, whatever the protocol.
+UNIFORM_METRICS = {
+    "n", "num_byzantine", "eval_nodes", "decided_fraction",
+    "decided_fraction_all", "fraction_in_band", "fraction_in_band_all",
+    "median_estimate", "median_estimate_all", "median_relative_error",
+    "median_estimate_error", "min_estimate", "max_estimate",
+    "max_estimate_all", "estimate_counts", "modal_estimate", "modal_fraction",
+    "max_decision_round", "max_decision_round_all", "rounds",
+    "rounds_executed", "small_message_fraction", "messages", "bits",
+    "max_message_ids", "quiescent", "check_passed", "churn_events",
+    "rounds_to_reconverge", "stale_estimate_error",
+}
+_BINARY_METRICS = {"agreement_reached", "ones_fraction", "modal_agreement"}
+#: The protocol-specific metrics a protocol adds after the uniform ones.
+EXTRA_METRICS = {
+    "benor": _BINARY_METRICS | {"phases_to_decide"},
+    "grouped-bft": _BINARY_METRICS | {"groups", "min_group_size", "max_group_size"},
+}
+
+
+@pytest.mark.parametrize("name", PROTOCOLS.names())
+def test_every_protocol_returns_one_run_type(name):
+    scenario = Scenario(
+        graph=ComponentSpec("hnd", {"n": 32, "degree": 4}),
+        adversary=ComponentSpec("silent"),
+        placement=ComponentSpec("random", {"count": 0}),
+        protocol=ComponentSpec(name),
+    )
+    cell = materialize(scenario, 0)
+    assert type(cell.run) is ProtocolRun
+    extra = EXTRA_METRICS.get(name, set())
+    if not extra:
+        assert cell.run.extra_metrics == {}
+    assert set(cell.run.extra_metrics) == extra
+    assert set(cell.metrics) == UNIFORM_METRICS | extra
