@@ -8,7 +8,7 @@ byte.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 __all__ = ["render_table", "render_series"]
 

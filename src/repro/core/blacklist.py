@@ -12,7 +12,7 @@ The blacklist is reset at the start of every phase (Line 2).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple
 
 __all__ = ["PhaseBlacklist", "split_trusted_suffix"]
 

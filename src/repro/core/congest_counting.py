@@ -42,7 +42,6 @@ Implementation notes
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -56,7 +55,7 @@ from repro.core.beacon import (
     make_continue_message,
     parse_beacon,
 )
-from repro.core.blacklist import PhaseBlacklist, split_trusted_suffix
+from repro.core.blacklist import PhaseBlacklist
 from repro.core.estimate import CountingOutcome, ProtocolRun
 from repro.core.parameters import CongestParameters
 from repro.graphs.graph import Graph

@@ -120,11 +120,8 @@ ClaimEntry = Tuple[int, Tuple[int, ...]]
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _RBIT = attrgetter("rbit")
 _SLOT = attrgetter("slot")
-_BIT = attrgetter("bit")
 _VMASK = attrgetter("vmask")
 _ENTRY = attrgetter("entry")
-_BITS = attrgetter("bits")
-_NUM_IDS = attrgetter("num_ids")
 
 
 def _is_delta(payload) -> bool:
@@ -253,7 +250,7 @@ class ClaimInterner:
     __slots__ = (
         "by_id", "by_value", "records", "slot_of", "ids", "vertex_bits", "grev",
         "first", "cmask", "asym", "asym_slots", "claimed", "conflicted", "max_size",
-        "positions", "pinned",
+        "positions", "pinned", "entries", "node_bits", "vmasks", "costs",
     )
 
     def __init__(self) -> None:
@@ -278,6 +275,14 @@ class ClaimInterner:
         # Byzantine entry objects keyed in ``by_id``: pinned so their ids
         # are never reused by another object.
         self.pinned: List[ClaimEntry] = []
+        # Per-record-id copies of what a delta message reads off a record:
+        # its entry, its node's slot bit, its ``vmask`` and its accounting
+        # packed as ``bits | num_ids << 32`` (a delta's bits stay far below
+        # 2**32, so one sum of packed costs adds both fields).
+        self.entries: List[ClaimEntry] = []
+        self.node_bits: List[int] = []
+        self.vmasks: List[int] = []
+        self.costs: List[int] = []
 
     def bits(self, mask: int) -> Iterator[int]:
         """Positions of the set bits of a slot or record-id ``mask``, lowest
@@ -378,6 +383,10 @@ class ClaimInterner:
         record.bit = bit
         record.mask = mask
         record.vmask = bit | mask
+        self.entries.append(record.entry)
+        self.node_bits.append(bit)
+        self.vmasks.append(record.vmask)
+        self.costs.append(record.bits | record.num_ids << 32)
         if self.claimed & bit:
             self.conflicted |= bit
         else:
@@ -1054,20 +1063,21 @@ class LocalCountingProtocol(Protocol):
         interner = self._interner
         records, slots = view.delta_records, view.delta_vertices
         view.delta_records = view.delta_vertices = 0
-        claims = list(map(interner.records.__getitem__, interner.bits(records)))
+        rids = list(interner.bits(records))
         vertex_slots = list(interner.bits(slots))
         payload = _Delta(
-            tuple(map(_ENTRY, claims)),
+            tuple(map(interner.entries.__getitem__, rids)),
             tuple(map(interner.ids.__getitem__, vertex_slots)),
             records,
             slots,
-            reduce(or_, map(_BIT, claims), 0),
-            reduce(or_, map(_VMASK, claims), slots),
+            reduce(or_, map(interner.node_bits.__getitem__, rids), 0),
+            reduce(or_, map(interner.vmasks.__getitem__, rids), slots),
         )
-        edge_sum = sum(map(_BITS, claims))
+        packed = sum(map(interner.costs.__getitem__, rids))
+        edge_sum = packed & 0xFFFFFFFF
         vertex_sum = sum(map(interner.vertex_bits.__getitem__, vertex_slots))
         size_bits = (edge_sum if edge_sum else 1) + 2 + (vertex_sum if vertex_sum else 1) + 2
-        num_ids = sum(map(_NUM_IDS, claims)) + len(vertex_slots)
+        num_ids = (packed >> 32) + len(vertex_slots)
         return Message(kind="topology", payload=payload, size_bits=size_bits, num_ids=num_ids)
 
     def _decide(self, round_number: int) -> None:

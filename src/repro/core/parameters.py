@@ -10,7 +10,7 @@ Experiments report sensitivity to these choices (benchmark E8/E9).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["LocalParameters", "CongestParameters", "byzantine_budget"]

@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set
 
 from repro.graphs.graph import Graph
-from repro.graphs.neighborhoods import ball, ball_of_set
+from repro.graphs.neighborhoods import ball_of_set
 from repro.graphs.treelike import treelike_nodes, treelike_radius
 
 __all__ = [

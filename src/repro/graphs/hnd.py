@@ -15,7 +15,7 @@ on the two distributions.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.graphs.graph import Graph
 

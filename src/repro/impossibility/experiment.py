@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.congest_counting import (
     CongestCountingProtocol,
@@ -23,7 +23,6 @@ from repro.core.congest_counting import (
 from repro.core.parameters import CongestParameters
 from repro.graphs.graph import Graph
 from repro.impossibility.construction import (
-    ChainedCopiesInstance,
     SimulatingCutAdversary,
     build_chained_instance,
 )

@@ -28,7 +28,7 @@ the serial, pool, and distributed backends.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.estimate import CountingOutcome, ProtocolRun
 from repro.graphs.graph import Graph
@@ -60,9 +60,15 @@ class BenOrProtocol(Protocol):
         initial: Any,
         max_phases: int,
         seed: int,
+        messages: Dict[Tuple[str, int, Any], Message],
     ) -> None:
         self.f = f
         self.max_phases = max_phases
+        # One read-only Message per distinct (tag, phase, value), shared by
+        # every node of the run: the run passes each node the same dict,
+        # which holds at most 2 tags x max_phases x 3 values entries and
+        # dies with the run.
+        self._messages = messages
         self._coin = coin_stream(seed, "benor-coin", ctx.node_id)
         if initial == "coin":
             self.value = self._coin.randrange(2)
@@ -98,7 +104,11 @@ class BenOrProtocol(Protocol):
 
     # ------------------------------------------------------------------ #
     def _message(self, tag: str, phase: int, value: Any) -> Message:
-        return Message.make("benor", payload=(tag, phase, value))
+        key = (tag, phase, value)
+        message = self._messages.get(key)
+        if message is None:
+            message = self._messages[key] = Message.make("benor", payload=key)
+        return message
 
     def on_start(self, ctx: NodeContext) -> Outbox:
         return broadcast(ctx.neighbors, self._message(_R1, 1, self.value))
@@ -221,10 +231,16 @@ def run_benor(
         max_rounds = 2 * max_phases + 2
 
     effective_phases = max_phases
+    messages: Dict[Tuple[str, int, Any], Message] = {}
 
     def factory(ctx: NodeContext) -> Protocol:
         return BenOrProtocol(
-            ctx, f=f, initial=initial, max_phases=effective_phases, seed=seed
+            ctx,
+            f=f,
+            initial=initial,
+            max_phases=effective_phases,
+            seed=seed,
+            messages=messages,
         )
 
     engine = SynchronousEngine(

@@ -20,10 +20,10 @@ from __future__ import annotations
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Union
 
 from repro.runner.artifacts import ArtifactStore, decode
-from repro.runner.journal import JOURNAL_VERSION, RUNNER_FILE
+from repro.runner.journal import RUNNER_FILE, read_journal
 
 __all__ = ["ResultsDB"]
 
@@ -74,8 +74,10 @@ class ResultsDB:
         """Unreadable files skipped (or listed payload-less) so far."""
         return len(self.skipped)
 
-    def _read_json_tracked(self, path: Path) -> Optional[Dict[str, Any]]:
-        document = _read_json(path)
+    def _read_json_tracked(
+        self, path: Path, reader: Callable[[Path], Optional[Dict[str, Any]]] = _read_json
+    ) -> Optional[Dict[str, Any]]:
+        document = reader(path)
         if document is None:
             key = str(path)
             if key not in self.skipped:
@@ -94,8 +96,8 @@ class ResultsDB:
         if not self.root.is_dir():
             return records
         for path in sorted(self.root.glob(_JOURNAL_GLOB)):
-            document = self._read_json_tracked(path)
-            if document is None or document.get("version") != JOURNAL_VERSION:
+            document = self._read_json_tracked(path, read_journal)
+            if document is None:
                 continue
             done = document.get("done") or []
             total = document.get("total") or 0

@@ -21,8 +21,8 @@ surviving the hub's):
 - **Hub journal.**  With ``state_dir`` set, every registered sweep gets
   a crash-safe :class:`~repro.runner.journal.SweepJournal` at
   ``hub-<identity>.state.json`` recording its submission and done
-  indices (the same class and atomic writer as the client-side sweep
-  journal).  On restart,
+  indices (the same class, completion log and fold as the client-side
+  sweep journal).  On restart,
   :meth:`adopt_journaled` re-registers every interrupted sweep and
   prefills it from the artifact store, so only tasks with no artifact
   behind them are re-queued for the fleet.  The journal is advisory: the

@@ -20,9 +20,19 @@ stats and injected-fault counts; the hub its ``identity``, submission
 ``name``/``priority``/``force``, ``adopted`` counter and per-task
 ``params``/``module``.
 
-Every update goes through :func:`~repro.runner.artifacts.atomic_write_text`,
-the writer the artifact store uses, so a killed process (or a power cut)
-leaves either the previous document or the new one, never a truncated one.
+The document itself is written only when the sweep begins and when it
+ends, through :func:`~repro.runner.artifacts.atomic_write_text` (the writer
+the artifact store uses), so a killed process (or a power cut) leaves
+either the previous document or the new one, never a truncated one.  Each
+completion in between appends one JSON line (``{"done": [...], "cached":
+bool, "updated": ts}``) to a sidecar log next to the document
+(``<journal>.log``), so an N-task sweep costs O(N) bytes of journal I/O
+instead of N rewrites of an O(N) document.  Every reader goes through one
+loader that folds the log into ``done``/``cached``/``updated``; a torn
+trailing line (a write cut short) is ignored.  :meth:`SweepJournal.finish`
+and :meth:`SweepJournal.fail` write the folded document and delete the
+log, and :meth:`SweepJournal.begin` empties it before writing the fresh
+document.
 The journal is *advisory*: the artifact cache remains the source of truth
 for results, so ``--resume`` and re-adoption re-execute exactly the configs
 whose artifacts are missing or corrupt, and a journal that lags a few
@@ -47,6 +57,7 @@ __all__ = [
     "RUNNER_FILE",
     "SweepJournal",
     "incomplete_journals",
+    "read_journal",
     "sweep_identity",
 ]
 
@@ -75,8 +86,20 @@ def sweep_identity(configs: Sequence[SweepConfig]) -> str:
     return digest.hexdigest()[:16]
 
 
-def _read(path: Path) -> Optional[Dict[str, Any]]:
-    """A journal document, or ``None`` when unreadable, corrupt or foreign."""
+def _log_path(path: Path) -> Path:
+    """The completion log kept next to the journal document at ``path``."""
+    return path.with_name(path.name + ".log")
+
+
+def read_journal(path: Path) -> Optional[Dict[str, Any]]:
+    """A journal document with its completion log folded in, or ``None``
+    when the document is unreadable, corrupt or foreign.
+
+    A log line that does not parse as a completion record -- a torn last
+    line, most likely -- is skipped; folding is idempotent, so a log the
+    document already absorbed (a crash between the final write and the
+    log's removal) changes nothing.
+    """
     try:
         with path.open("r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -89,6 +112,26 @@ def _read(path: Path) -> Optional[Dict[str, Any]]:
         or not isinstance(document.get("done"), list)
     ):
         return None
+    try:
+        lines = _log_path(path).read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return document
+    done = set(document["done"])
+    cached = set(document.get("cached") or ())
+    for line in lines:
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue
+        indices = entry.get("done") if isinstance(entry, dict) else None
+        if not isinstance(indices, list) or not all(type(i) is int for i in indices):
+            continue
+        done.update(indices)
+        if entry.get("cached"):
+            cached.update(indices)
+        document["updated"] = entry.get("updated", document.get("updated"))
+    document["done"] = sorted(done)
+    document["cached"] = sorted(cached)
     return document
 
 
@@ -104,7 +147,7 @@ def incomplete_journals(
     """
     found: List[Dict[str, Any]] = []
     for path in sorted(Path(directory).glob(pattern)):
-        document = _read(path)
+        document = read_journal(path)
         if document is None:
             sys.stderr.write(
                 f"[journal] warning: skipping unreadable state file {path}\n"
@@ -123,11 +166,13 @@ class SweepJournal:
     ``identity``); a document at ``path`` whose field holds another value
     reads as absent.  Thread-safe: the hub begins a journal under its
     broker lock and marks completions from worker threads; one lock
-    serializes the in-memory document and the file writes.
+    serializes the in-memory document, the log appends and the document
+    writes.
     """
 
     def __init__(self, path: Union[str, Path], id_key: str, identity: str) -> None:
         self.path = Path(path)
+        self.log_path = _log_path(self.path)
         self.id_key = id_key
         self.identity = identity
         self._lock = threading.Lock()
@@ -149,7 +194,7 @@ class SweepJournal:
         artifact cache is the source of truth); a version or identity
         mismatch likewise.
         """
-        document = _read(self.path)
+        document = read_journal(self.path)
         if document is None or document.get(self.id_key) != self.identity:
             return None
         return document
@@ -173,6 +218,9 @@ class SweepJournal:
         """
         with self._lock:
             prior = self.load()
+            # Empty the log before the fresh document lands: a crash in
+            # between must not fold the prior run's completions into it.
+            self._drop_log()
             now = _utc_now()
             self._doc = {
                 "version": JOURNAL_VERSION,
@@ -188,11 +236,12 @@ class SweepJournal:
                 counter: prior.get(counter, 0) + 1 if restart and prior else 0,
                 **fields,
             }
-            self._flush_locked()
+            self._write_locked()
         return prior
 
     def mark_done(self, *indices: int, cached: bool = False) -> None:
-        """Record completed tasks (by position in the task list), one write."""
+        """Record completed tasks (by position in the task list): one line
+        appended to the completion log; the document is not rewritten."""
         if not indices:
             return
         with self._lock:
@@ -200,7 +249,12 @@ class SweepJournal:
             doc["done"].extend(indices)
             if cached:
                 doc["cached"].extend(indices)
-            self._flush_locked()
+            doc["updated"] = _utc_now()
+            line = json.dumps(
+                {"done": list(indices), "cached": cached, "updated": doc["updated"]}
+            )
+            with self.log_path.open("a", encoding="utf-8") as handle:
+                handle.write(line + "\n")
 
     def finish(self, **fields: Any) -> None:
         """Mark the sweep complete, attaching the caller's final ``fields``."""
@@ -208,14 +262,14 @@ class SweepJournal:
             doc = self._require_doc()
             doc["complete"] = True
             doc.update(fields)
-            self._flush_locked()
+            self._close_locked()
 
     def fail(self, error: str) -> None:
         """Record why the sweep died; the document stays incomplete and is
         not re-adopted."""
         with self._lock:
             self._require_doc()["error"] = str(error)
-            self._flush_locked()
+            self._close_locked()
 
     # ------------------------------------------------------------------ #
     def _require_doc(self) -> Dict[str, Any]:
@@ -223,7 +277,19 @@ class SweepJournal:
             raise RuntimeError("SweepJournal.begin() must run before updates")
         return self._doc
 
-    def _flush_locked(self) -> None:
+    def _drop_log(self) -> None:
+        try:
+            self.log_path.unlink()
+        except FileNotFoundError:
+            pass
+
+    def _close_locked(self) -> None:
+        """Write the document with every completion folded in, then drop
+        the log it absorbed."""
+        self._write_locked()
+        self._drop_log()
+
+    def _write_locked(self) -> None:
         doc = self._require_doc()
         doc["done"] = sorted(set(doc["done"]))
         doc["cached"] = sorted(set(doc["cached"]))

@@ -14,7 +14,7 @@ site edits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping
 
 __all__ = [
     "ComponentRegistry",

@@ -149,8 +149,8 @@ class SynchronousEngine:
                 node_id=node_ids[u],
                 neighbors=adjacency[u],
                 neighbor_ids=self._neighbor_ids[u],
-                rng=random.Random(split_seed(seed, "node", u)),
                 round=0,
+                seed_path=(seed, "node", u),
             )
             self._contexts[u] = ctx
             self._protocols[u] = protocol_factory(ctx)
@@ -588,10 +588,8 @@ class SynchronousEngine:
                     node_id=node_ids[u],
                     neighbors=neighbors[u],
                     neighbor_ids=neighbor_ids[u],
-                    rng=random.Random(
-                        split_seed(self.seed, "node", u, "join", round_number)
-                    ),
                     round=round_number,
+                    seed_path=(self.seed, "node", u, "join", round_number),
                 )
                 protocol = self.protocol_factory(ctx)
                 ctx_list[u] = ctx

@@ -11,8 +11,8 @@ independent of ``n``, their length must be accounted separately from the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional
 
 __all__ = ["Message", "DeliveredMessage", "estimate_payload_bits"]
 

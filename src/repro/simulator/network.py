@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Tuple
 
 from repro.graphs.graph import Graph
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.simulator.messages import Message
+from repro.simulator.rng import split_seed
 
 __all__ = ["NodeContext", "Protocol", "Outbox", "Broadcast", "broadcast"]
 
@@ -85,7 +85,6 @@ def broadcast(neighbors: Sequence[int], message: Message) -> Outbox:
     return Broadcast(message, tuple(neighbors))
 
 
-@dataclass(slots=True)
 class NodeContext:
     """Local view handed to a protocol on every callback.
 
@@ -102,19 +101,44 @@ class NodeContext:
         Mapping from neighbor index to that neighbor's identifier (the node
         knows who is at the other end of each incident edge).
     rng:
-        Private random stream of this node.
+        Private random stream of this node.  Either given outright or, with
+        ``seed_path``, built on first read as
+        ``random.Random(split_seed(*seed_path))`` -- the same stream, but a
+        protocol that never draws (Algorithm 1, BenOr) never pays for it.
     round:
         Current round number (rounds are numbered from 1; ``on_start`` sees 0).
         Nodes have synchronized clocks in the paper's model, so exposing the
         global round counter is faithful.
     """
 
-    index: int
-    node_id: int
-    neighbors: Tuple[int, ...]
-    neighbor_ids: Dict[int, int]
-    rng: random.Random
-    round: int = 0
+    __slots__ = ("index", "node_id", "neighbors", "neighbor_ids", "round", "_rng", "_seed_path")
+
+    def __init__(
+        self,
+        index: int,
+        node_id: int,
+        neighbors: Tuple[int, ...],
+        neighbor_ids: Dict[int, int],
+        rng: Optional[random.Random] = None,
+        round: int = 0,
+        *,
+        seed_path: Optional[Tuple[object, ...]] = None,
+    ) -> None:
+        self.index = index
+        self.node_id = node_id
+        self.neighbors = neighbors
+        self.neighbor_ids = neighbor_ids
+        self.round = round
+        self._rng = rng
+        self._seed_path = seed_path
+
+    @property
+    def rng(self) -> random.Random:
+        """This node's private random stream (seeded on first read)."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(split_seed(*self._seed_path))
+        return rng
 
     @property
     def degree(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 __all__ = ["split_seed", "spawn_rngs", "coin_stream"]
 

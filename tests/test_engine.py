@@ -1,6 +1,7 @@
 """Tests of the synchronous engine: delivery, sender stamping, adversary hooks,
 stop conditions, and the full-information model guarantees."""
 
+import random
 from typing import Dict, List
 
 import pytest
@@ -12,6 +13,7 @@ from repro.simulator.engine import SynchronousEngine
 from repro.simulator.messages import Message
 from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol
+from repro.simulator.rng import split_seed
 
 
 class EchoProtocol(Protocol):
@@ -144,6 +146,25 @@ class TestDelivery:
         _, result = _run(graph, rounds_to_run=2)
         # Round 0: 4 nodes x 2 neighbors = 8 messages; round 1: same; round 2: none.
         assert result.metrics.total_messages == 16
+
+
+class TestNodeRandomness:
+    def test_node_streams_are_seeded_on_first_read(self):
+        engine, _ = _run(cycle_graph(6))
+        contexts = engine._contexts
+        # The echo protocol never draws, so no node built its stream.
+        assert all(ctx._rng is None for ctx in contexts.values())
+        for u, ctx in contexts.items():
+            expected = random.Random(split_seed(1, "node", u))
+            assert ctx.rng is ctx.rng
+            assert [ctx.rng.random() for _ in range(3)] == [
+                expected.random() for _ in range(3)
+            ]
+
+    def test_a_given_stream_is_used_as_is(self):
+        rng = random.Random(5)
+        ctx = NodeContext(index=0, node_id=9, neighbors=(), neighbor_ids={}, rng=rng)
+        assert ctx.rng is rng
 
 
 class TestTermination:

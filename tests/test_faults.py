@@ -43,11 +43,14 @@ from repro.runner import (
     SweepJournal,
     SweepRunner,
 )
+from repro.runner import journal as journal_module
+from repro.runner.artifacts import atomic_write_text
 from repro.runner.distributed.worker import WorkerDaemon
 from repro.runner.journal import (
     HUB_FILE,
     RUNNER_FILE,
     incomplete_journals,
+    read_journal,
     sweep_identity,
 )
 from repro.scenarios import Scenario
@@ -246,6 +249,18 @@ def _role_journal(role, directory, configs):
     return journal, file_name.format("*"), begin
 
 
+def _count_document_writes(monkeypatch):
+    """The paths the journal module writes documents to, as it writes them."""
+    writes = []
+
+    def counting_write(path, text):
+        writes.append(path)
+        atomic_write_text(path, text)
+
+    monkeypatch.setattr(journal_module, "atomic_write_text", counting_write)
+    return writes
+
+
 def _umask():
     mask = os.umask(0)
     os.umask(mask)
@@ -340,6 +355,81 @@ class TestSweepJournal:
             journal.finish()
         assert len(list(tmp_path.iterdir())) == 2
         assert [p.name for p in tmp_path.glob("*.tmp")] == []
+
+    @pytest.mark.parametrize("role", JOURNAL_ROLES)
+    @pytest.mark.parametrize("size", [3, 40])
+    def test_completions_append_one_line_each(self, tmp_path, monkeypatch, role, size):
+        # The document is written at begin and at finish, whatever the
+        # sweep's size; each completion in between is one appended line.
+        writes = _count_document_writes(monkeypatch)
+        journal, _, begin = _role_journal(role, tmp_path, _configs(size))
+        begin()
+        inode = journal.path.stat().st_ino
+        for index in range(size):
+            journal.mark_done(index, cached=index % 2 == 0)
+        assert writes == [journal.path]
+        assert journal.path.stat().st_ino == inode
+        assert len(journal.log_path.read_text(encoding="utf-8").splitlines()) == size
+        state = journal.load()
+        assert state["done"] == list(range(size))
+        assert state["cached"] == list(range(0, size, 2))
+        journal.finish()
+        assert writes == [journal.path] * 2
+        assert not journal.log_path.exists()
+        on_disk = json.loads(journal.path.read_text(encoding="utf-8"))
+        assert on_disk == journal.load()
+        assert on_disk["complete"] and on_disk["done"] == list(range(size))
+
+    @pytest.mark.parametrize("size", [3, 24])
+    def test_runner_writes_its_journal_document_twice(self, tmp_path, monkeypatch, size):
+        configs = _configs(size)
+        SweepRunner(artifact_dir=tmp_path).run(configs[: size // 3])
+        writes = _count_document_writes(monkeypatch)
+        SweepRunner(artifact_dir=tmp_path).run(configs)
+        journal = SweepJournal.for_configs(tmp_path, configs)
+        assert writes == [journal.path] * 2
+        assert not journal.log_path.exists()
+        state = journal.load()
+        assert state["complete"] and state["done"] == list(range(size))
+        assert state["cached"] == list(range(size // 3))
+
+    @pytest.mark.parametrize("role", JOURNAL_ROLES)
+    def test_a_torn_last_log_line_is_ignored(self, tmp_path, role):
+        journal, pattern, begin = _role_journal(role, tmp_path, _configs())
+        begin()
+        journal.mark_done(0)
+        journal.mark_done(2, cached=True)
+        with journal.log_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"done": [1], "cach')
+        state = journal.load()
+        assert state["done"] == [0, 2] and state["cached"] == [2]
+        assert incomplete_journals(tmp_path, pattern) == [state]
+
+    @pytest.mark.parametrize("role", JOURNAL_ROLES)
+    def test_fail_folds_the_log_into_the_document(self, tmp_path, role):
+        journal, _, begin = _role_journal(role, tmp_path, _configs())
+        begin()
+        journal.mark_done(1, cached=True)
+        journal.mark_done(0)
+        journal.fail("BrokerError('boom')")
+        assert not journal.log_path.exists()
+        state = json.loads(journal.path.read_text(encoding="utf-8"))
+        assert state["done"] == [0, 1] and state["cached"] == [1]
+        assert state["error"] == "BrokerError('boom')" and not state["complete"]
+
+    @pytest.mark.parametrize("role", JOURNAL_ROLES)
+    def test_restart_empties_the_completion_state(self, tmp_path, role):
+        journal, pattern, begin = _role_journal(role, tmp_path, _configs())
+        begin()
+        journal.mark_done(0, cached=True)
+        journal.mark_done(1)
+        prior = begin(restart=True)
+        assert prior["done"] == [0, 1] and prior["cached"] == [0]
+        assert not journal.log_path.exists()
+        state = journal.load()
+        assert state["done"] == [] and state["cached"] == []
+        # A fresh scan (a restarted hub) agrees.
+        assert incomplete_journals(tmp_path, pattern) == [state]
 
     def test_concurrent_marks_lose_no_completion(self, tmp_path):
         # The hub marks completions from one thread per worker connection.
@@ -457,7 +547,10 @@ class TestSweepJournal:
         (adopted,) = hub.adopt_journaled()
         assert adopted["identity"] == identity and adopted["name"] == "tenant"
         assert (adopted["total"], adopted["cached"]) == (3, 1)
-        state = json.loads(path.read_text(encoding="utf-8"))
+        assert set(json.loads(path.read_text(encoding="utf-8"))) == set(document)
+        # The prefill's completions sit in the log until the sweep ends;
+        # every reader folds them in.
+        state = read_journal(path)
         assert set(state) == set(document)
         # Done restarts from what the store backs, not from the old list.
         assert state["done"] == [1] and state["cached"] == [1]

@@ -56,7 +56,7 @@ from repro.runner.distributed.protocol import (
 )
 from repro.runner.faults import CRASH_EXIT_CODE
 from repro.runner.hub.client import HubSubmission
-from repro.runner.journal import HUB_FILE, incomplete_journals
+from repro.runner.journal import HUB_FILE, incomplete_journals, read_journal
 
 #: tests/test_hub_ha.py -> repository root (for subprocess cwd).
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,8 +130,9 @@ def _raw_submit(address, items, *, name=""):
 # tests/test_faults.py)
 # --------------------------------------------------------------------------- #
 def _state_file(state_dir):
+    """The one state document, its completion log folded in."""
     (path,) = state_dir.glob("hub-*.state.json")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return read_journal(path)
 
 
 def _hub_journal(state_dir, identity, items, **fields):

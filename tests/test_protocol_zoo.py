@@ -31,6 +31,7 @@ from repro.protocols import (
 from repro.runner.distributed import DistributedBackend
 from repro.runner.sweep import SweepRunner
 from repro.scenarios import PROTOCOLS, Scenario, ScenarioSuite, materialize
+from repro.simulator.messages import Message
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 GOLDEN = Path(__file__).parent / "golden"
@@ -201,6 +202,24 @@ class TestBenOr:
         graph = complete_graph(16)
         run = run_benor(graph, byzantine={0, 1}, seed=5, f=2)
         assert run.extra_metrics["agreement_reached"] == 1.0
+
+
+    def test_one_message_per_distinct_payload_per_run(self, monkeypatch):
+        made = []
+        make = Message.make.__func__
+
+        def counting_make(cls, kind, payload=None, **kwargs):
+            made.append(payload)
+            return make(cls, kind, payload, **kwargs)
+
+        monkeypatch.setattr(Message, "make", classmethod(counting_make))
+        graph = complete_graph(12)
+        run_benor(graph, byzantine=set(), seed=3, f=1)
+        assert made and len(made) == len(set(made))
+        # The next run builds its own messages: nothing outlives a run.
+        first = len(made)
+        run_benor(graph, byzantine=set(), seed=3, f=1)
+        assert len(made) == 2 * first
 
 
 class TestGroupedBft:
