@@ -249,11 +249,13 @@ def run_benor(
         adversary=adversary,
         seed=seed,
         max_rounds=max_rounds,
-        stop_condition=lambda protocols, _round: all(
-            p.decided for p in protocols.values()
-        ),
         churn=churn,
     )
+    # Stop once every honest node has decided, read off the engine's
+    # decision counter: BenOr never halts and decisions are irrevocable, and
+    # the engine drops a rejoiner's decision entry, so the count is exact.
+    num_honest = len(engine.protocols)
+    engine.stop_condition = lambda _protocols, _round: engine.decided_count == num_honest
     result = engine.run()
     outcome = CountingOutcome.from_run(result, evaluation_set)
     decided_phases = [

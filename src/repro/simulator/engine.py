@@ -23,14 +23,18 @@ halt (halting is permanent -- see :attr:`Protocol.halted` -- so halted nodes
 are never re-tested), and decisions are recorded incrementally as each
 protocol runs instead of re-scanning every protocol every round.
 
-Delivery is *inverted* for the dominant all-broadcast case: instead of
-appending one envelope per edge into per-target dict buckets, the engine
-stores each sender's single shared envelope in a dense per-sender array and
-each receiver materializes its inbox with one pass over its (sorted) neighbor
-tuple.  Targeted sends -- Byzantine outboxes, or rounds in which some honest
-node produced a non-broadcast outbox -- fall back to the classic per-target
-delivery, preserving exact delivery order (ascending honest senders first,
-then Byzantine senders).
+Delivery has one representation.  ``env[v]`` holds honest sender v's output
+of the previous round: one shared, sender-stamped envelope for a
+full-neighborhood :class:`Broadcast` (both counting algorithms send nothing
+else), otherwise a ``{target: [envelopes]}`` map.  Byzantine envelopes wait
+in per-receiver buckets.  Every inbox, honest or Byzantine, is built by one
+helper that walks the receiver's sorted neighbor tuple and then appends its
+Byzantine bucket, so messages arrive with honest senders ascending, each
+sender's messages in outbox order, then the Byzantine senders.  A
+broadcast-only round reads each inbox with one C-speed list comprehension.
+Under churn a message crosses only an edge that existed when it was sent
+and still exists: a cut edge leaves the walk, and an edge linked by this
+round's delta is skipped.
 """
 
 from __future__ import annotations
@@ -38,7 +42,10 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from itertools import chain
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.simulator.byzantine import Adversary, AdversaryView, ByzantineOutbox, SilentAdversary
 from repro.simulator.churn import ChurnSchedule, TopologyDelta
@@ -178,16 +185,12 @@ class SynchronousEngine:
         """Drop messages addressed to non-neighbors (protocol bug guard)."""
         if not outbox:
             return outbox
+        valid_targets = self._neighbor_sets[sender]
         if isinstance(outbox, Broadcast):
-            # The common fast path: a broadcast built straight from
-            # ``ctx.neighbors`` is valid by construction (the tuple is the
-            # engine's own); anything else is filtered per target.
-            if outbox.targets is self._contexts[sender].neighbors:
-                return outbox
-            valid_targets = self._neighbor_sets[sender]
+            # The run loop passes a Broadcast built straight from
+            # ``ctx.neighbors`` on unvalidated; any other is filtered here.
             targets = tuple(t for t in outbox.targets if t in valid_targets)
             return Broadcast(outbox.message, targets) if targets else {}
-        valid_targets = self._neighbor_sets[sender]
         cleaned: Dict[int, List[Message]] = {}
         for target, msgs in outbox.items():
             if target in valid_targets and msgs:
@@ -202,7 +205,6 @@ class SynchronousEngine:
         limit = max_rounds if max_rounds is not None else self.max_rounds
         stop = self.stop_condition
         metrics = self.metrics
-        record_broadcast = metrics.record_broadcast
         decision_rounds = metrics.decision_rounds
         nbrs = self._neighbors
         protocols_map = self._protocols
@@ -234,21 +236,44 @@ class SynchronousEngine:
             {u: {} for u in protocols_map} if track_adversary else {}
         )
 
-        # Delivery state of the *previous* round.  ``env[v]`` holds v's
-        # shared broadcast envelope (inverted delivery), ``extra`` the
-        # targeted envelopes appended after the broadcasts; ``slow`` replaces
-        # both with classic per-target buckets whenever some honest outbox
-        # was not a full-neighborhood broadcast.
-        env: List[Optional[DeliveredMessage]] = [None] * n
-        extra: Dict[int, List[Message]] = {}
-        slow: Optional[Dict[int, List[Message]]] = None
+        # Delivery state of the *previous* round (see the module docstring):
+        # ``env[v]`` is honest sender v's stamped output, ``byz_buckets[u]``
+        # the Byzantine envelopes for receiver u, and ``mapped`` is set when
+        # some ``env`` entry is a per-target map.  ``linked[u]`` holds the
+        # neighbors u gained in this round's churn delta: what they sent last
+        # round was not addressed to u.
+        env: List[object] = [None] * n
+        byz_buckets: Dict[int, List[Message]] = {}
+        mapped = False
+        linked: Dict[int, Set[int]] = {}
 
-        def run_phase(round_number: int, nodes: List[int], start: bool) -> Tuple[
-            List[Tuple[int, Outbox]], bool, bool
-        ]:
-            """Run one honest phase; returns (deliveries, fast, any_halted)."""
+        def inbox(u: int) -> List[Message]:
+            """The messages delivered to ``u`` at the end of the previous round."""
+            if mapped or u in linked:
+                skip = linked.get(u, ())
+                box: List[Message] = []
+                for v in nbrs[u]:
+                    e = env[v]
+                    if e is None or v in skip:
+                        continue
+                    if type(e) is DeliveredMessage:
+                        box.append(e)
+                    else:
+                        msgs = e.get(u)
+                        if msgs:
+                            box += msgs
+            else:
+                box = [e for v in nbrs[u] if (e := env[v]) is not None]
+            byz = byz_buckets.get(u)
+            if byz:
+                box += byz
+            return box
+
+        def run_phase(
+            round_number: int, nodes: List[int], start: bool
+        ) -> Tuple[List[Tuple[int, Outbox]], bool]:
+            """Run one honest phase; returns (deliveries, any_halted)."""
             deliveries: List[Tuple[int, Outbox]] = []
-            fast = True
             any_halted = False
             for u in nodes:
                 protocol = proto_list[u]
@@ -263,31 +288,16 @@ class SynchronousEngine:
                     pending_start.discard(u)
                     outbox = protocol.on_start(ctx)
                 else:
-                    if slow is not None:
-                        inbox = slow.get(u, [])
-                    else:
-                        inbox = [e for v in nbrs[u] if (e := env[v]) is not None]
-                        ex = extra.get(u)
-                        if ex:
-                            inbox += ex
-                    outbox = protocol.on_round(ctx, inbox)
+                    outbox = protocol.on_round(ctx, inbox(u))
                 # Dispatch without ever calling ``Broadcast.__bool__``: the
                 # dominant case is a full-neighborhood Broadcast built from
                 # the engine's own neighbor tuple, valid by construction.
-                if type(outbox) is Broadcast:
-                    targets = outbox.targets
-                    if targets is ctx.neighbors:
-                        if targets:
-                            deliveries.append((u, outbox))
-                    else:
-                        outbox = self._validate_outbox(u, outbox)
-                        if outbox:
-                            fast = False
-                            deliveries.append((u, outbox))
-                elif outbox:
+                if type(outbox) is Broadcast and outbox.targets is ctx.neighbors:
+                    if outbox.targets:
+                        deliveries.append((u, outbox))
+                elif type(outbox) is Broadcast or outbox:
                     outbox = self._validate_outbox(u, outbox)
                     if outbox:
-                        fast = False
                         deliveries.append((u, outbox))
                 else:
                     outbox = {}
@@ -297,62 +307,18 @@ class SynchronousEngine:
                     decision_rounds[u] = round_number
                 if protocol.halted:
                     any_halted = True
-            return deliveries, fast, any_halted
+            return deliveries, any_halted
 
-        def deliver_fast(
-            deliveries: List[Tuple[int, Outbox]]
-        ) -> List[Optional[DeliveredMessage]]:
-            """Inverted delivery: one shared envelope per broadcasting sender.
-
-            Receivers materialize their inboxes with one pass over their
-            neighbor tuples, so a broadcast round costs one envelope and one
-            accounting update per *sender* here plus one C-speed list
-            comprehension per *receiver*, instead of per-edge dict bucket
-            updates.  The metrics totals are accumulated locally and flushed
-            once per round (``record_broadcast``, inlined and batched).
-            """
-            new_env: List[Optional[DeliveredMessage]] = [None] * n
-            if not deliveries:
-                return new_env
-            per_node = metrics.per_node
-            round_messages = 0
-            round_bits = 0
-            for u, outbox in deliveries:
-                message = outbox.message
-                stamped = DeliveredMessage(message, u, node_ids[u])
-                new_env[u] = stamped
-                copies = len(outbox.targets)
-                bits = message.size_bits
-                ids = message.num_ids
-                round_messages += copies
-                round_bits += bits * copies
-                stats = per_node.get(u)
-                if stats is None:
-                    stats = per_node[u] = NodeMessageStats()
-                stats.messages_sent += copies
-                stats.bits_sent += bits * copies
-                stats.ids_sent += ids * copies
-                if bits > stats.max_message_bits:
-                    stats.max_message_bits = bits
-                if ids > stats.max_message_ids:
-                    stats.max_message_ids = ids
-            metrics.total_messages += round_messages
-            metrics.total_bits += round_bits
-            metrics.messages_per_round[-1] += round_messages
-            return new_env
-
-        def deliver_targeted(
+        def stamp(
             sender: int,
             outbox: Mapping[int, List[Message]],
             buckets: Dict[int, List[Message]],
-        ) -> None:
-            """Classic per-target delivery of one outbox into ``buckets``.
+        ) -> Iterable[List]:
+            """Append ``outbox``'s envelopes to ``buckets``, one per target.
 
             One envelope per distinct outbox message: a message object put
-            in several targets' lists is delivered as a single shared,
-            sender-stamped envelope instead of one clone per edge, and is
-            accounted once with its delivery count.  Delivered messages are
-            read-only by contract.
+            in several targets' lists is one shared, sender-stamped envelope.
+            Returns the ``[envelope, copies]`` pairs for accounting.
             """
             sender_id = node_ids[sender]
             envelopes: Dict[int, List] = {}
@@ -369,51 +335,61 @@ class SynchronousEngine:
                         ]
                     entry[1] += 1
                     bucket.append(entry[0])
-            for stamped, copies in envelopes.values():
-                record_broadcast(sender, stamped, copies)
+            return envelopes.values()
 
-        def deliver_slow(
+        def deliver(
             deliveries: List[Tuple[int, Outbox]], byz_outboxes: ByzantineOutbox
-        ) -> Dict[int, List[Message]]:
-            """Classic delivery for rounds with non-broadcast honest outboxes.
+        ) -> None:
+            """Stamp, store and account the outboxes of one round.
 
-            A Broadcast is one shared envelope for all its targets; every
-            other outbox goes through :func:`deliver_targeted`.
+            A full-neighborhood Broadcast is one shared envelope in ``env``;
+            any other honest outbox becomes a per-target map there, and
+            Byzantine outboxes fill ``byz_buckets``.  Every envelope is
+            accounted once with its delivery count; the metrics totals are
+            accumulated locally and flushed once per round.  Delivered
+            messages are read-only by contract.
             """
-            inboxes: Dict[int, List[Message]] = {}
-            for sender, outbox in deliveries:
-                if isinstance(outbox, Broadcast):
-                    targets = outbox.targets
-                    if not targets:
-                        continue
-                    stamped = DeliveredMessage(outbox.message, sender, node_ids[sender])
-                    for target in targets:
-                        bucket = inboxes.get(target)
-                        if bucket is None:
-                            bucket = inboxes[target] = []
-                        bucket.append(stamped)
-                    record_broadcast(sender, stamped, len(targets))
+            nonlocal env, byz_buckets, mapped
+            env = [None] * n
+            byz_buckets = {}
+            mapped = False
+            per_node = metrics.per_node
+            round_messages = 0
+            round_bits = 0
+            for u, outbox in chain(deliveries, byz_outboxes.items()):
+                if type(outbox) is Broadcast and outbox.targets is nbrs[u]:
+                    stamped = env[u] = DeliveredMessage(outbox.message, u, node_ids[u])
+                    sent: Iterable = ((stamped, len(outbox.targets)),)
+                elif u in byzantine:
+                    sent = stamp(u, outbox, byz_buckets)
                 else:
-                    deliver_targeted(sender, outbox, inboxes)
-            for sender, outbox in byz_outboxes.items():
-                deliver_targeted(sender, outbox, inboxes)
-            return inboxes
+                    mapped = True
+                    per_target: Dict[int, List[Message]] = {}
+                    env[u] = per_target
+                    sent = stamp(u, outbox, per_target)
+                for stamped, copies in sent:
+                    bits = stamped.size_bits
+                    ids = stamped.num_ids
+                    round_messages += copies
+                    round_bits += bits * copies
+                    stats = per_node.get(u)
+                    if stats is None:
+                        stats = per_node[u] = NodeMessageStats()
+                    stats.messages_sent += copies
+                    stats.bits_sent += bits * copies
+                    stats.ids_sent += ids * copies
+                    if bits > stats.max_message_bits:
+                        stats.max_message_bits = bits
+                    if ids > stats.max_message_ids:
+                        stats.max_message_ids = ids
+            metrics.total_messages += round_messages
+            metrics.total_bits += round_bits
+            metrics.messages_per_round[-1] += round_messages
 
         def adversary_step(round_number: int) -> ByzantineOutbox:
             if not track_adversary:
                 return {}
-            # Byzantine inboxes are materialized from the previous round's
-            # delivery state exactly like honest inboxes.
-            byz_inboxes: Dict[int, List[Message]] = {}
-            for b in byzantine:
-                if slow is not None:
-                    byz_inboxes[b] = slow.get(b, [])
-                else:
-                    inbox = [e for v in nbrs[b] if (e := env[v]) is not None]
-                    ex = extra.get(b)
-                    if ex:
-                        inbox += ex
-                    byz_inboxes[b] = inbox
+            byz_inboxes = {b: inbox(b) for b in byzantine}
             # Departed nodes are invisible to the adversary: no protocol
             # state, no outbox entry (``adv_outboxes`` already dropped the
             # key at departure).  Static runs never take the filtered branch.
@@ -485,19 +461,18 @@ class SynchronousEngine:
                 return u
 
             def purge_in_flight(receiver: int, sender: int) -> None:
-                # Drop last round's not-yet-consumed envelopes crossing the
-                # removed edge.  Inverted (fast) delivery drops the broadcast
-                # automatically once ``sender`` leaves ``nbrs[receiver]``;
-                # only the targeted buckets need explicit filtering.
-                buckets = slow if slow is not None else extra
-                bucket = buckets.get(receiver)
+                # Drop last round's Byzantine envelopes crossing the removed
+                # edge.  Honest ones need nothing: ``inbox`` walks the
+                # receiver's current neighbor tuple, which no longer holds
+                # ``sender``.
+                bucket = byz_buckets.get(receiver)
                 if bucket:
                     kept = [e for e in bucket if e.sender != sender]
                     if len(kept) != len(bucket):
                         if kept:
-                            buckets[receiver] = kept
+                            byz_buckets[receiver] = kept
                         else:
-                            del buckets[receiver]
+                            del byz_buckets[receiver]
 
             def cut_edge(a: int, b: int) -> None:
                 nonlocal events
@@ -533,6 +508,7 @@ class SynchronousEngine:
                     removed = removed_map.get(x)
                     if not (removed and removed.pop(y, None) is not None):
                         added_map.setdefault(x, {})[y] = node_ids[y]
+                    linked.setdefault(x, set()).add(y)
 
             # Joins are resolved before the leaves apply: only a previously
             # departed node may (re)join.
@@ -563,12 +539,8 @@ class SynchronousEngine:
                         # an entry for this node at all (a halted node keeps
                         # its {} entry).
                         adv_outboxes.pop(u, None)
-                # Drop the node's own in-flight broadcast and its inbox.
-                env[u] = None
-                if slow is not None:
-                    slow.pop(u, None)
-                else:
-                    extra.pop(u, None)
+                # Cutting every incident edge above already dropped the
+                # node's in-flight messages in both directions.
 
             for a, b in delta.remove_edges:
                 cut_edge(check_index(a), check_index(b))
@@ -622,18 +594,13 @@ class SynchronousEngine:
 
         def execute_round(round_number: int, start: bool) -> None:
             """The honest phase, the adversary phase and delivery of one round."""
-            nonlocal env, extra, slow, active
+            nonlocal active
             metrics.start_round()
-            deliveries, fast, any_halted = run_phase(round_number, active, start)
+            deliveries, any_halted = run_phase(round_number, active, start)
             byz_outboxes = adversary_step(round_number)
-            if fast:
-                env = deliver_fast(deliveries)
-                extra = {}
-                slow = None
-                for b, per_target in byz_outboxes.items():
-                    deliver_targeted(b, per_target, extra)
-            else:
-                slow = deliver_slow(deliveries, byz_outboxes)
+            if linked:
+                linked.clear()
+            deliver(deliveries, byz_outboxes)
             if any_halted:
                 active = compact_active(active)
 

@@ -92,10 +92,10 @@ class SimulationMetrics:
     def record_broadcast(self, node: int, message: Message, copies: int) -> None:
         """Account ``copies`` deliveries of one message sent by ``node``.
 
-        The engine calls this once per (sender, outbox message) pair with the
-        number of edges the message crossed; it is equivalent to ``copies``
-        individual :meth:`record_send` calls.  Raises ``RuntimeError`` before
-        the first :meth:`start_round` (see :meth:`record_send`).
+        Equivalent to ``copies`` individual :meth:`record_send` calls (the
+        engine's delivery step does the same accounting inline, batched per
+        round).  Raises ``RuntimeError`` before the first
+        :meth:`start_round` (see :meth:`record_send`).
         """
         if not self.messages_per_round:
             raise RuntimeError(
@@ -110,8 +110,7 @@ class SimulationMetrics:
         stats = self.per_node.get(node)
         if stats is None:
             stats = self.per_node[node] = NodeMessageStats()
-        # ``NodeMessageStats.record_many``, inlined (this is called once per
-        # (sender, outbox message) pair on the delivery hot path).
+        # ``NodeMessageStats.record_many``, inlined.
         stats.messages_sent += copies
         stats.bits_sent += bits * copies
         stats.ids_sent += ids * copies

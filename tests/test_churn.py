@@ -5,7 +5,7 @@ metrics (``rounds_to_reconverge`` / ``stale_estimate_error``)."""
 
 import json
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -25,7 +25,7 @@ from repro.simulator.engine import SynchronousEngine
 from repro.simulator.messages import Message
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.network import Network
-from repro.simulator.node import NodeContext, Outbox, Protocol
+from repro.simulator.node import Broadcast, NodeContext, Outbox, Protocol
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
@@ -51,23 +51,54 @@ class ProbeProtocol(Protocol):
     def estimate(self):
         return 1.0 if self._decided else None
 
-    def on_start(self, ctx: NodeContext) -> Outbox:
-        self.started_at = ctx.round
+    def send(self, ctx: NodeContext) -> Outbox:
         msg = Message.make("probe", ctx.round)
         return {v: [msg.clone()] for v in ctx.neighbors}
+
+    def on_start(self, ctx: NodeContext) -> Outbox:
+        self.started_at = ctx.round
+        return self.send(ctx)
 
     def on_round(self, ctx: NodeContext, inbox) -> Outbox:
         self.inbox_log.append((ctx.round, tuple(sorted(m.sender for m in inbox))))
         if ctx.round >= self.halt_round:
             self._decided = True
             return {}
-        msg = Message.make("probe", ctx.round)
-        return {v: [msg.clone()] for v in ctx.neighbors}
+        return self.send(ctx)
 
     def on_topology_change(self, ctx, added_neighbors, removed_neighbors) -> None:
         self.topology_log.append(
             (ctx.round, tuple(sorted(added_neighbors)), tuple(sorted(removed_neighbors)))
         )
+
+
+class BroadcastProbeProtocol(ProbeProtocol):
+    """The probe, sending each round's message as one ``Broadcast``."""
+
+    def send(self, ctx: NodeContext) -> Outbox:
+        return Broadcast(Message.make("probe", ctx.round), ctx.neighbors)
+
+
+class IndexRoundProtocol(Protocol):
+    """Sends ``(index, round)`` to every neighbor each round, as a
+    ``Broadcast`` or (``as_dict``) as a dict outbox; logs inbox payloads."""
+
+    def __init__(self, ctx: NodeContext, as_dict: bool = False) -> None:
+        self.as_dict = as_dict
+        self.inbox_log: Dict[int, List[Tuple[int, int]]] = {}
+
+    decided = False
+    estimate = None
+
+    def on_start(self, ctx: NodeContext) -> Outbox:
+        return self.on_round(ctx, [])
+
+    def on_round(self, ctx: NodeContext, inbox) -> Outbox:
+        self.inbox_log[ctx.round] = [m.payload for m in inbox]
+        msg = Message.make("index-round", (ctx.index, ctx.round))
+        if self.as_dict:
+            return {v: [msg] for v in ctx.neighbors}
+        return Broadcast(msg, ctx.neighbors)
 
 
 class SpyAdversary(Adversary):
@@ -83,10 +114,12 @@ class SpyAdversary(Adversary):
         return {}
 
 
-def run_probe(graph, churn, *, byzantine=frozenset(), rounds=8, adversary=None):
+def run_probe(
+    graph, churn, *, byzantine=frozenset(), rounds=8, adversary=None, protocol=ProbeProtocol
+):
     engine = SynchronousEngine(
         Network(graph, byzantine),
-        ProbeProtocol,
+        protocol,
         adversary=adversary,
         seed=0,
         churn=churn,
@@ -175,6 +208,39 @@ class TestEngineChurn:
         _, result2 = run_probe(graph, churn2, rounds=4)
         assert result2.metrics.churn_events == 0
         assert result2.metrics.last_churn_round is None
+
+    def test_edge_addition_delivers_broadcasts_from_the_next_round_on(self):
+        # The same chord, with every node sending one Broadcast a round: a
+        # broadcast sent in round 2, before the edge existed, never crosses it.
+        graph = path_graph(3)
+        churn = ChurnSchedule.from_events({3: {"add_edges": [(0, 2)]}})
+        engine, result = run_probe(graph, churn, rounds=6, protocol=BroadcastProbeProtocol)
+        p0, p2 = engine.protocols[0], engine.protocols[2]
+        assert p0.topology_log == [(2, (2,), ())]
+        assert any(0 in senders for r, senders in p2.inbox_log if r >= 4)
+        assert all(0 not in senders for r, senders in p2.inbox_log if r < 4)
+        assert all(2 not in senders for r, senders in p0.inbox_log if r < 4)
+
+    @pytest.mark.parametrize("dict_sender", [None, 0], ids=["broadcast", "dict-outbox"])
+    def test_new_edge_carries_no_message_sent_before_it_existed(self, dict_sender):
+        # Path 0-1-2-3 gains (3, 0) before round 2.  Node 3's round-1 message
+        # went to node 2 only, so node 0's round-2 inbox holds node 1's alone,
+        # whichever outbox shape node 0 itself sends.
+        graph = path_graph(4)
+        churn = ChurnSchedule.from_events({2: {"add_edges": [(3, 0)]}})
+        engine = SynchronousEngine(
+            Network(graph, frozenset()),
+            lambda ctx: IndexRoundProtocol(ctx, as_dict=ctx.index == dict_sender),
+            churn=churn,
+            stop_condition=lambda protocols, executed: executed >= 3,
+        )
+        result = engine.run()
+        p0 = engine.protocols[0]
+        assert p0.inbox_log[2] == [(1, 1)]
+        assert p0.inbox_log[3] == [(1, 2), (3, 2)]
+        # 3 edges in rounds 0 and 1, 4 edges in rounds 2 and 3.
+        assert result.metrics.messages_per_round == [6, 6, 8, 8]
+        assert result.metrics.total_messages == 28
 
     def test_leave_is_departed_not_halted(self):
         graph = cycle_graph(6)
