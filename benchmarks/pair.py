@@ -167,8 +167,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pairs.append((docs["base"], docs["change"]))
             rates = {side: doc["metrics"].get("cells_per_s", {}).get("value")
                      for side, doc in docs.items()}
+            # Attempted cells are the table size times the passes a run fitted.
             print(f"[bench-pair] pair {index + 1}/{args.pairs} ({order[0]} first): "
-                  f"cells_per_s base {rates['base']} change {rates['change']}", flush=True)
+                  f"cells_per_s base {rates['base']} change {rates['change']} "
+                  f"attempted base {docs['base'].get('attempted')} "
+                  f"change {docs['change'].get('attempted')}", flush=True)
     print(f"[bench-pair] base={args.base} workload={args.workload} seed={args.seed} "
           f"pairs={args.pairs} seconds={seconds:g}")
     print(render(summarize(pairs, spec["end_to_end"]), failures(pairs)))

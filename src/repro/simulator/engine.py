@@ -237,19 +237,19 @@ class SynchronousEngine:
         )
 
         # Delivery state of the *previous* round (see the module docstring):
-        # ``env[v]`` is honest sender v's stamped output, ``byz_buckets[u]``
-        # the Byzantine envelopes for receiver u, and ``mapped`` is set when
-        # some ``env`` entry is a per-target map.  ``linked[u]`` holds the
+        # ``env[v]`` is honest sender v's stamped output and ``byz_buckets[u]``
+        # the Byzantine envelopes for receiver u.  ``linked[u]`` holds the
         # neighbors u gained in this round's churn delta: what they sent last
-        # round was not addressed to u.
+        # round was not addressed to u.  ``walk`` is set when some ``env``
+        # entry is a per-target map or ``linked`` is not empty.
         env: List[object] = [None] * n
         byz_buckets: Dict[int, List[Message]] = {}
-        mapped = False
         linked: Dict[int, Set[int]] = {}
+        walk = False
 
         def inbox(u: int) -> List[Message]:
             """The messages delivered to ``u`` at the end of the previous round."""
-            if mapped or u in linked:
+            if walk:
                 skip = linked.get(u, ())
                 box: List[Message] = []
                 for v in nbrs[u]:
@@ -292,10 +292,16 @@ class SynchronousEngine:
                 # Dispatch without ever calling ``Broadcast.__bool__``: the
                 # dominant case is a full-neighborhood Broadcast built from
                 # the engine's own neighbor tuple, valid by construction.
-                if type(outbox) is Broadcast and outbox.targets is ctx.neighbors:
-                    if outbox.targets:
-                        deliveries.append((u, outbox))
-                elif type(outbox) is Broadcast or outbox:
+                if type(outbox) is Broadcast:
+                    targets = outbox.targets
+                    if targets is ctx.neighbors:
+                        if targets:
+                            deliveries.append((u, outbox))
+                    else:
+                        outbox = self._validate_outbox(u, outbox)
+                        if outbox:
+                            deliveries.append((u, outbox))
+                elif outbox:
                     outbox = self._validate_outbox(u, outbox)
                     if outbox:
                         deliveries.append((u, outbox))
@@ -349,10 +355,10 @@ class SynchronousEngine:
             accumulated locally and flushed once per round.  Delivered
             messages are read-only by contract.
             """
-            nonlocal env, byz_buckets, mapped
+            nonlocal env, byz_buckets, walk
             env = [None] * n
             byz_buckets = {}
-            mapped = False
+            walk = False
             per_node = metrics.per_node
             round_messages = 0
             round_bits = 0
@@ -363,7 +369,7 @@ class SynchronousEngine:
                 elif u in byzantine:
                     sent = stamp(u, outbox, byz_buckets)
                 else:
-                    mapped = True
+                    walk = True
                     per_target: Dict[int, List[Message]] = {}
                     env[u] = per_target
                     sent = stamp(u, outbox, per_target)
@@ -492,7 +498,7 @@ class SynchronousEngine:
                     purge_in_flight(x, y)
 
             def link_edge(a: int, b: int) -> None:
-                nonlocal events
+                nonlocal events, walk
                 if a in departed or b in departed or a == b:
                     return
                 if b in neighbor_sets[a]:
@@ -509,6 +515,7 @@ class SynchronousEngine:
                     if not (removed and removed.pop(y, None) is not None):
                         added_map.setdefault(x, {})[y] = node_ids[y]
                     linked.setdefault(x, set()).add(y)
+                walk = True
 
             # Joins are resolved before the leaves apply: only a previously
             # departed node may (re)join.
