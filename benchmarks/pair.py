@@ -16,6 +16,11 @@ change medians, their ratio (change / base), the pairs the change won (better
 in the metric's direction), and the quartiles of both sides; then every run
 whose ``failed`` count is not zero.  A speed claim needs the change to win
 most pairs and its median to clear the spread of the base's quartiles.
+
+Each run starts in its own session.  When the run ends, fails, or the script
+gets SIGTERM or SIGINT, the run's whole process group (the loopback workers
+a ``sweep-mixed`` run forks included) is killed and waited for, and the
+exported base tree is removed, so nothing the script started outlives it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -130,10 +137,42 @@ def last_document(stdout: str) -> dict:
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """Run ``tree``'s perfbench once and return its JSON document.
+
+    The run leads its own process group, which is killed and reaped however
+    this call ends (an exception raised by the signal handler included).
+    Output goes to files, not pipes: a forked worker holding a pipe open
+    would keep a read from ending after the run itself exited.
+    """
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=True)
-    return last_document(done.stdout)
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        child = subprocess.Popen(command, cwd=tree, stdout=out, stderr=err, text=True,
+                                 start_new_session=True)
+        try:
+            child.wait()
+        finally:
+            kill_group(child)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, command, stdout, stderr)
+    return last_document(stdout)
+
+
+def kill_group(child: subprocess.Popen) -> None:
+    """SIGKILL every process left in ``child``'s process group and reap ``child``."""
+    try:
+        os.killpg(child.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    child.wait()
+
+
+def _interrupted(signum: int, frame) -> None:
+    # Unwinds through ``run_perfbench`` and the temporary directory.
+    raise SystemExit(128 + signum)
 
 
 def export(rev: str, into: Path) -> None:
@@ -151,6 +190,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _interrupted)
+    signal.signal(signal.SIGINT, _interrupted)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]

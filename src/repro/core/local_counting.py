@@ -50,13 +50,14 @@ Implementation notes
   large simulations needlessly slow.  Message sizes still grow with the
   frontier (Θ(Δ^i) identifiers), preserving the paper's point that
   Algorithm 1 is *not* a small-message algorithm (experiment E10).
-  A view keeps its pending delta as two masks, one of record ids and one of
-  vertex slots (see below).  The sender turns them into the payload once per
-  round: claim entries in record-id order, vertex ids in slot order, and the
-  size accounting summed from per-record and per-slot costs.  The payload is
-  a private tuple subclass that also carries four masks: the record ids,
-  the vertex slots, the claiming nodes and the span (every vertex of the
-  claims, plus the vertex slots).  A receiver ORs the masks of every such
+  A view keeps its pending delta as masks: the record ids, the vertex
+  slots, and, carried along as records are added, the claiming nodes and
+  the claims' span (every vertex of the claims).  The sender sums the size
+  accounting from per-record and per-slot costs and hands out the four
+  masks (the span plus the vertex slots) as the payload: a private
+  tuple-like object that stands for ``(entries, vertex_ids)``, claim
+  entries in record-id order and vertex ids in slot order, and builds that
+  tuple only if something reads it.  A receiver ORs the masks of every such
   payload in its inbox.  When none of the claiming nodes made two valid
   claims in the run and no valid claim exceeds the degree bound, every
   unseen claim settles, so the merge is mask operations only: ``new =
@@ -91,7 +92,7 @@ import math
 from functools import reduce
 from itertools import compress, groupby
 from operator import attrgetter, or_
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.estimate import CountingOutcome, ProtocolRun
 from repro.core.parameters import LocalParameters
@@ -99,7 +100,7 @@ from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
 from repro.graphs.graph import Graph
 from repro.simulator.engine import SynchronousEngine
-from repro.simulator.messages import Message
+from repro.simulator.messages import LazyTuple, Message
 from repro.simulator.network import Network
 from repro.simulator.node import Broadcast, NodeContext, Outbox, Protocol
 
@@ -119,6 +120,7 @@ ClaimEntry = Tuple[int, Tuple[int, ...]]
 #: ``bytes.translate`` table turning a string of binary digits into 0/1 bytes.
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _RBIT = attrgetter("rbit")
+_BIT = attrgetter("bit")
 _SLOT = attrgetter("slot")
 _VMASK = attrgetter("vmask")
 _ENTRY = attrgetter("entry")
@@ -185,27 +187,38 @@ class _ClaimRecord:
             self.num_ids = 0
 
 
-class _Delta(tuple):
-    """An honest node's delta payload ``(entries, vertex_ids)`` plus its masks.
+class _Delta(LazyTuple):
+    """An honest node's delta payload ``(entries, vertex_ids)``, kept as masks.
 
     ``records`` is the record-id mask of the claim entries and ``slots`` the
     vertex-slot mask of the vertex ids; ``nodes`` is the slot mask of the
     claiming nodes and ``span`` the OR of the claims' vertex masks and
     ``slots``.  Only :meth:`LocalCountingProtocol._delta_message` builds
-    one, from its view's masks, so the entries always equal the masks;
-    receivers integrate it by its masks alone.  It is still a real tuple,
-    so adversaries, the engine and message accounting see an ordinary
-    payload.
+    one, from the masks its view carries for the pending delta, and
+    receivers integrate it by its masks alone.  The ``(entries,
+    vertex_ids)`` tuple it stands for (claim entries in record-id order,
+    vertex ids in slot order) is built only when something reads it:
+    iterating, indexing, comparing and ``estimate_payload_bits`` see that
+    tuple (see :class:`~repro.simulator.messages.LazyTuple`).  No honest
+    receiver and no shipped adversary reads it.
     """
 
-    def __new__(cls, entries: Tuple[ClaimEntry, ...], vertex_ids: Tuple[int, ...],
-                records: int, slots: int, nodes: int, span: int) -> "_Delta":
-        payload = tuple.__new__(cls, (entries, vertex_ids))
-        payload.records = records
-        payload.slots = slots
-        payload.nodes = nodes
-        payload.span = span
-        return payload
+    __slots__ = ("records", "slots", "nodes", "span", "_interner")
+
+    def __init__(self, interner: "ClaimInterner", records: int, slots: int,
+                 nodes: int, span: int) -> None:
+        self._interner = interner
+        self.records = records
+        self.slots = slots
+        self.nodes = nodes
+        self.span = span
+
+    def build(self) -> TopologyDelta:
+        interner = self._interner
+        return (
+            tuple(map(interner.entries.__getitem__, interner.bits(self.records))),
+            tuple(map(interner.ids.__getitem__, interner.bits(self.slots))),
+        )
 
 
 class ClaimInterner:
@@ -245,12 +258,18 @@ class ClaimInterner:
     so views read their adjacency off ``cmask``, ``asym`` and ``grev`` and
     only treat conflicted nodes claim by claim (see
     :meth:`LocalView._derive`).
+
+    ``cmask[j]`` is written once, at slot ``j``'s first valid claim, so the
+    OR of ``cmask`` over a mask of claimed slots never changes again:
+    :meth:`claims_union` memoizes it for the run in ``unions``.  A view's
+    merge computes it for the nodes it just settled, and the view's next
+    BFS step over that same newest ring reads it back.
     """
 
     __slots__ = (
         "by_id", "by_value", "records", "slot_of", "ids", "vertex_bits", "grev",
         "first", "cmask", "asym", "asym_slots", "claimed", "conflicted", "max_size",
-        "positions", "pinned", "entries", "node_bits", "vmasks", "costs",
+        "positions", "pinned", "entries", "costs", "unions",
     )
 
     def __init__(self) -> None:
@@ -276,18 +295,42 @@ class ClaimInterner:
         # are never reused by another object.
         self.pinned: List[ClaimEntry] = []
         # Per-record-id copies of what a delta message reads off a record:
-        # its entry, its node's slot bit, its ``vmask`` and its accounting
-        # packed as ``bits | num_ids << 32`` (a delta's bits stay far below
-        # 2**32, so one sum of packed costs adds both fields).
+        # its entry and its accounting packed as ``bits | num_ids << 32``
+        # (a delta's bits stay far below 2**32, so one sum of packed costs
+        # adds both fields).
         self.entries: List[ClaimEntry] = []
-        self.node_bits: List[int] = []
-        self.vmasks: List[int] = []
         self.costs: List[int] = []
+        # ``claims_union`` results by slot mask (see the class docstring).
+        self.unions: Dict[int, int] = {}
 
-    def bits(self, mask: int) -> Iterator[int]:
+    def bits(self, mask: int) -> Iterable[int]:
         """Positions of the set bits of a slot or record-id ``mask``, lowest
-        first (a C-level scan)."""
+        first.
+
+        A sparse mask (under one set bit in ten positions) is peeled one
+        top bit at a time; any other is scanned by a C-level pass over
+        every position up to its highest bit.
+        """
+        if mask.bit_count() * 10 < mask.bit_length():
+            found = []
+            while mask:
+                top = mask.bit_length() - 1
+                found.append(top)
+                mask ^= 1 << top
+            found.reverse()
+            return found
         return compress(self.positions, bin(mask)[:1:-1].encode().translate(_BIT_DIGITS))
+
+    def claims_union(self, mask: int) -> int:
+        """OR of ``cmask`` over the slots of ``mask``, memoized for the run.
+
+        Every slot of ``mask`` must already hold a valid claim (callers pass
+        settled or claimed slots), so the result can never change.
+        """
+        union = self.unions.get(mask)
+        if union is None:
+            union = self.unions[mask] = reduce(or_, map(self.cmask.__getitem__, self.bits(mask)), 0)
+        return union
 
     def slot(self, node_id: int) -> int:
         """Run-wide slot of ``node_id``, allocating one on first sight."""
@@ -384,8 +427,6 @@ class ClaimInterner:
         record.mask = mask
         record.vmask = bit | mask
         self.entries.append(record.entry)
-        self.node_bits.append(bit)
-        self.vmasks.append(record.vmask)
         self.costs.append(record.bits | record.num_ids << 32)
         if self.claimed & bit:
             self.conflicted |= bit
@@ -415,12 +456,17 @@ class LocalView:
     shared :class:`_ClaimRecord`; only nodes with conflicting claims in the
     run can have an override, so on a run without them the dict stays
     empty and settling a claim is a mask operation.  :meth:`_record`
-    resolves a slot for every reader.  Its pending delta is two more masks:
-    ``delta_records`` (record ids) and ``delta_vertices`` (vertex slots)
-    hold what the view learned and its owner has not broadcast yet.
-    :meth:`integrate` adds to them; the owner takes them when it broadcasts
-    and may add to them for a re-broadcast (:meth:`rebroadcast`).  They
-    start as ``B̂(u, 1)``: the owner's own claim and its neighbors.
+    resolves a slot for every reader.  Its pending delta is four more
+    masks: ``delta_records`` (record ids) and ``delta_vertices`` (vertex
+    slots) hold what the view learned and its owner has not broadcast yet,
+    and ``delta_nodes`` and ``delta_span`` carry the OR of the node bits
+    and of the vertex masks of the ``delta_records`` claims, so the owner
+    broadcasts without walking its records.  Every step that adds a
+    record to ``delta_records`` adds to those two as well: :meth:`integrate` (the mask-only merge takes
+    the newly settled nodes off the payload masks and their claims' union
+    from :meth:`ClaimInterner.claims_union`), :meth:`rebroadcast` and
+    :meth:`pend_claim`.  The owner takes the four masks when it broadcasts.
+    They start as ``B̂(u, 1)``: the owner's own claim and its neighbors.
 
     Everything Algorithm 1 checks is derived from them lazily, once per
     change, when :meth:`expansion_check_candidates` (or another query) asks:
@@ -467,6 +513,8 @@ class LocalView:
         # neighbor vertices (Line 1 of Algorithm 1).
         self.delta_records = own.rbit
         self.delta_vertices = own.mask
+        self.delta_nodes = own.bit
+        self.delta_span = own.vmask
         # Bumped whenever the view changes; derived state is tagged with it.
         self._epoch = 1
         self._derived_epoch = 0
@@ -494,8 +542,9 @@ class LocalView:
         payload ``(reported_edges, reported_vertices)`` if it is not empty.
         Returns ``(inconsistent, added)``, where ``added`` is the number of
         vertices this call learned.  The claims it settled and the vertices
-        it learned go into the pending delta (``delta_records`` and
-        ``delta_vertices``); no list of them is built.  Malformed claims
+        it learned go into the pending delta (``delta_records``,
+        ``delta_nodes``, ``delta_span`` and ``delta_vertices``); no list of
+        them is built.  Malformed claims
         (non-int ids, a self-loop, more than ``max_degree`` edges) and
         non-int vertex ids are flagged inconsistent and never integrated.
 
@@ -560,7 +609,10 @@ class LocalView:
         # for is either unsettled or holds this very claim (only the own
         # claim is settled before it is seen).  A seen claim is settled
         # and its vertices are known, so the payloads' ``nodes`` and
-        # ``span`` may cover seen claims too.
+        # ``span`` may cover seen claims too.  The nodes settled here are
+        # exactly those of the fresh claims, and each of those claims is
+        # its node's ``first``, so their vertex masks OR to the nodes and
+        # the nodes' claim union.
         fresh = new
         if new & self._own_rbit and self._settled & self._own_bit:
             fresh &= ~self._own_rbit
@@ -568,9 +620,13 @@ class LocalView:
         self._seen |= new
         if not (fresh or grown):
             return False
-        self._settled |= nodes
+        if fresh:
+            settling = nodes & ~self._settled
+            self._settled |= nodes
+            self.delta_records |= fresh
+            self.delta_nodes |= settling
+            self.delta_span |= settling | interner.claims_union(settling)
         self._known |= grown
-        self.delta_records |= fresh
         self.delta_vertices |= grown
         self._epoch += 1
         return False
@@ -612,10 +668,13 @@ class LocalView:
                 updated = updated or current is not None
                 self._settle(record)
                 kept.append(record)
-        grown = reduce(or_, map(_VMASK, kept), slots) & ~self._known
+        span = reduce(or_, map(_VMASK, kept), 0)
+        grown = (span | slots) & ~self._known
         self._seen |= new
         self._known |= grown
         self.delta_records |= fresh
+        self.delta_nodes |= reduce(or_, map(_BIT, kept), 0)
+        self.delta_span |= span
         self.delta_vertices |= grown
         self._changed(updated, bool(kept) or bool(grown))
         return inconsistent
@@ -634,7 +693,7 @@ class LocalView:
         seen = self._seen
         known = start = self._known
         inconsistent = updated = False
-        fresh = 0
+        fresh = nodes = span = 0
         try:
             for entry in reported_edges:
                 # Honest forwarders re-broadcast the interned singleton
@@ -662,6 +721,8 @@ class LocalView:
                     continue
                 self._settle(record)
                 fresh |= record.rbit
+                nodes |= record.bit
+                span |= record.vmask
                 known |= record.vmask
             for node_id in reported_vertices:
                 if not isinstance(node_id, int):
@@ -673,6 +734,8 @@ class LocalView:
             self._seen = seen
             self._known = known
             self.delta_records |= fresh
+            self.delta_nodes |= nodes
+            self.delta_span |= span
             self.delta_vertices |= known & ~start
             self._changed(updated, bool(fresh) or known != start)
         return inconsistent
@@ -720,8 +783,17 @@ class LocalView:
 
     def rebroadcast(self) -> None:
         """Put the whole view into the pending delta (a bootstrap dump)."""
-        self.delta_records |= reduce(or_, map(_RBIT, self._settled_records()), 0)
+        records = self._settled_records()
+        self.delta_records |= reduce(or_, map(_RBIT, records), 0)
+        self.delta_nodes |= self._settled
+        self.delta_span |= reduce(or_, map(_VMASK, records), 0)
         self.delta_vertices |= self._known
+
+    def pend_claim(self, record: _ClaimRecord) -> None:
+        """Put one claim into the pending delta (a re-announcement)."""
+        self.delta_records |= record.rbit
+        self.delta_nodes |= record.bit
+        self.delta_span |= record.vmask
 
     def delete_edge(self, a: int, b: int) -> bool:
         """Remove edge ``{a, b}`` from both endpoints' settled claims.
@@ -819,7 +891,7 @@ class LocalView:
             return
         interner = self._interner
         grev = interner.grev
-        cmask = interner.cmask
+        claims_union = interner.claims_union
         asym = interner.asym
         asym_slots = interner.asym_slots
         bits = interner.bits
@@ -847,7 +919,7 @@ class LocalView:
                 reach = reduce(or_, map(asym.__getitem__, bits(lone)), reach)
             reach &= plain
             if own:
-                reach = reduce(or_, map(cmask.__getitem__, bits(own)), reach)
+                reach |= claims_union(own)
             for record in conflicted:
                 if record.bit & frontier:
                     reach |= record.mask
@@ -874,7 +946,7 @@ class LocalView:
             ready &= ~blocked
         if ready:
             interior |= ready
-            interior_claims = reduce(or_, map(cmask.__getitem__, bits(ready)), interior_claims)
+            interior_claims |= claims_union(ready)
         pending: List[_ClaimRecord] = []
         for record in conflicted:
             if not record.bit & candidates:
@@ -1049,11 +1121,11 @@ class LocalCountingProtocol(Protocol):
     def _delta_message(self) -> Message:
         """Broadcast the view's pending delta and clear it.
 
-        The payload is built once from the two masks: claim entries in
-        record-id order, vertex ids in slot order, and the ``nodes`` and
-        ``span`` masks receivers merge it by.  ``size_bits`` and
+        The payload is the view's four pending masks (its ``span`` adds the
+        vertex slots to the claims' span); the ``(entries, vertex_ids)``
+        tuple is built only if something reads it.  ``size_bits`` and
         ``num_ids`` follow the documented accounting
-        (``estimate_payload_bits`` over the payload: each integer costs
+        (``estimate_payload_bits`` over that tuple: each integer costs
         ``max(1, bit_length)`` bits, containers add 2 framing bits per
         element), summed from the run's per-record and per-slot costs
         instead of a payload walk; ``tests/test_perf_equivalence.py`` locks
@@ -1062,22 +1134,13 @@ class LocalCountingProtocol(Protocol):
         view = self.view
         interner = self._interner
         records, slots = view.delta_records, view.delta_vertices
-        view.delta_records = view.delta_vertices = 0
-        rids = list(interner.bits(records))
-        vertex_slots = list(interner.bits(slots))
-        payload = _Delta(
-            tuple(map(interner.entries.__getitem__, rids)),
-            tuple(map(interner.ids.__getitem__, vertex_slots)),
-            records,
-            slots,
-            reduce(or_, map(interner.node_bits.__getitem__, rids), 0),
-            reduce(or_, map(interner.vmasks.__getitem__, rids), slots),
-        )
-        packed = sum(map(interner.costs.__getitem__, rids))
+        payload = _Delta(interner, records, slots, view.delta_nodes, view.delta_span | slots)
+        view.delta_records = view.delta_vertices = view.delta_nodes = view.delta_span = 0
+        packed = sum(map(interner.costs.__getitem__, interner.bits(records)))
         edge_sum = packed & 0xFFFFFFFF
-        vertex_sum = sum(map(interner.vertex_bits.__getitem__, vertex_slots))
+        vertex_sum = sum(map(interner.vertex_bits.__getitem__, interner.bits(slots)))
         size_bits = (edge_sum if edge_sum else 1) + 2 + (vertex_sum if vertex_sum else 1) + 2
-        num_ids = (packed >> 32) + len(vertex_slots)
+        num_ids = (packed >> 32) + slots.bit_count()
         return Message(kind="topology", payload=payload, size_bits=size_bits, num_ids=num_ids)
 
     def _decide(self, round_number: int) -> None:
@@ -1217,10 +1280,9 @@ class LocalCountingProtocol(Protocol):
             view.update_claim(ctx.node_id, ctx.neighbor_ids.values())
             view.rebroadcast()
         elif changed:
-            record = self._interner.intern(
+            view.pend_claim(self._interner.intern(
                 ctx.node_id, tuple(sorted(ctx.neighbor_ids.values()))
-            )
-            view.delta_records |= record.rbit
+            ))
 
 
 def run_local_counting(

@@ -26,7 +26,9 @@ protocol runs instead of re-scanning every protocol every round.
 Delivery has one representation.  ``env[v]`` holds honest sender v's output
 of the previous round: one shared, sender-stamped envelope for a
 full-neighborhood :class:`Broadcast` (both counting algorithms send nothing
-else), otherwise a ``{target: [envelopes]}`` map.  Byzantine envelopes wait
+else) or for a dict outbox that gives every neighbor the same one message
+(the baselines' ``{v: [message] for v in ctx.neighbors}``), otherwise a
+``{target: [envelopes]}`` map.  Byzantine envelopes wait
 in per-receiver buckets.  Every inbox, honest or Byzantine, is built by one
 helper that walks the receiver's sorted neighbor tuple and then appends its
 Byzantine bucket, so messages arrive with honest senders ascending, each
@@ -59,6 +61,19 @@ __all__ = ["SynchronousEngine", "RunResult"]
 
 #: Factory producing a fresh protocol instance for an honest node.
 ProtocolFactory = Callable[[NodeContext], Protocol]
+
+
+def _shared_message(outbox: Mapping[int, List[Message]]) -> Optional[Message]:
+    """The one message every target of ``outbox`` gets alone, if any."""
+    shared = None
+    for msgs in outbox.values():
+        if len(msgs) != 1:
+            return None
+        if shared is None:
+            shared = msgs[0]
+        elif msgs[0] is not shared:
+            return None
+    return shared
 
 
 @dataclass
@@ -348,9 +363,12 @@ class SynchronousEngine:
         ) -> None:
             """Stamp, store and account the outboxes of one round.
 
-            A full-neighborhood Broadcast is one shared envelope in ``env``;
-            any other honest outbox becomes a per-target map there, and
-            Byzantine outboxes fill ``byz_buckets``.  Every envelope is
+            A full-neighborhood Broadcast is one shared envelope in ``env``,
+            and so is a validated dict outbox over every neighbor (its keys
+            are distinct neighbors, so its length says it covers them all)
+            that holds one shared message; any other honest outbox becomes
+            a per-target map there, and Byzantine outboxes fill
+            ``byz_buckets``.  Every envelope is
             accounted once with its delivery count; the metrics totals are
             accumulated locally and flushed once per round.  Delivered
             messages are read-only by contract.
@@ -368,6 +386,13 @@ class SynchronousEngine:
                     sent: Iterable = ((stamped, len(outbox.targets)),)
                 elif u in byzantine:
                     sent = stamp(u, outbox, byz_buckets)
+                elif (
+                    type(outbox) is dict
+                    and len(outbox) == len(nbrs[u])
+                    and (shared := _shared_message(outbox)) is not None
+                ):
+                    stamped = env[u] = DeliveredMessage(shared, u, node_ids[u])
+                    sent = ((stamped, len(outbox)),)
                 else:
                     walk = True
                     per_target: Dict[int, List[Message]] = {}

@@ -12,9 +12,52 @@ independent of ``n``, their length must be accounted separately from the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional, Tuple
 
-__all__ = ["Message", "DeliveredMessage", "estimate_payload_bits"]
+__all__ = ["Message", "DeliveredMessage", "LazyTuple", "estimate_payload_bits"]
+
+
+class LazyTuple:
+    """A payload that stands for a tuple it builds only when first read.
+
+    Subclasses implement :meth:`build`.  Iterating, indexing, ``len``,
+    ``==``, ``hash`` and :func:`estimate_payload_bits` all act on the
+    built tuple, so a reader sees exactly that tuple; a payload nobody
+    reads is never built.
+    """
+
+    __slots__ = ("_built",)
+
+    def build(self) -> Tuple[Any, ...]:
+        raise NotImplementedError
+
+    def as_tuple(self) -> Tuple[Any, ...]:
+        """The tuple this payload stands for (built once, then kept)."""
+        try:
+            return self._built
+        except AttributeError:
+            built = self._built = self.build()
+            return built
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.as_tuple())
+
+    def __getitem__(self, index):
+        return self.as_tuple()[index]
+
+    def __len__(self) -> int:
+        return len(self.as_tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LazyTuple):
+            other = other.as_tuple()
+        return self.as_tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self.as_tuple())
+
+    def __repr__(self) -> str:
+        return repr(self.as_tuple())
 
 
 def estimate_payload_bits(payload: Any) -> int:
@@ -43,6 +86,8 @@ def estimate_payload_bits(payload: Any) -> int:
                 for k, v in payload.items()
             ),
         )
+    if isinstance(payload, LazyTuple):
+        return estimate_payload_bits(payload.as_tuple())
     # Fallback for dataclasses / arbitrary objects: use their repr length.
     return max(1, 8 * len(repr(payload)))
 

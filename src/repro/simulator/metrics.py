@@ -76,8 +76,10 @@ class SimulationMetrics:
             self.per_node[node] = NodeMessageStats()
         return self.per_node[node]
 
-    def record_send(self, node: int, message: Message) -> None:
-        """Account one message sent by ``node`` in the current round.
+    def record_send(self, node: int, message: Message, copies: int = 1) -> None:
+        """Account ``copies`` deliveries of one message sent by ``node`` in
+        the current round (the engine's delivery step does the same
+        accounting inline, batched per round).
 
         Raises
         ------
@@ -87,37 +89,18 @@ class SimulationMetrics:
             ``messages_per_round`` could under-report (experiments use its
             last entry to detect quiescence).
         """
-        self.record_broadcast(node, message, 1)
-
-    def record_broadcast(self, node: int, message: Message, copies: int) -> None:
-        """Account ``copies`` deliveries of one message sent by ``node``.
-
-        Equivalent to ``copies`` individual :meth:`record_send` calls (the
-        engine's delivery step does the same accounting inline, batched per
-        round).  Raises ``RuntimeError`` before the first
-        :meth:`start_round` (see :meth:`record_send`).
-        """
         if not self.messages_per_round:
             raise RuntimeError(
                 "record_send called before start_round(); open a round first "
                 "so the per-round message count cannot under-report"
             )
-        bits = message.size_bits
-        ids = message.num_ids
         self.total_messages += copies
-        self.total_bits += bits * copies
+        self.total_bits += message.size_bits * copies
         self.messages_per_round[-1] += copies
-        stats = self.per_node.get(node)
-        if stats is None:
-            stats = self.per_node[node] = NodeMessageStats()
-        # ``NodeMessageStats.record_many``, inlined.
-        stats.messages_sent += copies
-        stats.bits_sent += bits * copies
-        stats.ids_sent += ids * copies
-        if bits > stats.max_message_bits:
-            stats.max_message_bits = bits
-        if ids > stats.max_message_ids:
-            stats.max_message_ids = ids
+        self.node_stats(node).record_many(message, copies)
+
+    #: ``record_send`` with an explicit copy count (a broadcast).
+    record_broadcast = record_send
 
     def start_round(self) -> None:
         """Open the accounting bucket of a new round."""

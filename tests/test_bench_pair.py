@@ -1,9 +1,15 @@
-"""Summary math of ``benchmarks/pair.py`` (``make bench-pair``) on canned
-perfbench output lines; no benchmark runs."""
+"""``benchmarks/pair.py`` (``make bench-pair``): its summary math on canned
+perfbench output lines, and its clean-up on a stub tree whose
+``perfbench/run.py`` forks a sleeper; no benchmark runs."""
 
 import importlib.util
 import json
+import os
+import shutil
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -90,3 +96,95 @@ class TestSummary:
         lines = rendered.splitlines()
         assert len(lines) == 1 + len(END_TO_END)
         assert lines[1].split()[:6] == ["cells_per_s", "higher", "10", "12", "1.200", "3/3"]
+
+
+#: A ``perfbench/run.py`` that forks a sleeper (as a ``sweep-mixed`` run forks
+#: its loopback workers), records both pids, then sleeps or fails.
+STUB_RUN = """\
+import os, sys, time
+child = os.fork()
+if child == 0:
+    time.sleep(120)
+    os._exit(0)
+with open(os.environ["PAIR_STUB_PIDS"], "a") as pids:
+    pids.write(f"{os.getpid()} {child}\\n")
+if os.environ["PAIR_STUB_MODE"] == "fail":
+    sys.exit(1)
+time.sleep(120)
+"""
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie nobody reaped yet counts as gone)."""
+    try:
+        os.kill(pid, 0)
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _wait_until(predicate, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+class TestCleanUp:
+    """No process and no ``bench-pair-*`` directory outlives the script."""
+
+    @pytest.fixture
+    def stub(self, tmp_path):
+        tree = tmp_path / "tree"
+        (tree / "benchmarks").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        shutil.copy(PAIR, tree / "benchmarks" / "pair.py")
+        (tree / "perfbench" / "run.py").write_text(STUB_RUN)
+        (tree / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": []}))
+        git = ["git", "-c", "user.name=stub", "-c", "user.email=stub@example.com"]
+        for command in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+            subprocess.run(git + command, cwd=tree, check=True, capture_output=True)
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        return tree, temp, tmp_path / "pids"
+
+    def _start(self, stub, mode):
+        tree, temp, pids = stub
+        env = dict(os.environ, TMPDIR=str(temp), PAIR_STUB_PIDS=str(pids), PAIR_STUB_MODE=mode)
+        return subprocess.Popen(
+            [sys.executable, "benchmarks/pair.py", "--base", "HEAD", "--pairs", "1"],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+
+    def _recorded(self, pids):
+        if not pids.exists():
+            return []
+        return [int(pid) for line in pids.read_text().splitlines() for pid in line.split()]
+
+    def _check(self, script, stub, code):
+        tree, temp, pids = stub
+        try:
+            assert script.wait(timeout=30) == code
+            started = self._recorded(pids)
+            assert started
+            assert _wait_until(lambda: not any(map(_alive, started)), 10), started
+            assert list(temp.iterdir()) == []
+        finally:
+            for pid in [script.pid] + self._recorded(pids):
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+    def test_signal_kills_the_run_and_its_fork(self, stub, signum):
+        script = self._start(stub, "sleep")
+        assert _wait_until(lambda: len(self._recorded(stub[2])) == 2)
+        script.send_signal(signum)
+        self._check(script, stub, 128 + signum)
+
+    def test_failed_run_leaves_no_fork(self, stub):
+        script = self._start(stub, "fail")
+        self._check(script, stub, 1)

@@ -24,7 +24,7 @@ from repro.core.local_counting import ClaimInterner, LocalCountingProtocol, Loca
 from repro.core.parameters import LocalParameters
 from repro.simulator.node import NodeContext
 from local_view_reference import SetBasedLocalView
-from view_delta import integrate_tracked, reference_result
+from view_delta import assert_carried_masks, integrate_tracked, reference_result
 
 
 # --------------------------------------------------------------------------- #
@@ -918,6 +918,7 @@ class TestMaskedDeltaFuzz:
                     pending[k][0].update(expected[1])
                     pending[k][1].update(expected[2])
                     assert_views_equal(view, reference)
+                    assert_carried_masks(view)
                 broadcast()
                 continue
             k = op[1] % len(nodes)
@@ -968,6 +969,7 @@ class TestMaskedDeltaFuzz:
                 assert view.update_claim(node, edges) == reference.update_claim(node, edges)
             assert_views_equal(view, reference)
             assert set(view.settled_entries()) == set(reference.settled_entries())
+            assert_carried_masks(view)
 
 
 class TestMaskedDeltaOrder:
