@@ -47,6 +47,9 @@ _R1 = "R1"
 _R2 = "R2"
 #: Wire encoding of the "no majority seen" proposal.
 _ABSTAIN = "?"
+#: Stands in for a table message no honest node has sent: its payload is
+#: an object no inbox carries.
+_UNSENT = Message("benor", payload=object())
 
 
 class BenOrProtocol(Protocol):
@@ -124,13 +127,25 @@ class BenOrProtocol(Protocol):
     def _tally(
         self, inbox: List[Message], tag: str, phase: int
     ) -> Dict[int, int]:
-        """Count valid phase-``phase`` values of kind ``tag`` in the inbox."""
+        """Count valid phase-``phase`` values of kind ``tag`` in the inbox.
+
+        Honest senders share one payload object per ``(tag, phase, value)``
+        for the whole run (the ``_messages`` table), valid by construction,
+        so those count by identity; any other payload is validated as sent.
+        """
+        zero = self._messages.get((tag, phase, 0), _UNSENT).payload
+        one = self._messages.get((tag, phase, 1), _UNSENT).payload
+        zeros = ones = 0
         counts = {0: 0, 1: 0}
         for message in inbox:
             if message.kind != "benor":
                 continue
             payload = message.payload
-            if (
+            if payload is zero:
+                zeros += 1
+            elif payload is one:
+                ones += 1
+            elif (
                 isinstance(payload, tuple)
                 and len(payload) == 3
                 and payload[0] == tag
@@ -138,6 +153,8 @@ class BenOrProtocol(Protocol):
                 and payload[2] in (0, 1)
             ):
                 counts[payload[2]] += 1
+        counts[0] += zeros
+        counts[1] += ones
         return counts
 
     def _process_reports(

@@ -35,8 +35,32 @@ def canonical_json(value: Any) -> str:
         ) from None
 
 
+#: Exact leaf types that can never hold a non-finite float.
+_FINITE_LEAVES = frozenset({str, int, bool, type(None)})
+
+
+def _plainly_finite(value: Any) -> bool:
+    """True when ``value`` is a tree of exact JSON types without NaN/Infinity.
+
+    The exact-type walk of the common case; False also for any other type
+    (a ``Mapping``, a float subclass, ...), which the general walk decides.
+    """
+    kind = type(value)
+    if kind in _FINITE_LEAVES:
+        return True
+    if kind is float:
+        return math.isfinite(value)
+    if kind is dict:
+        return all(map(_plainly_finite, value.values()))
+    if kind is list or kind is tuple:
+        return all(map(_plainly_finite, value))
+    return False
+
+
 def _reject_non_finite(value: Any, path: str) -> None:
     """Fail fast on NaN/Infinity anywhere inside a params tree."""
+    if _plainly_finite(value):
+        return
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(
             f"SweepConfig params must be finite; {path} is {value!r} "

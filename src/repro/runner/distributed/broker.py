@@ -16,7 +16,12 @@ Dispatch is **lease-based**:
 
 - a worker's ``lease`` request is granted a chunk of tasks with a deadline
   (``lease_ttl_s`` from now);
-- every streamed result and every explicit heartbeat renews the deadline;
+- a worker asks for its next lease *ahead*, before the last task of the
+  lease in hand runs; such a request is never granted a task whose config
+  is still in flight (leased, unreported), which stays at the front of the
+  queue until the grant-time cache probe can dedupe it;
+- every streamed result renews its lease's deadline, and every heartbeat
+  renews every lease its connection holds (the one granted ahead too);
 - a lease whose deadline passes -- or whose connection drops, the fast
   path for a killed worker -- returns its unfinished tasks to the front of
   its sweep's queue for re-dispatch;
@@ -24,7 +29,9 @@ Dispatch is **lease-based**:
   attempt; exhausting that budget fails *its sweep* (other sweeps on the
   same broker keep running);
 - a worker draining for shutdown may ``abandon`` unstarted lease members:
-  they are requeued at the front without charging the retry budget.
+  they are requeued at the front without charging the retry budget, and so
+  is a lease granted ahead whose predecessor was never finished when its
+  connection drops or it expires.
 
 **Fair-share dispatch** across sweeps: each lease is filled from a single
 sweep, chosen as the highest-priority queue with work, ties broken by the
@@ -43,7 +50,9 @@ copy arrives first is *the* result.
 Before dispatching a task the broker re-checks the shared artifact cache
 (``store``): a hit -- a duplicate config completed earlier in the same
 sweep, or *another sweep on the same broker* -- is completed with the
-cached result instead of shipped.  Fresh results are persisted through
+cached result instead of shipped, and the grant pops on until it grants a
+task or the queue is empty.  Each task builds its config and artifact key
+once, at submission.  Fresh results are persisted through
 :class:`~repro.runner.artifacts.ArtifactStore` exactly as the pool path
 does, *before* entering the completion queue, so dedupe never races
 persistence.
@@ -111,10 +120,17 @@ class InjectedBrokerCrash(BrokerError):
 class _TaskState:
     """One work item's broker-side lifecycle."""
 
-    __slots__ = ("index", "task", "params", "module", "dispatches", "done", "gid", "sweep")
+    __slots__ = (
+        "index", "task", "params", "module", "config", "key", "dispatches", "done",
+        "gid", "sweep",
+    )
 
     def __init__(self, item: WorkItem, gid: int, sweep: "SweepQueue") -> None:
         self.index, self.task, self.params, self.module = item
+        #: Built once: the cache probe at grant time and the persist share it.
+        self.config = SweepConfig(self.task, self.params)
+        #: Its artifact key; equal keys are duplicate configs.
+        self.key = self.config.key()
         self.dispatches = 0
         self.done = False
         #: Broker-global wire id -- what workers see.  The submitting
@@ -122,18 +138,25 @@ class _TaskState:
         self.gid = gid
         self.sweep = sweep
 
-    def config(self) -> SweepConfig:
-        return SweepConfig(self.task, self.params)
-
 
 class _Lease:
-    __slots__ = ("lease_id", "worker_id", "pending", "deadline")
+    __slots__ = ("lease_id", "worker_id", "pending", "deadline", "after")
 
-    def __init__(self, lease_id: int, worker_id: str, ids: Set[int], deadline: float):
+    def __init__(
+        self,
+        lease_id: int,
+        worker_id: str,
+        ids: Set[int],
+        deadline: float,
+        after: Optional["_Lease"] = None,
+    ):
         self.lease_id = lease_id
         self.worker_id = worker_id
         self.pending = ids
         self.deadline = deadline
+        #: The lease its worker still held when this one was granted ahead.
+        #: While that one has unreported members, this one has not started.
+        self.after = after
 
 
 class SweepQueue:
@@ -504,7 +527,7 @@ class Broker:
         for state in candidates:
             if state.done:
                 continue
-            cached = self.store.load(state.config())
+            cached = self.store.load(state.config)
             if cached is not MISSING:
                 hits[state.gid] = cached
         if not hits:
@@ -751,7 +774,7 @@ class Broker:
                 elif kind == "error":
                     self._on_error(message, worker_id)
                 elif kind == "heartbeat":
-                    self._renew(message.get("lease"))
+                    self._renew(conn_leases)
                 elif kind == "abandon":
                     self._on_abandon(message, worker_id)
                 else:
@@ -810,7 +833,7 @@ class Broker:
     # Message handling
     # ------------------------------------------------------------------ #
     def _pop_candidates_locked(
-        self, capacity: int
+        self, capacity: int, in_flight: Optional[Set[str]] = None
     ) -> Tuple[Optional[SweepQueue], List[_TaskState]]:
         """Pick the fair-share sweep and pop up to ``capacity`` candidates.
 
@@ -818,6 +841,11 @@ class Broker:
         strictly higher priority first, then the queue granted least
         recently -- so same-priority sweeps alternate lease-by-lease.  One
         lease never mixes sweeps.
+
+        ``in_flight`` (lease-ahead requests only) holds the keys of leased,
+        unreported tasks: popping stops at a task with one of those keys,
+        which stays at the front of its queue until the copy in flight has
+        been persisted and the grant-time cache probe can dedupe it.
         """
         ranked = sorted(
             (
@@ -829,10 +857,18 @@ class Broker:
         )
         for sweep in ranked:
             candidates: List[_TaskState] = []
+            guard = None if sweep.force else in_flight
+            blocked = False
             while sweep.pending and len(candidates) < capacity:
-                state = sweep.tasks[sweep.pending.popleft()]
+                state = sweep.tasks[sweep.pending[0]]
+                if guard is not None and not state.done and state.key in guard:
+                    blocked = True
+                    break
+                sweep.pending.popleft()
                 if not state.done:
                     candidates.append(state)
+            if blocked and not candidates:
+                return None, []
             if candidates:
                 self._grant_seq += 1
                 sweep.last_grant = self._grant_seq
@@ -862,76 +898,115 @@ class Broker:
         capacity = max(1, int(message.get("capacity", 1)))
         if self.chunk_size is not None:
             capacity = min(capacity, self.chunk_size)
-        # Pop candidates under the lock, but probe the artifact cache (disk,
-        # possibly a network mount) outside it: blocking I/O under the global
-        # lock would stall heartbeat renewal and could expire healthy leases.
         with self._lock:
-            sweep, candidates = self._pop_candidates_locked(capacity)
-        hits: Dict[int, Any] = {}
-        if sweep is not None and self.store is not None and not sweep.force:
-            for state in candidates:
-                cached = self.store.load(state.config())
-                if cached is not MISSING:
-                    hits[state.gid] = cached
+            # A connection that still holds a live lease asks ahead: its
+            # worker has not reported that lease's last task yet.
+            conn_leases.intersection_update(self._leases)
+            behind = self._leases[max(conn_leases)] if conn_leases else None
+            in_flight = (
+                self._in_flight_keys_locked()
+                if behind is not None and self.store is not None
+                else None
+            )
         publish: List[Tuple[_TaskState, CompletedItem]] = []
         granted: List[_TaskState] = []
-        with self._lock:
-            for state in candidates:
-                if state.done:  # a zombie result landed while we probed
-                    continue
-                if state.gid in hits:
-                    self._mark_done_locked(state, cache_hit=True)
-                    self._event_locked(
-                        "dedupe-hit", task=state.gid, sweep=state.sweep.key
-                    )
-                    publish.append(
-                        (state, (state.index, hits[state.gid], None))
-                    )
-                    continue
-                state.dispatches += 1
-                granted.append(state)
-            if not granted:
-                reply: Dict[str, Any] = {
-                    "type": "empty",
-                    "done": self._empty_done_locked(),
-                }
-            else:
-                lease_id = self._next_lease_id
-                self._next_lease_id += 1
-                lease = _Lease(
-                    lease_id,
-                    worker_id,
-                    {state.gid for state in granted},
-                    time.monotonic() + self.lease_ttl_s,
-                )
-                self._leases[lease_id] = lease
-                conn_leases.add(lease_id)
-                self.stats["leases"] += 1
-                self.stats["dispatched"] += len(granted)
-                self._event_locked(
-                    "lease-grant",
-                    lease=lease_id,
-                    worker=worker_id,
-                    tasks=[state.gid for state in granted],
-                    sweep=sweep.key if sweep is not None else None,
-                )
-                reply = {
-                    "type": "tasks",
-                    "lease": lease_id,
-                    "tasks": [
-                        {
-                            "id": state.gid,
-                            "task": state.task,
-                            "params": state.params,
-                            "module": state.module,
-                        }
-                        for state in granted
-                    ],
-                }
+        # Pop until a task is granted or nothing is left to pop: a popped
+        # batch of dedupe hits alone must not answer ``empty`` while
+        # uncached work is still queued.
+        while True:
+            # Pop candidates under the lock, but probe the artifact cache
+            # (disk, possibly a network mount) outside it: blocking I/O under
+            # the global lock would stall heartbeat renewal and could expire
+            # healthy leases.
+            with self._lock:
+                sweep, candidates = self._pop_candidates_locked(capacity, in_flight)
+            hits: Dict[int, Any] = {}
+            if sweep is not None and self.store is not None and not sweep.force:
+                for state in candidates:
+                    cached = self.store.load(state.config)
+                    if cached is not MISSING:
+                        hits[state.gid] = cached
+            with self._lock:
+                for state in candidates:
+                    if state.done:  # a zombie result landed while we probed
+                        continue
+                    if state.gid in hits:
+                        self._mark_done_locked(state, cache_hit=True)
+                        self._event_locked(
+                            "dedupe-hit", task=state.gid, sweep=state.sweep.key
+                        )
+                        publish.append(
+                            (state, (state.index, hits[state.gid], None))
+                        )
+                        continue
+                    state.dispatches += 1
+                    granted.append(state)
+                if granted:
+                    assert sweep is not None
+                    reply = self._lease_locked(worker_id, sweep, granted, behind)
+                    conn_leases.add(reply["lease"])
+                    break
+                if not candidates:
+                    reply = {"type": "empty", "done": self._empty_done_locked()}
+                    break
         for state, item in publish:
             state.sweep.publish(item)
             self._task_completed(state, cached=True)
         send_message(conn, reply, injector=self.injector)
+
+    def _in_flight_keys_locked(self) -> Set[str]:
+        """Config keys of every leased task not yet reported."""
+        states = self._states
+        return {
+            states[gid].key
+            for lease in self._leases.values()
+            for gid in lease.pending
+            if gid in states
+        }
+
+    def _lease_locked(
+        self,
+        worker_id: str,
+        sweep: SweepQueue,
+        granted: List[_TaskState],
+        behind: Optional[_Lease],
+    ) -> Dict[str, Any]:
+        """Register a lease over ``granted``; returns its ``tasks`` reply."""
+        if behind is not None and behind.after is not None and not behind.after.pending:
+            # ``behind`` has started: drop its link, or each lease would keep
+            # every earlier lease of the session alive.
+            behind.after = None
+        lease_id = self._next_lease_id
+        self._next_lease_id += 1
+        self._leases[lease_id] = _Lease(
+            lease_id,
+            worker_id,
+            {state.gid for state in granted},
+            time.monotonic() + self.lease_ttl_s,
+            behind,
+        )
+        self.stats["leases"] += 1
+        self.stats["dispatched"] += len(granted)
+        self._event_locked(
+            "lease-grant",
+            lease=lease_id,
+            worker=worker_id,
+            tasks=[state.gid for state in granted],
+            sweep=sweep.key,
+        )
+        return {
+            "type": "tasks",
+            "lease": lease_id,
+            "tasks": [
+                {
+                    "id": state.gid,
+                    "task": state.task,
+                    "params": state.params,
+                    "module": state.module,
+                }
+                for state in granted
+            ],
+        }
 
     def _on_result(self, message: Dict[str, Any]) -> None:
         gid = message.get("id")
@@ -983,7 +1058,7 @@ class Broker:
                 if self.injector is not None and self.injector.fail_artifact_write():
                     raise OSError("injected fault: artifact write failed")
                 self.store.store(
-                    state.config(), result, meta=meta if isinstance(meta, dict) else {}
+                    state.config, result, meta=meta if isinstance(meta, dict) else {}
                 )
                 return True
             except Exception as exc:  # noqa: BLE001 - surfaced via results()
@@ -1063,11 +1138,15 @@ class Broker:
                     sweep=self._states[returned[0]].sweep.key,
                 )
 
-    def _renew(self, lease_id: Any) -> None:
+    def _renew(self, conn_leases: Set[int]) -> None:
+        """A heartbeat renews every lease its connection holds, a lease
+        granted ahead (which its worker has not read yet) included."""
         with self._lock:
-            lease = self._leases.get(lease_id)
-            if lease is not None:
-                lease.deadline = time.monotonic() + self.lease_ttl_s
+            deadline = time.monotonic() + self.lease_ttl_s
+            for lease_id in conn_leases:
+                lease = self._leases.get(lease_id)
+                if lease is not None:
+                    lease.deadline = deadline
 
     # ------------------------------------------------------------------ #
     # Locked helpers
@@ -1091,11 +1170,18 @@ class Broker:
 
     def _requeue_lease_locked(self, lease: _Lease, *, reason: str) -> None:
         self._leases.pop(lease.lease_id, None)
+        # A lease granted ahead of one its worker never finished was never
+        # started: it goes back uncharged, like an abandoned one.
+        unstarted = lease.after is not None and bool(lease.after.pending)
         for gid in lease.pending:
             state = self._states.get(gid)
             if state is None or state.done:
                 continue
-            self._retry_or_fail_locked(state, reason)
+            if unstarted:
+                state.dispatches = max(0, state.dispatches - 1)
+                state.sweep.pending.appendleft(gid)
+            else:
+                self._retry_or_fail_locked(state, reason)
 
     def _retry_or_fail_locked(self, state: _TaskState, reason: str) -> None:
         sweep = state.sweep

@@ -6,8 +6,17 @@
 sweep-task registry -- fanning out over a local ``multiprocessing`` pool
 when ``procs > 1`` -- and streams each result (plus its execution metadata:
 wall-clock seconds, worker pid, host name, worker id) back as it completes.
-A background thread heartbeats the active lease at a third of the broker's
-lease TTL, so long tasks never expire while the worker is alive.
+
+**Lease-ahead**: the request for the next lease goes out just before the
+last task of the lease in hand starts (on the pool path, once the pool has
+the whole lease), and its reply is read after that task reports.  The
+broker grants the next lease, and persists and publishes each result,
+while the worker runs a cell, so a task costs the worker one cell plus one
+result line.  The worker holds at most one lease beyond the one it runs.
+One heartbeat thread per broker session beats at a third of the broker's
+lease TTL while a lease is in hand, and the broker renews every lease of
+the connection on each beat -- the one granted ahead included -- so long
+tasks never expire while the worker is alive.
 
 The daemon is persistent by default: when a sweep drains (or the broker
 goes away between sweeps) it disconnects and keeps polling the address, so
@@ -32,9 +41,10 @@ hangs mid-lease, and slowed tasks.
 executing, sends an ``abandon`` message explicitly returning the rest of
 the lease to the broker -- an uncharged front-of-queue requeue, so the
 tasks are regranted immediately instead of waiting out lease expiry and
-burning a retry -- and exits the daemon loop.  The multiprocessing-pool
-path finishes its in-flight lease instead (results already fan out
-unordered, so there is no single "current" task to stop after).
+burning a retry -- returns the lease granted ahead whole the same way, and
+exits the daemon loop.  The multiprocessing-pool path finishes its
+in-flight lease instead (results already fan out unordered, so there is no
+single "current" task to stop after).
 
 :func:`run_worker` is the one way a process becomes a worker: the
 ``worker`` CLI and the loopback workers the backend forks both call it.
@@ -48,7 +58,7 @@ import socket
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.runner.backends import WorkItem, execute_work_item
 from repro.runner.distributed.protocol import (
@@ -141,7 +151,8 @@ class WorkerDaemon:
         self.port = port
         self.procs = procs
         self.lease_capacity = lease_capacity if lease_capacity is not None else procs
-        self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
+        self._host = socket.gethostname()
+        self.worker_id = worker_id or f"{self._host}:{os.getpid()}"
         self.exit_when_drained = exit_when_drained
         self.reconnect_delay_s = reconnect_delay_s
         self.reconnect_max_s = max(reconnect_delay_s, reconnect_max_s)
@@ -156,6 +167,8 @@ class WorkerDaemon:
         self._abandoned: List[int] = []
         self._send_lock = threading.Lock()
         self._suppress_heartbeats = threading.Event()
+        #: The lease being run, read by the session's heartbeat thread.
+        self._lease_in_hand: Any = None
         self._pool = None
         self._welcomed = False
         #: Tasks executed (including errored) since the daemon started.
@@ -166,16 +179,18 @@ class WorkerDaemon:
 
     # ------------------------------------------------------------------ #
     def stop(self) -> None:
-        """Ask the daemon loop to exit after the current lease."""
+        """Ask the daemon loop to exit after the current lease (a lease
+        granted ahead goes back to the broker through ``abandon``)."""
         self._stop.set()
 
     def request_shutdown(self) -> None:
         """Graceful shutdown: finish the current *task*, abandon the rest.
 
         The serial execution path stops between tasks; the unstarted
-        remainder of the lease is explicitly returned to the broker with an
-        ``abandon`` message (uncharged, front-of-queue requeue) so another
-        worker picks it up immediately.  The CLI wires SIGTERM here.
+        remainder of the lease, and the lease granted ahead, are explicitly
+        returned to the broker with ``abandon`` messages (uncharged,
+        front-of-queue requeue) so another worker picks them up
+        immediately.  The CLI wires SIGTERM here.
         """
         self._log("shutdown requested, draining current lease")
         self._drain.set()
@@ -263,7 +278,7 @@ class WorkerDaemon:
             {
                 "type": "hello",
                 "worker_id": self.worker_id,
-                "host": socket.gethostname(),
+                "host": self._host,
                 "pid": os.getpid(),
                 "procs": self.procs,
                 "protocol": PROTOCOL_VERSION,
@@ -275,16 +290,40 @@ class WorkerDaemon:
             return False
         self._welcomed = True
         lease_ttl_s = float(welcome.get("lease_ttl_s", 30.0))
-        heartbeat_interval = max(0.1, lease_ttl_s / 3.0)
         # The broker replies to every lease request promptly (tasks or
         # empty), so a read stalling for several TTLs means the broker is
         # gone without a FIN; time out (socket.timeout is an OSError, so the
         # session aborts into the reconnect loop).
         sock.settimeout(max(10.0, 4.0 * lease_ttl_s))
         self._log(f"connected to {self.host}:{self.port}")
+        done = threading.Event()
+        heartbeater = threading.Thread(
+            target=self._heartbeat_loop,
+            args=(sock, max(0.1, lease_ttl_s / 3.0), done),
+            daemon=True,
+        )
+        heartbeater.start()
+        try:
+            return self._lease_loop(sock, reader)
+        finally:
+            done.set()
+            heartbeater.join(timeout=1.0)
+
+    def _lease_loop(self, sock: socket.socket, reader: Any) -> bool:
+        """Lease and run tasks until the sweep drains (True) or the session
+        ends (False).
+
+        The request for the next lease goes out before the current lease's
+        last task runs, so the broker grants it while that task runs;
+        ``ahead`` marks such a request whose reply is still unread.
+        """
         poll = Backoff(base_s=self.poll_interval_s, cap_s=self.poll_max_s)
-        while not self._stop.is_set():
-            self._send(sock, {"type": "lease", "capacity": self.lease_capacity})
+        ahead = False
+        while True:
+            if not ahead:
+                if self._stop.is_set():
+                    return False
+                self._request_lease(sock)
             message = read_message(reader)
             if message is None:
                 return False
@@ -292,32 +331,42 @@ class WorkerDaemon:
             if kind == "empty":
                 if message.get("done"):
                     return True
-                self._stop.wait(poll.next_delay())
+                if not ahead:
+                    self._stop.wait(poll.next_delay())
+                ahead = False
                 continue
             if kind != "tasks":
                 return False
             poll.reset()
-            self._run_lease(sock, message, heartbeat_interval)
-        return False
+            if self._stop.is_set():
+                # Stopping with a lease granted ahead: none of it started.
+                ids = [task["id"] for task in message.get("tasks", ())]
+                self._abandon(sock, message.get("lease"), ids)
+                return False
+            ahead = self._run_lease(sock, message)
 
-    def _run_lease(
-        self, sock: socket.socket, message: Dict[str, Any], heartbeat_interval: float
-    ) -> None:
+    def _request_lease(self, sock: socket.socket) -> None:
+        self._send(sock, {"type": "lease", "capacity": self.lease_capacity})
+
+    def _run_lease(self, sock: socket.socket, message: Dict[str, Any]) -> bool:
+        """Run one lease; True when it requested the next lease ahead."""
         lease_id = message.get("lease")
         items: List[WorkItem] = [
             (task["id"], task["task"], dict(task["params"]), task.get("module"))
             for task in message.get("tasks", ())
         ]
         self._log(f"lease {lease_id}: {len(items)} task(s)")
-        done = threading.Event()
-        heartbeater = threading.Thread(
-            target=self._heartbeat_loop,
-            args=(sock, lease_id, heartbeat_interval, done),
-            daemon=True,
-        )
-        heartbeater.start()
+        asked = False
+
+        def ask_ahead() -> None:
+            nonlocal asked
+            if not self._stop.is_set():
+                self._request_lease(sock)
+                asked = True
+
+        self._lease_in_hand = lease_id
         try:
-            for outcome in self._execute_items(items):
+            for outcome in self._execute_items(items, ask_ahead):
                 index, result, meta, error, tb = outcome
                 self.tasks_run += 1
                 self._inject_task_faults(index)
@@ -334,7 +383,7 @@ class WorkerDaemon:
                     )
                     continue
                 meta = dict(meta or {})
-                meta["host"] = socket.gethostname()
+                meta["host"] = self._host
                 meta["worker_id"] = self.worker_id
                 self._send(
                     sock,
@@ -347,25 +396,20 @@ class WorkerDaemon:
                     },
                 )
         finally:
-            done.set()
-            heartbeater.join(timeout=1.0)
+            self._lease_in_hand = None
             if self._abandoned:
-                try:
-                    self._send(
-                        sock,
-                        {
-                            "type": "abandon",
-                            "lease": lease_id,
-                            "ids": list(self._abandoned),
-                        },
-                    )
-                    self._log(
-                        f"lease {lease_id}: abandoned {len(self._abandoned)} task(s)"
-                    )
-                except OSError:
-                    # Broker gone; lease expiry will requeue them anyway.
-                    pass
+                self._abandon(sock, lease_id, self._abandoned)
                 self._abandoned = []
+        return asked
+
+    def _abandon(self, sock: socket.socket, lease_id: Any, ids: List[int]) -> None:
+        """Return unstarted tasks of ``lease_id`` to the broker, uncharged."""
+        try:
+            self._send(sock, {"type": "abandon", "lease": lease_id, "ids": list(ids)})
+            self._log(f"lease {lease_id}: abandoned {len(ids)} task(s)")
+        except OSError:
+            # Broker gone; it requeues them when it sees the connection drop.
+            pass
 
     def _inject_task_faults(self, index: int) -> None:
         """Per-task chaos sites, applied between execution and reporting."""
@@ -392,28 +436,34 @@ class WorkerDaemon:
             finally:
                 self._suppress_heartbeats.clear()
 
-    def _execute_items(self, items: List[WorkItem]):
+    def _execute_items(self, items: List[WorkItem], ask_ahead: Callable[[], None]):
+        """Yield each item's outcome; call ``ask_ahead`` once the lease's
+        last task is about to start (the pool starts them all at once)."""
         if self.procs > 1 and len(items) > 1:
             # The pool has the whole lease in flight; finish it.  Graceful
             # drain only short-circuits the serial path below.
-            pool = self._ensure_pool()
-            yield from pool.imap_unordered(execute_leased_item, items)
+            outcomes = self._ensure_pool().imap_unordered(execute_leased_item, items)
+            ask_ahead()
+            yield from outcomes
         else:
+            last = len(items) - 1
             for position, item in enumerate(items):
                 if self._drain.is_set():
                     self._abandoned.extend(entry[0] for entry in items[position:])
                     return
+                if position == last:
+                    ask_ahead()
                 yield execute_leased_item(item)
 
     def _heartbeat_loop(
-        self,
-        sock: socket.socket,
-        lease_id: Any,
-        interval: float,
-        done: threading.Event,
+        self, sock: socket.socket, interval: float, done: threading.Event
     ) -> None:
+        """The session's one heartbeat thread: while a lease is in hand, a
+        heartbeat every ``interval`` renews every lease the connection
+        holds, the one granted ahead included."""
         while not done.wait(interval):
-            if self._suppress_heartbeats.is_set():
+            lease_id = self._lease_in_hand
+            if lease_id is None or self._suppress_heartbeats.is_set():
                 continue
             try:
                 self._send(sock, {"type": "heartbeat", "lease": lease_id})
