@@ -1,17 +1,19 @@
 # One-word entry points for the verify / benchmark / demo workflows.
 #
-#   make test          - the smoke bench-compare gate, then one pytest run of
-#                        the tier-1 suite (tests/, perfbench/) plus the 12
-#                        E1-E12 paper-claim checks (benchmarks/bench_e*.py)
+#   make test          - one pytest run of the tier-1 suite (tests/,
+#                        perfbench/) plus the 12 E1-E12 paper-claim checks
+#                        (benchmarks/bench_e*.py); the tier-1 suite holds the
+#                        work-count golden (tests/test_counts.py): the smoke
+#                        rows' exact opcode and call counts per layer must
+#                        equal benchmarks/counts_smoke.json
+#   make counts-record - re-record benchmarks/counts_smoke.json, printing
+#                        every row and layer that moved
 #   make bench         - pinned perf scenarios -> BENCH_<date>.json
-#   make bench-compare - same, plus a diff against the previous BENCH file
-#                        (exits nonzero on a >10% wall-clock regression)
 #   make bench-smoke   - reduced bench suite, no file written (~sub-minute)
-#   make bench-smoke-compare - smoke suite diffed against the committed
-#                        benchmarks/BENCH_SMOKE.json baseline
 #   make bench-pair    - perfbench WORKLOAD at SEED, this tree against BASE
 #                        (a git revision), PAIRS alternated pairs of runs;
-#                        prints medians, ratio, wins and quartiles per metric
+#                        prints medians, ratio, wins, quartiles and a
+#                        gain/worse/unresolved/within verdict per metric
 #   make profile       - smoke bench under cProfile; writes the top-25
 #                        cumulative report to profile_report.txt
 #   make sweep-demo    - cached parallel sweep of E3 (re-run it to see the
@@ -38,12 +40,6 @@ WORKERS ?= 4
 ARTIFACT_DIR ?= .sweep-artifacts
 BENCH_DIR ?= .
 BENCH_REPEATS ?= 3
-SMOKE_BASELINE ?= benchmarks/BENCH_SMOKE.json
-# Wall-clock tolerance of the smoke gate.  The committed baseline is a
-# conservative envelope from the benching machine; on substantially slower
-# hardware run e.g. `make test SMOKE_THRESHOLD=0.5` (the machine-independent
-# rounds/messages drift check still applies) or regenerate the baseline.
-SMOKE_THRESHOLD ?= 0.10
 PROFILE_OUT ?= profile_report.txt
 BASE ?= HEAD
 WORKLOAD ?= alg1-local
@@ -55,10 +51,13 @@ E2_GOLDEN = tests/test_scenarios.py::TestScenarioCli::test_scenario_run_reproduc
 KILL_RESUME = tests/test_faults.py::TestSigkillResume::test_sigkilled_sweep_resumes_byte_identical_to_serial
 WORKER_DRAIN = tests/test_hub.py::TestGracefulShutdown
 
-.PHONY: test bench bench-compare bench-smoke bench-smoke-compare bench-pair profile sweep-demo scenario-demo dist-demo churn-demo chaos-demo hub-demo hub-chaos-demo zoo-demo clean-artifacts
+.PHONY: test counts-record bench bench-smoke bench-pair profile sweep-demo scenario-demo dist-demo churn-demo chaos-demo hub-demo hub-chaos-demo zoo-demo clean-artifacts
 
-test: bench-smoke-compare
+test:
 	$(PYTEST) -x -o python_files='test_*.py bench_*.py'
+
+counts-record:
+	$(PYTHON) benchmarks/counts.py record
 
 scenario-demo:
 	$(PYTEST) $(E2_GOLDEN)
@@ -87,14 +86,8 @@ zoo-demo:
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --repeats $(BENCH_REPEATS) --output-dir $(BENCH_DIR)
 
-bench-compare:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --repeats $(BENCH_REPEATS) --output-dir $(BENCH_DIR) --compare
-
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --scenarios smoke --repeats 1 --no-write
-
-bench-smoke-compare:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --scenarios smoke --repeats 2 --no-write --compare-to $(SMOKE_BASELINE) --threshold $(SMOKE_THRESHOLD)
 
 bench-pair:
 	$(PYTHON) benchmarks/pair.py --base $(BASE) --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)

@@ -13,9 +13,16 @@ included.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints the base and
 change medians, their ratio (change / base), the pairs the change won (better
-in the metric's direction), and the quartiles of both sides; then every run
-whose ``failed`` count is not zero.  A speed claim needs the change to win
-most pairs and its median to clear the spread of the base's quartiles.
+in the metric's direction), the quartiles of both sides and a verdict; then
+every run whose ``failed`` count is not zero.  The verdict is the first of:
+
+- ``worse``: the change median is worse than the base median by more than
+  the metric's ``bound`` (relative);
+- ``unresolved``: either side's quartile spread, relative to its median,
+  exceeds the bound;
+- ``gain``: the change won at least 9 of 10 pairs and its median differs
+  from the base's by more than the base's quartile spread;
+- ``within``: otherwise.
 
 Each run starts in its own session.  When the run ends, fails, or the script
 gets SIGTERM or SIGINT, the run's whole process group (the loopback workers
@@ -54,10 +61,28 @@ class Row:
     pairs: int
     base_quartiles: Tuple[float, float]
     change_quartiles: Tuple[float, float]
+    bound: Optional[float] = None
 
     @property
     def ratio(self) -> float:
         return self.change_median / self.base_median if self.base_median else float("nan")
+
+    @property
+    def verdict(self) -> str:
+        """``worse``, ``unresolved``, ``gain`` or ``within`` (module docstring)."""
+        sign = 1 if self.better == "higher" else -1
+        if self.bound is not None:
+            if sign * (self.base_median - self.change_median) > self.bound * abs(self.base_median):
+                return "worse"
+            for median, (q1, q3) in ((self.base_median, self.base_quartiles),
+                                     (self.change_median, self.change_quartiles)):
+                if q3 - q1 > self.bound * abs(median):
+                    return "unresolved"
+        base_spread = self.base_quartiles[1] - self.base_quartiles[0]
+        if 10 * self.wins >= 9 * self.pairs and (
+                sign * (self.change_median - self.base_median) > base_spread):
+            return "gain"
+        return "within"
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float]:
@@ -102,6 +127,7 @@ def summarize(
             pairs=len(base),
             base_quartiles=quartiles(base),
             change_quartiles=quartiles(change),
+            bound=spec.get("bound"),
         ))
     return rows
 
@@ -119,13 +145,13 @@ def failures(pairs: Sequence[Tuple[dict, dict]]) -> List[str]:
 
 def render(rows: Sequence[Row], failed: Sequence[str]) -> str:
     lines = [f"{'metric':14} {'better':6} {'base':>10} {'change':>10} {'ratio':>7} "
-             f"{'wins':>6}  {'base q1..q3':>21}  {'change q1..q3':>21}"]
+             f"{'wins':>6}  {'base q1..q3':>21}  {'change q1..q3':>21}  verdict"]
     for row in rows:
         lines.append(
             f"{row.name:14} {row.better:6} {row.base_median:10.4g} {row.change_median:10.4g} "
             f"{row.ratio:7.3f} {row.wins:>3}/{row.pairs:<2}  "
             f"{row.base_quartiles[0]:10.4g}..{row.base_quartiles[1]:<10.4g} "
-            f"{row.change_quartiles[0]:10.4g}..{row.change_quartiles[1]:.4g}"
+            f"{row.change_quartiles[0]:10.4g}..{row.change_quartiles[1]:<10.4g} {row.verdict}"
         )
     lines.extend(f"FAILED {line}" for line in failed)
     return "\n".join(lines)

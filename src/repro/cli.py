@@ -39,11 +39,10 @@ Sub-commands:
 
 ``bench``
     Run the pinned performance scenarios (E2/E3/E12-style workloads at
-    several n), write the measurements to ``BENCH_<date>.json``, and
-    optionally diff against the previous trajectory file, failing on a >10%
-    wall-clock regression (see RUNNER.md, "Performance")::
+    several n) and write the measurements to ``BENCH_<date>.json`` (see
+    RUNNER.md, "Performance")::
 
-        repro-byzantine-counting bench --compare
+        repro-byzantine-counting bench
 
 ``hub``
     The standing multi-tenant sweep service (see RUNNER.md, "Sweep Hub").
@@ -428,23 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure and print only; do not write a BENCH file",
     )
     bench_parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="diff against the most recent previous BENCH file in --output-dir",
-    )
-    bench_parser.add_argument(
-        "--compare-to",
-        default=None,
-        metavar="PATH",
-        help="diff against a specific BENCH json file",
-    )
-    bench_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="relative wall-clock regression tolerance (default 0.10 = 10%%)",
-    )
-    bench_parser.add_argument(
         "--output-name",
         default=None,
         metavar="FILENAME",
@@ -705,9 +687,7 @@ def _command_bench(args: argparse.Namespace) -> int:
     if args.profile is not None:
         # Profile mode: run the suite in-process under cProfile and write a
         # top-25 cumulative report artifact.  The wall-clocks are inflated
-        # by the profiler, so profile mode never writes a BENCH file (which
-        # could clobber a same-day baseline) and never runs the regression
-        # comparison.
+        # by the profiler, so profile mode never writes a BENCH file.
         import cProfile
         import io
         import pstats
@@ -723,41 +703,14 @@ def _command_bench(args: argparse.Namespace) -> int:
         profile_path.parent.mkdir(parents=True, exist_ok=True)
         profile_path.write_text(buffer.getvalue(), encoding="utf-8")
         print(bench.render_report(report))
-        print("[bench] profile mode: report not written, comparison skipped")
+        print("[bench] profile mode: report not written")
         print(f"[bench] wrote profile report {profile_path}")
         return 0
     report = bench.run_bench(scenarios, workers=args.workers, repeats=args.repeats)
     print(bench.render_report(report))
-
-    # Resolve (and read) the comparison baseline *before* writing the new
-    # file, so the report just written is never its own baseline.
-    previous_path = None
-    previous = None
-    if args.compare_to is not None:
-        previous_path = args.compare_to
-        previous = bench.load_report(previous_path)
-    elif args.compare:
-        previous_path = bench.find_previous_report(args.output_dir)
-        if previous_path is not None:
-            previous = bench.load_report(previous_path)
-
     if not args.no_write:
         path = bench.write_report(report, args.output_dir, filename=args.output_name)
         print(f"[bench] wrote {path}")
-
-    if args.compare and previous is None and args.compare_to is None:
-        print(f"[bench] no previous BENCH_*.json in {args.output_dir} to compare against")
-        return 0
-    if previous is None:
-        return 0
-    rows = bench.compare_reports(report, previous, threshold=args.threshold)
-    print()
-    print(f"[bench] comparison against {previous_path} (threshold {args.threshold:.0%}):")
-    print(bench.render_comparison(rows))
-    if bench.comparison_failed(rows):
-        print("[bench] FAIL: wall-clock regression or result drift detected")
-        return 1
-    print("[bench] ok: no regression beyond threshold")
     return 0
 
 

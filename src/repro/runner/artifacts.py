@@ -129,9 +129,13 @@ class ArtifactStore:
         # consulted by both load() and load_meta() nags once, not per call.
         self._warned: Set[Path] = set()
 
-    def path_for(self, config: SweepConfig) -> Path:
-        """Artifact path of ``config`` (exists only after :meth:`store`)."""
-        return self.root / config.task / f"{config.key()}.json"
+    def path_for(self, config: SweepConfig, key: Optional[str] = None) -> Path:
+        """Artifact path of ``config`` (exists only after :meth:`store`).
+
+        ``key`` is ``config.key()`` when the caller already holds it; the
+        content hash is then not computed again.
+        """
+        return self.root / config.task / f"{key or config.key()}.json"
 
     def _warn_corrupt(self, path: Path, reason: str) -> None:
         """A present-but-unusable artifact is a silent data-loss hazard --
@@ -145,15 +149,16 @@ class ArtifactStore:
         )
         sys.stderr.flush()
 
-    def load(self, config: SweepConfig) -> Any:
-        """The cached result of ``config``, or :data:`MISSING`.
+    def load(self, config: SweepConfig, key: Optional[str] = None) -> Any:
+        """The cached result of ``config`` (its ``key``, if given), or
+        :data:`MISSING`.
 
         Unreadable or corrupt artifacts count as misses -- the runner
         recomputes and overwrites them -- but a file that *exists* and
         cannot be used (truncated write survivor, hand-edited JSON, wrong
         shape) is reported on stderr rather than silently re-executed.
         """
-        path = self.path_for(config)
+        path = self.path_for(config, key)
         try:
             document = decode(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
@@ -167,9 +172,15 @@ class ArtifactStore:
         return document["result"]
 
     def store(
-        self, config: SweepConfig, result: Any, *, meta: Optional[dict] = None
+        self,
+        config: SweepConfig,
+        result: Any,
+        *,
+        meta: Optional[dict] = None,
+        key: Optional[str] = None,
     ) -> Path:
-        """Persist ``result`` for ``config`` and return the artifact path.
+        """Persist ``result`` for ``config`` (its ``key``, if given) and
+        return the artifact path.
 
         ``meta`` (execution metadata such as per-task wall-clock seconds and
         the worker pid) is stored alongside the result but never affects the
@@ -184,7 +195,7 @@ class ArtifactStore:
         The write is atomic and safe under concurrent writers
         (:func:`atomic_write_text`).
         """
-        path = self.path_for(config)
+        path = self.path_for(config, key)
         document = {
             "config": {"task": config.task, "params": config.params},
             "result": result,

@@ -5,12 +5,11 @@ Algorithm 2 workloads mirroring the E2 (Byzantine beacon flood), E3 (benign
 CONGEST) and E12 (scaling) experiment drivers at several ``n`` -- through the
 parallel sweep runner, collects each task's wall-clock from the runner's
 per-task execution metadata, and records wall-clock + rounds + messages into
-a ``BENCH_<date>.json`` trajectory file.  A comparison mode diffs a fresh run
-against the previous file and fails on a >10% wall-clock regression (or on
-any change in the deterministic rounds/messages counters, which would mean
-the optimization changed semantics).
+a ``BENCH_<date>.json`` trajectory file.  Wall-clocks measure the host as
+much as the program, so nothing here gates on them: ``make test`` gates on
+the exact work counts of the smoke rows instead (``benchmarks/counts.py``).
 
-See RUNNER.md ("Performance") for the JSON schema and how to read a diff.
+See RUNNER.md ("Performance") for the JSON schema.
 """
 
 from __future__ import annotations
@@ -34,11 +33,7 @@ __all__ = [
     "SMOKE_SCENARIOS",
     "run_bench",
     "write_report",
-    "find_previous_report",
-    "load_report",
-    "compare_reports",
     "render_report",
-    "render_comparison",
 ]
 
 BENCH_SCHEMA_VERSION = 1
@@ -629,92 +624,6 @@ def write_report(
     raise FileExistsError(f"no free report name left in {root} after {names[-1]}")
 
 
-def load_report(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a BENCH json file."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def find_previous_report(
-    directory: Union[str, Path], *, exclude: Optional[Union[str, Path]] = None
-) -> Optional[Path]:
-    """Latest ``BENCH_*.json`` in ``directory`` (dates sort lexicographically)."""
-    root = Path(directory)
-    excluded = Path(exclude).resolve() if exclude is not None else None
-    candidates = [
-        path
-        for path in sorted(root.glob(f"{BENCH_PREFIX}*.json"))
-        if excluded is None or path.resolve() != excluded
-    ]
-    return candidates[-1] if candidates else None
-
-
-def compare_reports(
-    current: Dict[str, Any], previous: Dict[str, Any], *, threshold: float = 0.10
-) -> List[Dict[str, Any]]:
-    """Per-scenario diff of two reports, most recent first argument.
-
-    Each row carries a ``status``:
-
-    - ``ok``          within ±threshold of the previous wall-clock
-    - ``faster``      improved by more than the threshold
-    - ``regression``  slower by more than the threshold (a failure)
-    - ``result-drift`` rounds/messages changed (a failure: determinism broke)
-    - ``schema-added`` the result gained keys and every shared key is equal
-      (not a failure: result dicts grow additively)
-    - ``new``         scenario absent from the previous report
-    """
-    previous_by_name = {row["name"]: row for row in previous.get("scenarios", [])}
-    rows: List[Dict[str, Any]] = []
-    for row in current.get("scenarios", []):
-        name = row["name"]
-        prev = previous_by_name.get(name)
-        if prev is None:
-            rows.append(
-                {
-                    "scenario": name,
-                    "previous_s": None,
-                    "current_s": row["wall_clock_s"],
-                    "ratio": None,
-                    "status": "new",
-                }
-            )
-            continue
-        ratio = row["wall_clock_s"] / prev["wall_clock_s"] if prev["wall_clock_s"] else None
-        previous_result, result = prev.get("result"), row.get("result")
-        added = (
-            previous_result != result
-            and isinstance(previous_result, dict)
-            and isinstance(result, dict)
-            and all(key in result and result[key] == value for key, value in previous_result.items())
-        )
-        if previous_result != result and not added:
-            status = "result-drift"
-        elif ratio is not None and ratio > 1.0 + threshold:
-            status = "regression"
-        elif added:
-            status = "schema-added"
-        elif ratio is not None and ratio < 1.0 - threshold:
-            status = "faster"
-        else:
-            status = "ok"
-        rows.append(
-            {
-                "scenario": name,
-                "previous_s": prev["wall_clock_s"],
-                "current_s": row["wall_clock_s"],
-                "ratio": round(ratio, 3) if ratio is not None else None,
-                "status": status,
-            }
-        )
-    return rows
-
-
-def comparison_failed(rows: Sequence[Dict[str, Any]]) -> bool:
-    """Whether any diff row is a failure (regression or determinism drift)."""
-    return any(row["status"] in ("regression", "result-drift") for row in rows)
-
-
 def render_report(report: Dict[str, Any]) -> str:
     """Human-readable table of one bench report."""
     from repro.analysis.tables import render_table
@@ -734,10 +643,3 @@ def render_report(report: Dict[str, Any]) -> str:
         f"created {report['created']})"
     )
     return header + "\n" + render_table(rows)
-
-
-def render_comparison(rows: Sequence[Dict[str, Any]]) -> str:
-    """Human-readable table of a comparison diff."""
-    from repro.analysis.tables import render_table
-
-    return render_table(list(rows))

@@ -129,7 +129,8 @@ class _TaskState:
         self.index, self.task, self.params, self.module = item
         #: Built once: the cache probe at grant time and the persist share it.
         self.config = SweepConfig(self.task, self.params)
-        #: Its artifact key; equal keys are duplicate configs.
+        #: Its artifact key; equal keys are duplicate configs.  The cache
+        #: probes and the persist reuse it.
         self.key = self.config.key()
         self.dispatches = 0
         self.done = False
@@ -527,7 +528,7 @@ class Broker:
         for state in candidates:
             if state.done:
                 continue
-            cached = self.store.load(state.config)
+            cached = self.store.load(state.config, state.key)
             if cached is not MISSING:
                 hits[state.gid] = cached
         if not hits:
@@ -923,7 +924,7 @@ class Broker:
             hits: Dict[int, Any] = {}
             if sweep is not None and self.store is not None and not sweep.force:
                 for state in candidates:
-                    cached = self.store.load(state.config)
+                    cached = self.store.load(state.config, state.key)
                     if cached is not MISSING:
                         hits[state.gid] = cached
             with self._lock:
@@ -1058,7 +1059,10 @@ class Broker:
                 if self.injector is not None and self.injector.fail_artifact_write():
                     raise OSError("injected fault: artifact write failed")
                 self.store.store(
-                    state.config, result, meta=meta if isinstance(meta, dict) else {}
+                    state.config,
+                    result,
+                    meta=meta if isinstance(meta, dict) else {},
+                    key=state.key,
                 )
                 return True
             except Exception as exc:  # noqa: BLE001 - surfaced via results()

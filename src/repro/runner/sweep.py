@@ -188,8 +188,12 @@ class SweepRunner:
         metas: List[Optional[TaskMeta]] = [None] * len(configs)
         pending: List[WorkItem] = []
         prefilled: List[int] = []
+        # One content hash per config, shared by the cache probe, the
+        # journal and the persist.
+        keys = [config.key() for config in configs] if self.store else []
+        probe = self.store is not None and not self.force
         for index, config in enumerate(configs):
-            cached = self.store.load(config) if self.store and not self.force else MISSING
+            cached = self.store.load(config, keys[index]) if probe else MISSING
             if cached is not MISSING:
                 results[index] = _canonical_result(cached)
                 prefilled.append(index)
@@ -202,7 +206,7 @@ class SweepRunner:
         self.last_cached = len(configs) - len(pending)
         self.last_executed = len(pending)
 
-        journal = self._begin_journal(configs, prefilled)
+        journal = self._begin_journal(configs, keys, prefilled)
         progress = _ProgressLine(
             total=len(configs),
             cached=self.last_cached,
@@ -217,7 +221,9 @@ class SweepRunner:
                 if meta is not None:
                     executed += 1
                     if self.store is not None and not self.backend.persists:
-                        self.store.store(configs[index], value, meta=meta)
+                        self.store.store(
+                            configs[index], value, meta=meta, key=keys[index]
+                        )
                 results[index] = value
                 metas[index] = meta
                 if journal is not None:
@@ -248,7 +254,10 @@ class SweepRunner:
         return results
 
     def _begin_journal(
-        self, configs: Sequence[SweepConfig], prefilled: Sequence[int]
+        self,
+        configs: Sequence[SweepConfig],
+        keys: Sequence[str],
+        prefilled: Sequence[int],
     ) -> Optional[SweepJournal]:
         """Open the sweep's crash-safe manifest (no-op without persistence)."""
         if self.store is None or not configs:
@@ -257,8 +266,8 @@ class SweepRunner:
         journal = SweepJournal.for_configs(self.store.root, configs)
         prior = journal.begin(
             [
-                {"index": index, "task": config.task, "key": config.key()}
-                for index, config in enumerate(configs)
+                {"index": index, "task": config.task, "key": key}
+                for index, (config, key) in enumerate(zip(configs, keys))
             ],
             counter="resumed",
             restart=self.resume,

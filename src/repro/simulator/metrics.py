@@ -99,9 +99,6 @@ class SimulationMetrics:
         self.messages_per_round[-1] += copies
         self.node_stats(node).record_many(message, copies)
 
-    #: ``record_send`` with an explicit copy count (a broadcast).
-    record_broadcast = record_send
-
     def start_round(self) -> None:
         """Open the accounting bucket of a new round."""
         self.messages_per_round.append(0)

@@ -98,6 +98,51 @@ class TestSummary:
         assert lines[1].split()[:6] == ["cells_per_s", "higher", "10", "12", "1.200", "3/3"]
 
 
+class TestVerdict:
+    """The verdict column, on ten stub pairs of ``cells_per_s`` values."""
+
+    SPEC = [{"name": "cells_per_s", "better": "higher", "bound": 0.25},
+            {"name": "cpu_s", "better": "lower", "bound": 0.25}]
+
+    def verdicts(self, base_rates, change_rates):
+        pairs = canned([(line(b, 4.0), line(c, 4.0))
+                        for b, c in zip(base_rates, change_rates)])
+        return {row.name: row.verdict for row in pair.summarize(pairs, self.SPEC)}
+
+    BASE = [10.0 + 0.1 * i for i in range(10)]
+
+    def test_gain_needs_nine_wins_and_a_median_past_the_base_spread(self):
+        faster = [rate * 1.2 for rate in self.BASE]
+        assert self.verdicts(self.BASE, faster) == {"cells_per_s": "gain", "cpu_s": "within"}
+        # Eight wins of ten are not enough.
+        mixed = faster[:8] + [rate * 0.99 for rate in self.BASE[8:]]
+        assert self.verdicts(self.BASE, mixed)["cells_per_s"] == "within"
+        # Ten wins whose median stays inside the base's quartile spread.
+        barely = [rate + 0.01 for rate in self.BASE]
+        assert self.verdicts(self.BASE, barely)["cells_per_s"] == "within"
+
+    def test_worse_past_the_bound(self):
+        slower = [rate * 0.7 for rate in self.BASE]
+        assert self.verdicts(self.BASE, slower)["cells_per_s"] == "worse"
+        assert self.verdicts(self.BASE, [rate * 0.8 for rate in self.BASE])[
+            "cells_per_s"] == "within"
+
+    def test_unresolved_when_either_side_spreads_past_the_bound(self):
+        wide = [5.0, 15.0] * 5
+        assert self.verdicts(self.BASE, wide)["cells_per_s"] == "unresolved"
+        assert self.verdicts(wide, self.BASE)["cells_per_s"] == "unresolved"
+
+    def test_within_otherwise(self):
+        same = [rate * 1.01 if i % 2 else rate * 0.99 for i, rate in enumerate(self.BASE)]
+        assert self.verdicts(self.BASE, same) == {"cells_per_s": "within", "cpu_s": "within"}
+
+    def test_rendered_last_column(self):
+        pairs = canned([(line(b, 4.0), line(b * 0.5, 4.0)) for b in self.BASE])
+        rendered = pair.render(pair.summarize(pairs, self.SPEC), [])
+        assert rendered.splitlines()[0].split()[-1] == "verdict"
+        assert rendered.splitlines()[1].split()[-1] == "worse"
+
+
 #: A ``perfbench/run.py`` that forks a sleeper (as a ``sweep-mixed`` run forks
 #: its loopback workers), records both pids, then sleeps or fails.
 STUB_RUN = """\

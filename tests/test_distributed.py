@@ -427,6 +427,28 @@ class TestBackendEquivalence:
         assert (runner.last_cached, runner.last_executed) == (1, 2)
         assert runner.last_metas[2] is None
 
+    def test_one_artifact_key_per_config_and_per_broker_task(self, tmp_path, monkeypatch):
+        """The runner hashes each config once for its cache probe, journal
+        and persist; the broker hashes each submitted task once for its
+        grant-time probe and persist."""
+        configs = [SweepConfig("testing.sleep_echo", {"value": v}) for v in range(8)]
+        SweepRunner(artifact_dir=tmp_path).run(configs[::2])
+        hashed = []
+        key = SweepConfig.key
+        monkeypatch.setattr(SweepConfig, "key", lambda self: hashed.append(self) or key(self))
+
+        serial = SweepRunner(artifact_dir=tmp_path / "serial")
+        assert serial.run(configs) == [{"value": v} for v in range(8)]
+        assert len(hashed) == len(configs)
+
+        hashed.clear()
+        runner = SweepRunner(
+            backend=DistributedBackend(spawn_workers=1, quiet=True), artifact_dir=tmp_path
+        )
+        assert runner.run(configs) == [{"value": v} for v in range(8)]
+        assert (runner.last_cached, runner.last_executed) == (4, 4)
+        assert len(hashed) == len(configs) + 4
+
 
 # --------------------------------------------------------------------------- #
 # Fault tolerance

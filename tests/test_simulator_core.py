@@ -181,7 +181,7 @@ class TestMetrics:
         with pytest.raises(RuntimeError, match="start_round"):
             metrics.record_send(0, Message(kind="k", size_bits=1, num_ids=0))
         with pytest.raises(RuntimeError):
-            metrics.record_broadcast(0, Message(kind="k", size_bits=1, num_ids=0), 3)
+            metrics.record_send(0, Message(kind="k", size_bits=1, num_ids=0), 3)
         assert metrics.total_messages == 0
         assert metrics.messages_per_round == []
 
@@ -189,7 +189,7 @@ class TestMetrics:
         message = Message(kind="k", size_bits=10, num_ids=2)
         broadcasted = SimulationMetrics()
         broadcasted.start_round()
-        broadcasted.record_broadcast(0, message, 3)
+        broadcasted.record_send(0, message, 3)
         repeated = SimulationMetrics()
         repeated.start_round()
         for _ in range(3):
