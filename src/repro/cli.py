@@ -21,10 +21,10 @@ Sub-commands:
         repro-byzantine-counting sweep e12 --backend distributed --listen :9876
 
 ``worker``
-    Worker daemon for the distributed backend: connect to a broker started
-    with ``sweep/scenario run --backend distributed --listen HOST:PORT``,
-    lease tasks, stream results back (see RUNNER.md, "Distributed
-    backend")::
+    Worker daemon for the distributed backend: connect to the hub that
+    ``sweep/scenario run --backend distributed --listen HOST:PORT`` (or
+    ``hub serve``) starts, lease tasks, stream results back (see
+    RUNNER.md, "Distributed backend")::
 
         repro-byzantine-counting worker --connect 10.0.0.5:9876 --workers 8
 
@@ -185,7 +185,7 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="HOST:PORT",
         default=None,
         help="submit the sweep to a standing hub ('hub serve') instead of "
-        "running a private broker; implies --backend distributed",
+        "starting one in-process; implies --backend distributed",
     )
     parser.add_argument(
         "--priority",

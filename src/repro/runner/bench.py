@@ -145,8 +145,9 @@ def _bench_loopback(
     simulation itself.  ``path`` picks the runner path, one pinned task
     each:
 
-    - ``dist`` (``bench.dist_loopback``): a private broker with forked
-      loopback workers.
+    - ``dist`` (``bench.dist_loopback``): the distributed backend's own
+      in-process hub, started for the sweep, with loopback workers forked
+      into it.
     - ``chaos`` (``bench.chaos_loopback``): the same with an **all-zero**
       :class:`~repro.runner.faults.FaultPlan` -- every injection hook is
       threaded through broker and workers and consulted on every protocol
@@ -155,9 +156,8 @@ def _bench_loopback(
     - ``hub`` (``bench.hub_loopback``): an in-process
       :class:`~repro.runner.hub.service.SweepHub`, persistent worker
       daemons connected to it, and a ``DistributedBackend(connect=...)``
-      client submitting over TCP.  The delta against ``dist`` is the hub's
-      submission/multiplexing overhead (client protocol, fair-share
-      ranking, per-sweep queues).
+      client submitting over TCP.  The delta against ``dist`` is the cost
+      of a standing hub and fleet against one started per sweep.
     - ``hub-ha`` (``bench.hub_ha_loopback``): the hub with a crash-safe
       state journal and admission control -- every completion lands an
       atomic hub-journal write and every submit passes the capacity check.

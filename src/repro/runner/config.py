@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping
 
-__all__ = ["SweepConfig", "canonical_json"]
+__all__ = ["SweepConfig", "canonical_json", "canonical_key"]
 
 
 def canonical_json(value: Any) -> str:
@@ -33,6 +33,11 @@ def canonical_json(value: Any) -> str:
         raise ValueError(
             f"non-finite float (NaN/Infinity) has no canonical JSON encoding: {exc}"
         ) from None
+
+
+def canonical_key(canonical: str) -> str:
+    """The content hash (hex, 20 chars) of a config's canonical JSON."""
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:20]
 
 
 #: Exact leaf types that can never hold a non-finite float.
@@ -102,4 +107,4 @@ class SweepConfig:
 
     def key(self) -> str:
         """Stable content hash of this config (hex, 20 chars)."""
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:20]
+        return canonical_key(self.canonical())

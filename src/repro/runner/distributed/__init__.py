@@ -12,11 +12,10 @@ The subsystem behind ``SweepRunner(backend="distributed")`` (see RUNNER.md,
 - :mod:`~repro.runner.distributed.worker` -- the daemon behind
   ``repro-byzantine-counting worker --connect HOST:PORT --workers N``.
 - :mod:`~repro.runner.distributed.backend` -- the ``ExecutionBackend``
-  gluing a per-sweep broker (plus optional spawned loopback workers) into
-  the unchanged runner API, or -- in ``connect`` mode -- submitting to a
-  standing multi-tenant :mod:`~repro.runner.hub` service built on the
-  same broker core (:class:`SweepQueue` is the per-sweep unit it
-  multiplexes).
+  that submits the runner's work to a :mod:`~repro.runner.hub` service
+  built on the broker core (:class:`SweepQueue` is the per-sweep unit it
+  multiplexes): a standing hub in ``connect`` mode, else a hub of its own
+  for one sweep, plus optional forked loopback workers.
 """
 
 from repro.runner.distributed.backend import DistributedBackend, spawn_loopback_worker

@@ -1,33 +1,26 @@
-"""The ``distributed`` execution backend: a broker behind the runner API.
+"""The ``distributed`` execution backend: a Sweep Hub behind the runner API.
 
 ``SweepRunner(backend=DistributedBackend(...))`` executes its pending work
-items by starting a :class:`~repro.runner.distributed.broker.Broker` for
-the duration of the sweep and yielding completions as workers stream them
-in.  Two modes:
+items by submitting them to a :class:`~repro.runner.hub.service.SweepHub`
+with a :class:`~repro.runner.hub.client.HubSubmission` and yielding
+completions as the hub streams them back.  The hub is either
 
-Loopback (``spawn_workers > 0``)
-    The backend forks that many local worker-daemon processes from the
-    sweep process (:func:`spawn_loopback_worker`), watches them while the
-    sweep runs (a crashed worker is respawned, up to a bounded budget), and
-    terminates them when the sweep finishes.  Forked workers start at once,
-    with every module already imported, and inherit the task registry and
-    any in-process patches -- perfbench's tracer wrappers, for one -- just
-    as the fork pool's workers do.  This is the one-machine fan-out path --
-    and what the fault-tolerance tests and ``make dist-demo`` exercise.
-
-Listen (``spawn_workers == 0``)
-    The backend binds ``listen`` and waits for externally started workers
-    (any host that can reach the address).  The broker address and the
-    exact ``worker`` command to paste on remote machines are announced on
-    stderr.
-
-Connect (``connect=(host, port)``)
-    No private broker at all: the backend submits the sweep to a standing
-    :class:`~repro.runner.hub.service.SweepHub` at that address and
-    streams its results back.  The hub owns the worker fleet and the
-    artifact persistence; many clients can submit concurrently and the
-    hub fair-shares the fleet across them.  ``--connect HOST:PORT`` on
-    the runner CLIs selects this mode.
+- the standing hub at ``connect=(host, port)`` (``--connect HOST:PORT`` on
+  the runner CLIs), which owns its worker fleet and artifact persistence
+  and fair-shares the fleet across concurrent clients; or
+- without ``connect``, a hub this backend starts in-process on ``listen``
+  for the duration of one sweep, with the backend's store, lease, retry,
+  chunk and fault settings.  It answers ``done`` once the sweep has
+  drained, so one-shot workers exit.  With ``spawn_workers > 0`` the
+  backend forks that many loopback workers into it
+  (:func:`spawn_loopback_worker`) once the hub has accepted the sweep,
+  respawns any that crash mid-sweep (up to a bounded budget), and
+  terminates them when the sweep finishes.  Forked workers start at once,
+  with every module already imported, and inherit the task registry and
+  any in-process patches -- perfbench's tracer wrappers, for one -- just
+  as the fork pool's workers do.  With ``spawn_workers == 0`` (listen
+  mode) the backend announces the hub address and the exact ``worker``
+  command to paste on remote machines on stderr, and waits for them.
 """
 
 from __future__ import annotations
@@ -36,17 +29,22 @@ import itertools
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
-from typing import Any, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
+)
 
 from repro.runner.backends import CompletedItem, ExecutionBackend, WorkItem
-from repro.runner.distributed.broker import Broker, BrokerError
+from repro.runner.distributed.broker import BrokerError
 from repro.runner.distributed.protocol import format_address
 from repro.runner.distributed.worker import run_worker
 from repro.runner.faults import FaultInjector, FaultPlan
+from repro.runner.hub.client import HubSubmission
+from repro.runner.hub.service import SweepHub
 
 __all__ = [
     "DistributedBackend",
@@ -184,22 +182,23 @@ def stop_workers(workers: Sequence[LoopbackWorker]) -> None:
 
 
 class DistributedBackend(ExecutionBackend):
-    """Broker/worker execution behind the unchanged ``SweepRunner`` API.
+    """Hub/worker execution behind the unchanged ``SweepRunner`` API.
 
     Parameters
     ----------
     listen:
-        ``(host, port)`` for the broker socket.  Port ``0`` (the default)
-        picks a free port -- the natural choice for loopback mode.
+        ``(host, port)`` the backend's own hub binds.  Port ``0`` (the
+        default) picks a free port -- the natural choice for loopback mode.
     spawn_workers:
         Local worker daemons to spawn per sweep (0 = listen-only).
     worker_procs:
         Local processes per spawned worker daemon.
     lease_ttl_s / max_retries / chunk_size:
-        Broker lease semantics (see :class:`Broker`).
+        The own hub's lease semantics (see
+        :class:`~repro.runner.distributed.broker.Broker`).
     fault_plan:
         Optional :class:`~repro.runner.faults.FaultPlan` to thread through
-        the whole backend: the broker consults it under the ``"broker"``
+        the whole backend: the own hub consults it under the ``"broker"``
         salt, and every spawned loopback worker receives it (with a
         per-spawn ``worker-<ordinal>`` salt, so a respawned worker draws a
         fresh decision stream instead of deterministically re-crashing).
@@ -209,27 +208,27 @@ class DistributedBackend(ExecutionBackend):
         ``spawn_workers`` (beyond it the sweep fails rather than stalls).
         Chaos tests raise it so injected crash storms stay survivable.
     quiet:
-        Suppress the stderr announcement of the broker address.
+        Suppress the stderr announcements (hub address, submission).
     connect:
         ``(host, port)`` of a standing Sweep Hub to submit to instead of
-        running a private broker.  Mutually exclusive with the
-        broker-owning knobs (``spawn_workers``, ``lease_ttl_s``,
-        ``max_retries``, ``chunk_size``, ``fault_plan``): those belong to
-        the hub's own configuration, and silently ignoring them here would
-        mislead.
+        starting one.  Mutually exclusive with the hub-owning knobs
+        (``spawn_workers``, ``lease_ttl_s``, ``max_retries``,
+        ``chunk_size``, ``fault_plan``): those belong to the hub's own
+        configuration, and silently ignoring them here would mislead.
     priority / submit_name:
-        Hub-submission metadata (connect mode only): fair-share priority
-        and the display name shown by ``hub status``.
+        Submission metadata: fair-share priority (connect mode only) and
+        the display name shown by ``hub status``.
     reconnect_attempts:
         Connect mode only: consecutive failed hub-reconnect attempts the
         submission tolerates before giving up (see
         :class:`~repro.runner.hub.client.HubSubmission`).  ``0`` restores
-        fail-fast; the default rides out hub restarts.
+        fail-fast; the default rides out hub restarts.  The own hub lives
+        and dies with this process, so its submission never reconnects.
     """
 
     name = "distributed"
     parallel = True
-    #: The broker persists fresh results through the ArtifactStore itself
+    #: The hub persists fresh results through the ArtifactStore itself
     #: (before publishing them), so dispatch-time dedupe of duplicate
     #: configs never races the runner; the runner therefore skips its own
     #: store step for this backend.
@@ -237,6 +236,11 @@ class DistributedBackend(ExecutionBackend):
 
     #: Default ``respawn_factor`` (see above).
     RESPAWN_FACTOR = 2
+
+    #: The own hub's idle-stream heartbeat cadence: the respawn watch runs
+    #: on every stream message, so it also bounds how long a crashed
+    #: loopback worker goes unnoticed.
+    HEARTBEAT_S = 0.25
 
     def __init__(
         self,
@@ -299,11 +303,11 @@ class DistributedBackend(ExecutionBackend):
             self.RESPAWN_FACTOR if respawn_factor is None else respawn_factor
         )
         self.quiet = quiet
-        #: Broker stats of the most recent sweep (retries, cache hits, ...).
+        #: Hub stats of the most recent sweep (retries, cache hits, ...).
         self.last_stats: dict = {}
-        #: Broker structured event log of the most recent sweep.
+        #: The own hub's structured event log of the most recent sweep.
         self.last_events: List[Dict[str, Any]] = []
-        #: Broker-side injected-fault counts of the most recent sweep.
+        #: The own hub's injected-fault counts of the most recent sweep.
         self.last_faults: Dict[str, int] = {}
 
     def describe(self) -> str:
@@ -321,31 +325,86 @@ class DistributedBackend(ExecutionBackend):
         store: Optional[Any] = None,
         force: bool = False,
     ) -> Iterator[CompletedItem]:
+        """Submit ``pending`` to the hub and stream its results.
+
+        The hub persists fresh results into *its* artifact store.  The own
+        hub gets the runner's ``store``; a standing hub has its own, so
+        point the runner's ``--artifact-dir`` at the root it serves and the
+        client-side journal, cache prefill and ``--resume`` compose exactly
+        as with the own hub.
+        """
         if not pending:
             return
-        if self.connect is not None:
-            yield from self._execute_remote(pending, force=force)
-            return
-        host, port = self.listen
-        broker_injector = (
-            FaultInjector(self.fault_plan, salt="broker")
-            if self.fault_plan is not None
-            else None
-        )
-        broker = Broker(
-            store=store,
-            force=force,
-            host=host,
-            port=port,
-            lease_ttl_s=self.lease_ttl_s,
-            max_retries=self.max_retries,
-            chunk_size=self.chunk_size,
-            injector=broker_injector,
-        )
-        sweep = broker.submit(pending)
-        address = broker.start()
+        hub: Optional[SweepHub] = None
         workers: List[LoopbackWorker] = []
-        respawns_left = self.respawn_factor * self.spawn_workers
+        address = self.connect
+        if address is None:
+            hub = SweepHub(
+                store=store,
+                host=self.listen[0],
+                port=self.listen[1],
+                lease_ttl_s=self.lease_ttl_s,
+                max_retries=self.max_retries,
+                chunk_size=self.chunk_size,
+                injector=(
+                    FaultInjector(self.fault_plan, salt="broker")
+                    if self.fault_plan is not None
+                    else None
+                ),
+                client_heartbeat_s=self.HEARTBEAT_S,
+                done_when_drained=True,
+            )
+            address = hub.start()
+        submission = HubSubmission(
+            address,
+            pending,
+            name=self.submit_name,
+            priority=self.priority,
+            force=force,
+            reconnect_attempts=self.reconnect_attempts if hub is None else 0,
+            quiet=self.quiet,
+            poll=self._watch(address, workers) if self.spawn_workers else None,
+        )
+        try:
+            if not self.quiet:
+                self._announce(address, len(pending), own_hub=hub is not None)
+            yield from submission
+        except BrokerError:
+            # A sweep that failed on the own hub re-raises the hub's record:
+            # an injected broker crash keeps its type and its resume hint.
+            sweep = hub._queues.get(submission.sweep_id) if hub is not None else None
+            if sweep is not None and sweep.failure is not None:
+                raise sweep.failure from None
+            raise
+        finally:
+            if hub is None:
+                self.last_stats = dict(
+                    submission.stats, reconnects=submission.reconnects
+                )
+                self.last_events = []
+                self.last_faults = {}
+            else:
+                self.last_stats = dict(hub.stats, events_dropped=hub.events_dropped)
+                self.last_events = list(hub.events)
+                self.last_faults = hub.fault_counts
+                hub.stop()
+                stop_workers(workers)
+
+    def _watch(
+        self, address: Tuple[str, int], workers: List[LoopbackWorker]
+    ) -> Callable[[], None]:
+        """The loopback submission's ``poll``: fork the workers, then keep
+        them alive.
+
+        Its first call comes once the hub has accepted the sweep, so no
+        worker can find the hub empty and exit; it forks the workers.
+        Every later call replaces workers that died mid-sweep.  A worker
+        that exited 0 saw the sweep drained or failed and stays down.  A
+        bounded respawn budget turns a crash loop into a failed sweep
+        instead of a stall.
+        """
+        budget = self.respawn_factor * self.spawn_workers
+        respawns_left = budget
         # Every spawn (initial or respawn) gets the next ordinal, so each
         # worker process draws an independent deterministic fault stream.
         spawn_ordinals = itertools.count()
@@ -359,86 +418,42 @@ class DistributedBackend(ExecutionBackend):
                 fault_salt=f"worker-{next(spawn_ordinals)}",
             )
 
-        def watch_workers() -> None:
-            # Replace loopback workers that died mid-sweep; a bounded budget
-            # turns a crash loop into a failed sweep instead of a stall.
+        def watch() -> None:
             nonlocal respawns_left
+            if not workers:
+                workers.extend(spawn_one() for _ in range(self.spawn_workers))
+                return
             for i, process in enumerate(workers):
-                if process.poll() is None or broker.drained:
+                if process.poll() in (None, 0):
                     continue
                 if respawns_left <= 0:
                     raise BrokerError(
                         f"loopback workers keep dying (respawn budget of "
-                        f"{self.respawn_factor * self.spawn_workers} exhausted); "
-                        "see the broker retry stats for the failing task"
+                        f"{budget} exhausted); see the hub retry stats for "
+                        "the failing task"
                     )
                 respawns_left -= 1
                 workers[i] = spawn_one()
 
-        try:
-            if self.spawn_workers:
-                workers.extend(spawn_one() for _ in range(self.spawn_workers))
-            elif not self.quiet:
-                # A wildcard bind (0.0.0.0 / ::) is not a connectable
-                # address; substitute this machine's hostname so the
-                # announced worker command is paste-able on remote hosts.
-                host_part, port_part = address
-                if host_part in ("0.0.0.0", "::", ""):
-                    import socket as _socket
+        return watch
 
-                    host_part = _socket.gethostname()
-                connect_to = format_address((host_part, port_part))
-                sys.stderr.write(
-                    f"[sweep] broker listening on {format_address(address)} -- "
-                    f"start workers with: repro-byzantine-counting worker "
-                    f"--connect {connect_to}\n"
-                )
-                sys.stderr.flush()
-            yield from sweep.results(poll=watch_workers if workers else None)
-        finally:
-            self.last_stats = dict(broker.stats)
-            self.last_stats["events_dropped"] = broker.events_dropped
-            self.last_events = list(broker.events)
-            self.last_faults = dict(broker.fault_counts)
-            broker.stop()
-            stop_workers(workers)
-
-    def _execute_remote(
-        self, pending: Sequence[WorkItem], *, force: bool
-    ) -> Iterator[CompletedItem]:
-        """Submit ``pending`` to the standing hub and stream its results.
-
-        The hub persists fresh results into *its* artifact store, so
-        ``persists=True`` still holds; point the runner's ``--artifact-dir``
-        at the same root the hub serves and the client-side journal, cache
-        prefill, and ``--resume`` all compose exactly as with a private
-        broker.  The runner's ``store`` argument is intentionally unused
-        here -- persistence is the hub's job, and a second writer would
-        only race it.
-        """
-        # Imported lazily: repro.runner.hub imports this module for the
-        # backend seam, so a top-level import would be circular.
-        from repro.runner.hub.client import HubSubmission
-
-        if not self.quiet:
-            sys.stderr.write(
-                f"[sweep] submitting {len(pending)} task(s) to hub at "
-                f"{format_address(self.connect)}\n"
+    def _announce(self, address: Tuple[str, int], tasks: int, *, own_hub: bool) -> None:
+        """Tell the user where the sweep goes (stderr)."""
+        if not own_hub:
+            message = f"submitting {tasks} task(s) to hub at {format_address(address)}"
+        elif self.spawn_workers:
+            return
+        else:
+            # A wildcard bind (0.0.0.0 / ::) is not a connectable address;
+            # substitute this machine's hostname so the announced worker
+            # command is paste-able on remote hosts.
+            host, port = address
+            if host in ("0.0.0.0", "::", ""):
+                host = socket.gethostname()
+            message = (
+                f"hub listening on {format_address(address)} -- start workers "
+                "with: repro-byzantine-counting worker --connect "
+                f"{format_address((host, port))}"
             )
-            sys.stderr.flush()
-        submission = HubSubmission(
-            self.connect,
-            pending,
-            name=self.submit_name,
-            priority=self.priority,
-            force=force,
-            reconnect_attempts=self.reconnect_attempts,
-            quiet=self.quiet,
-        )
-        try:
-            yield from submission
-        finally:
-            self.last_stats = dict(submission.stats)
-            self.last_stats["reconnects"] = submission.reconnects
-            self.last_events = []
-            self.last_faults = {}
+        sys.stderr.write(f"[sweep] {message}\n")
+        sys.stderr.flush()

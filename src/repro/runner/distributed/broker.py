@@ -3,14 +3,13 @@
 Two layers live here:
 
 - :class:`SweepQueue` -- ONE sweep's task states, pending deque, retry
-  budget, and completion stream.  It is the sweep-scoped queue core: pure
-  bookkeeping, no sockets.
+  budget, and completion listeners.  It is the sweep-scoped queue core:
+  pure bookkeeping, no sockets.
 - :class:`Broker` -- the TCP service that multiplexes any number of
-  SweepQueues over one shared worker fleet.  :meth:`Broker.submit`
-  registers a sweep (before or while serving) and returns its queue,
-  whose ``results()`` is that sweep's completion stream.  The
-  distributed backend runs a private broker with one submitted sweep;
-  the Sweep Hub (:mod:`repro.runner.hub`) is the long-lived subclass.
+  SweepQueues over one shared worker fleet.  Its one subclass, the Sweep
+  Hub (:mod:`repro.runner.hub`), registers sweeps as clients submit them
+  and streams each sweep's completions back to its client; the
+  distributed backend runs one, either standing or for one sweep.
 
 Dispatch is **lease-based**:
 
@@ -67,7 +66,7 @@ import threading
 import time
 from collections import deque
 from datetime import datetime, timezone
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.runner.artifacts import MISSING, ArtifactStore
 from repro.runner.backends import CompletedItem, WorkItem
@@ -161,12 +160,12 @@ class _Lease:
 
 
 class SweepQueue:
-    """One sweep's task states, pending queue, and completion stream.
+    """One sweep's task states, pending queue, and completion listeners.
 
-    Created by :meth:`Broker.submit`; all mutation happens under the
-    broker's lock.  The submitting side consumes :meth:`results` -- an
-    ``(index, result, meta)`` stream, failures included -- while the
-    broker fills ``_completed`` as leases settle.
+    Created by :meth:`Broker._submit_locked`; all mutation happens under
+    the broker's lock.  Consumers read ``(index, result, meta)``
+    completions -- and the failure sentinel -- from a listener queue
+    (:meth:`attach_listener`) that the broker fills as leases settle.
     """
 
     def __init__(
@@ -204,7 +203,6 @@ class SweepQueue:
         self.started = False
         self.submitted_at = _utc_now()
         self.finished_at: Optional[str] = None
-        self._completed: "queue.Queue" = queue.Queue()
         #: Completed items retained for replay to listeners that attach (or
         #: re-attach) after publication started; bounded by ``total`` and
         #: dropped with the queue at history eviction.
@@ -214,18 +212,16 @@ class SweepQueue:
 
     # ------------------------------------------------------------------ #
     def publish(self, item: Any) -> None:
-        """Hand one completion (or the failure sentinel) to every consumer.
+        """Hand one completion (or the failure sentinel) to every listener.
 
-        The :meth:`results` consumer reads ``_completed``; attached
-        listeners (hub client streams, including clients re-attaching
-        after a reconnect) get the same item, and completions are also
-        retained in :attr:`history` so a listener attached later can
+        Attached listeners (hub client streams, including clients
+        re-attaching after a reconnect) get the item, and completions are
+        also retained in :attr:`history` so a listener attached later can
         replay what it missed.
         """
         with self._pub_lock:
             if item is not _FAILED:
                 self.history.append(item)
-            self._completed.put(item)
             for listener in self._listeners:
                 listener.put(item)
 
@@ -249,29 +245,6 @@ class SweepQueue:
         with self._pub_lock:
             if listener in self._listeners:
                 self._listeners.remove(listener)
-
-    def results(
-        self, *, poll: Optional[Any] = None, poll_interval: float = 0.25
-    ) -> Iterator[CompletedItem]:
-        """Yield ``(index, result, meta)`` as tasks complete, any order.
-
-        ``poll`` (optional zero-arg callable) runs every ``poll_interval``
-        while waiting.  Raises :class:`BrokerError` if the sweep fails.
-        """
-        delivered = 0
-        while delivered < self.total:
-            try:
-                item = self._completed.get(timeout=poll_interval)
-            except queue.Empty:
-                if self.failure is not None:
-                    raise self.failure
-                if poll is not None:
-                    poll()
-                continue
-            if item is _FAILED:
-                raise self.failure  # type: ignore[misc]
-            yield item
-            delivered += 1
 
     # ------------------------------------------------------------------ #
     def counters(self) -> Dict[str, int]:
@@ -314,7 +287,8 @@ class SweepQueue:
 class Broker:
     """Serve sweep work items to TCP workers, lease by lease.
 
-    Sweeps arrive via :meth:`submit`, each as its own :class:`SweepQueue`.
+    Sweeps register through :meth:`_submit_locked`, each as its own
+    :class:`SweepQueue`.
 
     Parameters
     ----------
@@ -322,7 +296,7 @@ class Broker:
         The artifact cache settings.  With a store and ``force=False`` the
         broker dedupes against the cache at dispatch time (across *all*
         sweeps sharing it) and persists every fresh result through it.
-        ``force`` is the default for submissions; :meth:`submit` can
+        ``force`` is the default for submissions; a submission can
         override it per sweep.
     host / port:
         Bind address (port ``0`` picks a free port; see :attr:`address`).
@@ -330,8 +304,7 @@ class Broker:
         Lease lifetime without a result or heartbeat.  Workers heartbeat at
         a third of this, so only a hung or killed worker ever expires.
     max_retries:
-        Default re-dispatch budget per task beyond its first attempt
-        (per-sweep overridable via :meth:`submit`).
+        Re-dispatch budget per task beyond its first attempt.
     chunk_size:
         Hard cap on tasks per lease (``None``: honor the worker's requested
         capacity, which defaults to its local process count).
@@ -340,6 +313,11 @@ class Broker:
         broker-side fault sites (wire faults on broker sends, artifact-write
         failures, broker crashes).  ``None`` disables injection.
     """
+
+    #: Whether an ``empty`` lease reply says ``done`` once every registered
+    #: sweep has drained or failed, so one-shot workers exit.  A standing
+    #: hub clears it: more sweeps can arrive at any time.
+    done_when_drained = True
 
     def __init__(
         self,
@@ -436,36 +414,6 @@ class Broker:
     # ------------------------------------------------------------------ #
     # Sweep registration
     # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        items: Sequence[WorkItem],
-        *,
-        name: str = "",
-        priority: int = 0,
-        force: Optional[bool] = None,
-        max_retries: Optional[int] = None,
-    ) -> SweepQueue:
-        """Register a new sweep; safe to call while the broker is serving.
-
-        Returns the sweep's :class:`SweepQueue`; consume its ``results()``
-        for the completion stream.  ``force`` / ``max_retries`` default to
-        the broker-level settings.
-        """
-        item_list = list(items)
-        seen: Set[int] = set()
-        for item in item_list:
-            if item[0] in seen:
-                raise ValueError(f"duplicate work item index {item[0]}")
-            seen.add(item[0])
-        with self._lock:
-            return self._submit_locked(
-                item_list,
-                name=name,
-                priority=priority,
-                force=force,
-                max_retries=max_retries,
-            )
-
     def _submit_locked(
         self,
         item_list: Sequence[WorkItem],
@@ -473,14 +421,11 @@ class Broker:
         name: str = "",
         priority: int = 0,
         force: Optional[bool] = None,
-        max_retries: Optional[int] = None,
         identity: Optional[str] = None,
     ) -> SweepQueue:
-        """Register a sweep under ``self._lock`` (held by the caller).
-
-        Split out of :meth:`submit` so the hub can make its
-        identity-dedupe check and the registration one atomic step.
-        """
+        """Register a sweep under ``self._lock`` (held by the caller), so
+        the hub makes its identity-dedupe check and the registration one
+        atomic step.  ``force`` defaults to the broker-level setting."""
         if self._stop.is_set():
             raise BrokerError("broker is stopping; submission rejected")
         key = f"s{self._submit_seq}"
@@ -489,7 +434,7 @@ class Broker:
             name=name,
             priority=priority,
             force=self.force if force is None else force,
-            max_retries=self.max_retries if max_retries is None else max_retries,
+            max_retries=self.max_retries,
             submit_seq=self._submit_seq,
             identity=identity,
         )
@@ -581,10 +526,8 @@ class Broker:
     def stop(self) -> None:
         """Stop serving; close the listener and every connection.
 
-        Unfinished sweeps are failed (their consumers' ``results()``
-        streams raise instead of blocking forever) -- relevant only for a
-        hub stopped mid-submission; the backend consumes its sweep before
-        stopping.
+        Unfinished sweeps are failed (their listeners get the failure
+        instead of blocking forever).
         """
         self._stop.set()
         with self._lock:
@@ -644,18 +587,6 @@ class Broker:
             self._listener.close()
         except OSError:
             pass
-
-    def __enter__(self) -> "Broker":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-    @property
-    def drained(self) -> bool:
-        with self._lock:
-            return all(q.outstanding == 0 for q in self._queues.values())
 
     # ------------------------------------------------------------------ #
     # Status (the hub side)
@@ -877,18 +808,6 @@ class Broker:
                 return sweep, candidates
         return None, []
 
-    def _empty_done_locked(self) -> bool:
-        """The ``done`` flag of an ``empty`` reply.
-
-        True once every registered sweep has drained or failed, so
-        one-shot workers may exit.  The hub overrides it: its fleet is
-        persistent and more sweeps can arrive at any time.
-        """
-        return all(
-            q.outstanding == 0 or q.failure is not None
-            for q in self._queues.values()
-        )
-
     def _grant(
         self,
         conn: socket.socket,
@@ -948,7 +867,11 @@ class Broker:
                     conn_leases.add(reply["lease"])
                     break
                 if not candidates:
-                    reply = {"type": "empty", "done": self._empty_done_locked()}
+                    queues = self._queues.values()
+                    done = self.done_when_drained and bool(queues) and all(
+                        q.outstanding == 0 or q.failure is not None for q in queues
+                    )
+                    reply = {"type": "empty", "done": done}
                     break
         for state, item in publish:
             state.sweep.publish(item)

@@ -1,8 +1,7 @@
 """The Sweep Hub: a standing multi-tenant sweep service.
 
-The distributed backend's broker (PR 5) is per-sweep and ephemeral -- one
-queue, one consumer, torn down when the sweep drains.  This package makes
-it a *service*:
+The broker core (:mod:`repro.runner.distributed.broker`) leases tasks to
+a worker fleet.  This package makes it a *service*:
 
 - :class:`~repro.runner.hub.service.SweepHub` -- a persistent
   :class:`~repro.runner.distributed.broker.Broker` owning one
@@ -11,9 +10,9 @@ it a *service*:
   with priorities and fair-share dispatch across sweeps.
 - :class:`~repro.runner.hub.client.HubSubmission` /
   :func:`~repro.runner.hub.client.query_hub_status` -- the client side;
-  ``DistributedBackend(connect=...)`` (and ``--connect`` on every runner
-  CLI) rides it, so ``sweep``, ``scenario run``, and ``bench`` can submit
-  to a standing hub instead of spawning a private broker.
+  the distributed backend rides it, submitting either to a standing hub
+  (``DistributedBackend(connect=...)``, ``--connect`` on every runner
+  CLI) or to a hub of its own, started in-process for one sweep.
 - :class:`~repro.runner.hub.resultsdb.ResultsDB` -- run-history queries
   (``runs list/show/diff``, ``sweeps``) over the artifact files and sweep
   journals, which stay the source of truth.
@@ -23,7 +22,8 @@ it a *service*:
   control (``hub serve --max-pending N``).
 
 The hub spawns no workers: its fleet is whatever dials in with
-``repro-byzantine-counting worker --connect HOST:PORT``.
+``repro-byzantine-counting worker --connect HOST:PORT`` -- or, for the
+backend's own hub, the loopback workers the backend forks into it.
 
 Entry points: ``repro hub serve`` (daemon), ``repro hub status``, plus
 ``--connect HOST:PORT`` on the runner commands.

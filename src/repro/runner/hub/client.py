@@ -6,9 +6,9 @@ workers lease), receive an ``accepted`` acknowledgement, then consume
 streamed ``result`` messages until ``sweep-done`` (or ``sweep-failed``).
 The stream yields the familiar backend triple ``(index, result, meta)``
 -- ``meta is None`` marking a hub-side cache hit -- so
-:class:`~repro.runner.distributed.backend.DistributedBackend` in
-``--connect`` mode plugs it straight into the runner's aggregation loop,
-byte-identical to every other backend.
+:class:`~repro.runner.distributed.backend.DistributedBackend` plugs it
+straight into the runner's aggregation loop, byte-identical to every
+other backend, whether the hub is a standing one or its own.
 
 Two liveness mechanisms make the submission survive the hub:
 
@@ -36,12 +36,13 @@ from __future__ import annotations
 import socket
 import sys
 import time
-from typing import Any, Dict, Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.runner.backends import CompletedItem, WorkItem
 from repro.runner.distributed.broker import BrokerError
 from repro.runner.distributed.protocol import (
     PROTOCOL_VERSION,
+    close_in_forked_children,
     connect,
     read_message,
     reader_for,
@@ -96,6 +97,11 @@ class HubSubmission:
         schedule (0.5s base, 15s cap, 25% jitter).
     quiet:
         Suppress the per-reconnect stderr notices.
+    poll:
+        Optional zero-argument callable run once the hub accepts the
+        submission and then on every stream message (``hub-heartbeat``
+        included); an exception it raises ends the iteration.  The
+        distributed backend's loopback respawn watch runs here.
     """
 
     def __init__(
@@ -110,6 +116,7 @@ class HubSubmission:
         reconnect_attempts: int = 8,
         backoff: Optional[Backoff] = None,
         quiet: bool = False,
+        poll: Optional[Callable[[], None]] = None,
     ) -> None:
         if reconnect_attempts < 0:
             raise ValueError(
@@ -123,6 +130,7 @@ class HubSubmission:
         self.connect_timeout_s = connect_timeout_s
         self.reconnect_attempts = reconnect_attempts
         self.quiet = quiet
+        self.poll = poll
         self._backoff = backoff if backoff is not None else Backoff()
         #: The hub's key for this sweep (set once ``accepted`` arrives).
         self.sweep_id: Optional[str] = None
@@ -173,11 +181,15 @@ class HubSubmission:
         heal and :class:`BrokerError` for sweep-fatal conditions.
         """
         try:
-            sock = connect(self.address, self.connect_timeout_s)
+            # A loopback worker forked mid-stream must not hold the stream.
+            sock = close_in_forked_children(
+                connect(self.address, self.connect_timeout_s)
+            )
         except OSError as exc:
             raise _HubUnavailable(
                 f"cannot reach hub at {self.address[0]}:{self.address[1]}: {exc}"
             ) from exc
+        reader = None
         try:
             # The connect timeout also covers the submit handshake; the
             # steady-state read timeout is set from the hub's advertised
@@ -231,6 +243,8 @@ class HubSubmission:
             # only a hub that stays down exhausts it.
             self._backoff.reset()
             delivered = len(self._delivered)
+            if self.poll is not None:
+                self.poll()
             while True:
                 try:
                     message = read_message(reader)
@@ -246,6 +260,8 @@ class HubSubmission:
                         f"hub connection lost mid-sweep ({delivered}/{total} "
                         "results delivered)"
                     )
+                if self.poll is not None:
+                    self.poll()
                 kind = message.get("type")
                 if kind == "hub-heartbeat":
                     continue
@@ -270,7 +286,11 @@ class HubSubmission:
                 else:
                     raise BrokerError(f"unexpected hub message type {kind!r}")
         finally:
+            # The reader holds the descriptor open past ``sock.close()``;
+            # a traceback keeping this frame alive would leak it.
             try:
+                if reader is not None:
+                    reader.close()
                 sock.close()
             except OSError:
                 pass

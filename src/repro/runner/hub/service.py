@@ -84,7 +84,7 @@ def _identity_of(items: List[WorkItem]) -> str:
     """The submission's content-hash identity (order-sensitive, like the
     client-side sweep journal's)."""
     return sweep_identity(
-        [SweepConfig(task, params) for _index, task, params, _module in items]
+        [SweepConfig(task, params).canonical() for _i, task, params, _m in items]
     )
 
 
@@ -93,8 +93,9 @@ class SweepHub(Broker):
 
     Construct like a :class:`Broker`; ``store`` is the shared artifact
     root every submission dedupes against and persists into.  Sweeps
-    arrive over TCP (or :meth:`submit`).  ``start()`` / ``stop()`` and the
-    worker protocol are inherited unchanged.
+    arrive over TCP (:class:`~repro.runner.hub.client.HubSubmission`), or
+    from the state directory (:meth:`adopt_journaled`).  ``start()`` /
+    ``stop()`` and the worker protocol are inherited unchanged.
 
     Hub-specific parameters
     -----------------------
@@ -112,6 +113,11 @@ class SweepHub(Broker):
         tracks it).
     admission_retry_s:
         The ``retry_after_s`` value sent with ``busy`` rejections.
+    done_when_drained:
+        Answer ``empty`` lease requests with ``done: true`` once every
+        registered sweep has drained or failed, so one-shot workers exit.
+        Off for a standing hub (``hub serve``), whose fleet is persistent;
+        on for the distributed backend's hub, which serves one sweep.
     """
 
     def __init__(
@@ -121,6 +127,7 @@ class SweepHub(Broker):
         max_pending: Optional[int] = None,
         client_heartbeat_s: float = 2.0,
         admission_retry_s: float = 1.0,
+        done_when_drained: bool = False,
         **kwargs: Any,
     ) -> None:
         if max_pending is not None and max_pending < 1:
@@ -137,6 +144,7 @@ class SweepHub(Broker):
         self.max_pending = max_pending
         self.client_heartbeat_s = client_heartbeat_s
         self.admission_retry_s = admission_retry_s
+        self.done_when_drained = done_when_drained
         #: Live sweeps by content-hash identity (mutated under the broker
         #: lock; identity reattach and admission share one atomic check).
         self._identities: Dict[str, SweepQueue] = {}
@@ -259,10 +267,6 @@ class SweepHub(Broker):
             )
             self._journals[identity] = journal
         return sweep
-
-    def _empty_done_locked(self) -> bool:
-        # The fleet is persistent: more sweeps can arrive at any time.
-        return False
 
     # ------------------------------------------------------------------ #
     # Journal hooks (called by the broker core)

@@ -50,7 +50,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.runner.artifacts import atomic_write_text
-from repro.runner.config import SweepConfig
 
 __all__ = [
     "HUB_FILE",
@@ -73,15 +72,17 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def sweep_identity(configs: Sequence[SweepConfig]) -> str:
-    """Content hash of an ordered config list (the sweep's identity).
+def sweep_identity(canonicals: Sequence[str]) -> str:
+    """Content hash of an ordered config list (the sweep's identity), given
+    each config's canonical JSON (:meth:`SweepConfig.canonical
+    <repro.runner.config.SweepConfig.canonical>`).
 
     Order matters: the journal's ``done`` entries are config-list indices,
     so a permuted list is a different sweep.
     """
     digest = hashlib.sha256()
-    for config in configs:
-        digest.update(config.canonical().encode("utf-8"))
+    for canonical in canonicals:
+        digest.update(canonical.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()[:16]
 
@@ -179,11 +180,12 @@ class SweepJournal:
         self._doc: Optional[Dict[str, Any]] = None
 
     @classmethod
-    def for_configs(
-        cls, directory: Union[str, Path], configs: Sequence[SweepConfig]
+    def for_sweep(
+        cls, directory: Union[str, Path], canonicals: Sequence[str]
     ) -> "SweepJournal":
-        """The sweep runner's journal of ``configs`` under an artifact root."""
-        sweep_id = sweep_identity(configs)
+        """The sweep runner's journal, under an artifact root, of the
+        configs whose canonical JSON strings are ``canonicals``."""
+        sweep_id = sweep_identity(canonicals)
         path = Path(directory) / RUNNER_FILE.format(sweep_id)
         return cls(path, "sweep_id", sweep_id)
 

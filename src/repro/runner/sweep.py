@@ -33,11 +33,17 @@ from repro.runner.backends import (
     WorkItem,
     resolve_backend,
 )
-from repro.runner.config import SweepConfig
+from repro.runner.config import SweepConfig, canonical_key
 from repro.runner.journal import SweepJournal
 from repro.runner.registry import resolve_task
 
 __all__ = ["SweepRunner"]
+
+
+def _keyed(config: SweepConfig) -> Tuple[str, str]:
+    """``config``'s canonical JSON and the artifact key hashed from it."""
+    canonical = config.canonical()
+    return canonical, canonical_key(canonical)
 
 
 def _interned_dict(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
@@ -188,12 +194,13 @@ class SweepRunner:
         metas: List[Optional[TaskMeta]] = [None] * len(configs)
         pending: List[WorkItem] = []
         prefilled: List[int] = []
-        # One content hash per config, shared by the cache probe, the
-        # journal and the persist.
-        keys = [config.key() for config in configs] if self.store else []
+        # One canonical JSON per config: the content hash of each keys its
+        # cache probe, journal record and persist, and the journal's
+        # identity hashes them all.
+        keyed = [_keyed(config) for config in configs] if self.store else []
         probe = self.store is not None and not self.force
         for index, config in enumerate(configs):
-            cached = self.store.load(config, keys[index]) if probe else MISSING
+            cached = self.store.load(config, keyed[index][1]) if probe else MISSING
             if cached is not MISSING:
                 results[index] = _canonical_result(cached)
                 prefilled.append(index)
@@ -206,7 +213,7 @@ class SweepRunner:
         self.last_cached = len(configs) - len(pending)
         self.last_executed = len(pending)
 
-        journal = self._begin_journal(configs, keys, prefilled)
+        journal = self._begin_journal(configs, keyed, prefilled)
         progress = _ProgressLine(
             total=len(configs),
             cached=self.last_cached,
@@ -222,7 +229,7 @@ class SweepRunner:
                     executed += 1
                     if self.store is not None and not self.backend.persists:
                         self.store.store(
-                            configs[index], value, meta=meta, key=keys[index]
+                            configs[index], value, meta=meta, key=keyed[index][1]
                         )
                 results[index] = value
                 metas[index] = meta
@@ -256,18 +263,20 @@ class SweepRunner:
     def _begin_journal(
         self,
         configs: Sequence[SweepConfig],
-        keys: Sequence[str],
+        keyed: Sequence[Tuple[str, str]],
         prefilled: Sequence[int],
     ) -> Optional[SweepJournal]:
         """Open the sweep's crash-safe manifest (no-op without persistence)."""
         if self.store is None or not configs:
             self.last_journal_path = None
             return None
-        journal = SweepJournal.for_configs(self.store.root, configs)
+        journal = SweepJournal.for_sweep(
+            self.store.root, [canonical for canonical, _key in keyed]
+        )
         prior = journal.begin(
             [
                 {"index": index, "task": config.task, "key": key}
-                for index, (config, key) in enumerate(zip(configs, keys))
+                for index, (config, (_canonical, key)) in enumerate(zip(configs, keyed))
             ],
             counter="resumed",
             restart=self.resume,

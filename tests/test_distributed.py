@@ -2,21 +2,23 @@
 
 The fault-tolerance tests start real worker processes (forked loopback
 worker daemons) against a real TCP broker on localhost, so they take a few
-seconds; the support tasks they lease live in :mod:`repro.runner.testing`
+seconds; the support tasks they lease live in ``tests/sweep_support.py``
 (an importable module, so they also resolve in a worker daemon started on
 its own with ``repro-byzantine-counting worker``).
 """
 
+import functools
 import json
 import os
+import re
 import signal
 import socket
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-import repro.runner.testing  # noqa: F401  (registers testing.* sweep tasks)
 from repro.cli import main
 from repro.experiments import e3_benign
 from repro.runner import (
@@ -44,8 +46,9 @@ from repro.runner.distributed.protocol import (
     send_message,
 )
 from repro.runner.distributed.worker import WorkerDaemon
-from repro.runner.faults import Backoff
+from repro.runner.faults import Backoff, FaultPlan
 from repro.runner.hub import SweepHub, client
+from sweep_support import completions, submit
 
 
 def _work_items(configs):
@@ -298,11 +301,17 @@ class TestEmptyReply:
     """An ``empty`` lease reply's ``done`` flag tells one-shot workers to exit."""
 
     @pytest.mark.parametrize(
-        "service, drained_done", [(Broker, True), (SweepHub, False)], ids=["broker", "hub"]
+        "service, drained_done",
+        [
+            (Broker, True),
+            (SweepHub, False),
+            (functools.partial(SweepHub, done_when_drained=True), True),
+        ],
+        ids=["broker", "hub", "backend-hub"],
     )
     def test_done_flag_once_the_sweep_drains(self, service, drained_done):
         broker = service()
-        broker.submit(_work_items(_ECHO_CONFIGS[:1]))
+        submit(broker, _work_items(_ECHO_CONFIGS[:1]))
         address = broker.start()
 
         def lease():
@@ -332,6 +341,21 @@ class TestEmptyReply:
                 assert lease() == {"type": "empty", "done": drained_done}
         finally:
             broker.stop()
+
+
+    def test_no_done_before_a_sweep_is_registered(self):
+        # A listen-mode worker may dial in before the backend's submission
+        # lands: it must keep polling, not exit.
+        hub = SweepHub(done_when_drained=True)
+        address = hub.start()
+        try:
+            with socket.create_connection(address, timeout=10.0) as sock:
+                _handshake(sock)
+                send_message(sock, {"type": "lease", "capacity": 1})
+                reply = read_message(reader_for(sock))
+        finally:
+            hub.stop()
+        assert reply == {"type": "empty", "done": False}
 
 
 # --------------------------------------------------------------------------- #
@@ -428,26 +452,31 @@ class TestBackendEquivalence:
         assert runner.last_metas[2] is None
 
     def test_one_artifact_key_per_config_and_per_broker_task(self, tmp_path, monkeypatch):
-        """The runner hashes each config once for its cache probe, journal
-        and persist; the broker hashes each submitted task once for its
-        grant-time probe and persist."""
+        """The runner serializes each config once for its artifact key
+        (cache probe, journal, persist) and its journal identity; the hub
+        serializes each submitted task once for the submission identity
+        and once for its artifact key (grant-time probe, persist)."""
         configs = [SweepConfig("testing.sleep_echo", {"value": v}) for v in range(8)]
         SweepRunner(artifact_dir=tmp_path).run(configs[::2])
-        hashed = []
-        key = SweepConfig.key
-        monkeypatch.setattr(SweepConfig, "key", lambda self: hashed.append(self) or key(self))
+        serialized = []
+        canonical = SweepConfig.canonical
+        monkeypatch.setattr(
+            SweepConfig,
+            "canonical",
+            lambda self: serialized.append(self) or canonical(self),
+        )
 
         serial = SweepRunner(artifact_dir=tmp_path / "serial")
         assert serial.run(configs) == [{"value": v} for v in range(8)]
-        assert len(hashed) == len(configs)
+        assert len(serialized) == len(configs)
 
-        hashed.clear()
+        serialized.clear()
         runner = SweepRunner(
             backend=DistributedBackend(spawn_workers=1, quiet=True), artifact_dir=tmp_path
         )
         assert runner.run(configs) == [{"value": v} for v in range(8)]
         assert (runner.last_cached, runner.last_executed) == (4, 4)
-        assert len(hashed) == len(configs) + 4
+        assert len(serialized) == len(configs) + 2 * 4
 
 
 # --------------------------------------------------------------------------- #
@@ -466,12 +495,12 @@ class TestFaultTolerance:
             + [SweepConfig("testing.sleep_echo", {"value": 3, "sleep_s": 0.05})]
         )
         broker = Broker(lease_ttl_s=15.0, max_retries=2)
-        sweep = broker.submit(_work_items(configs))
+        sweep = submit(broker, _work_items(configs))
         address = broker.start()
         victim = survivor = None
         try:
             victim = spawn_loopback_worker(address, exit_when_drained=False)
-            results_iter = sweep.results()
+            results_iter = completions(sweep)
             first = next(results_iter)
             # Wait until the victim holds a lease on the next (slow) task,
             # then kill it mid-execution.
@@ -503,7 +532,7 @@ class TestFaultTolerance:
         finishes the sweep."""
         configs = [SweepConfig("testing.sleep_echo", {"value": v}) for v in range(3)]
         broker = Broker(lease_ttl_s=0.5, max_retries=2)
-        sweep = broker.submit(_work_items(configs))
+        sweep = submit(broker, _work_items(configs))
         address = broker.start()
         zombie = socket.create_connection(address, timeout=5.0)
         worker = None
@@ -539,7 +568,7 @@ class TestFaultTolerance:
                 },
             )
             worker = spawn_loopback_worker(address, exit_when_drained=True)
-            completed = list(sweep.results())
+            completed = list(completions(sweep))
         finally:
             broker.stop()
             zombie.close()
@@ -573,6 +602,54 @@ class TestFaultTolerance:
         with pytest.raises(BrokerError, match=r"after 2 attempt\(s\).*kapow"):
             runner.run([SweepConfig("testing.boom", {"message": "kapow"})])
         assert backend.last_stats["worker_errors"] == 2
+
+
+    def test_exhausted_respawn_budget_fails_the_sweep(self):
+        # Every worker crashes on its first task: one respawn, then the
+        # watch gives up instead of stalling.
+        backend = DistributedBackend(
+            spawn_workers=1,
+            fault_plan=FaultPlan(seed=0, crash_worker=1.0),
+            respawn_factor=1,
+            quiet=True,
+        )
+        started = time.monotonic()
+        with pytest.raises(BrokerError, match="keep dying"):
+            SweepRunner(backend=backend).run(_ECHO_CONFIGS)
+        assert time.monotonic() - started < 20.0
+        assert backend.last_stats["retries"] >= 1
+
+
+class TestListenMode:
+    def test_external_one_shot_worker_runs_the_sweep_and_exits(self, capsys):
+        backend = DistributedBackend()  # no spawned workers: listen mode
+        rows = []
+        sweep = threading.Thread(
+            target=lambda: rows.extend(SweepRunner(backend=backend).run(_ECHO_CONFIGS)),
+            daemon=True,
+        )
+        sweep.start()
+        announced = []
+
+        def address():
+            announced.append(capsys.readouterr().err)
+            return re.search(r"--connect ([\d.]+):(\d+)", "".join(announced))
+
+        assert _wait_until(address)
+        host, port = address().groups()
+        daemon = WorkerDaemon(host, int(port), exit_when_drained=True)
+        exit_codes = []
+        worker = threading.Thread(
+            target=lambda: exit_codes.append(daemon.run()), daemon=True
+        )
+        worker.start()
+        sweep.join(timeout=30)
+        assert not sweep.is_alive()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert exit_codes == [0]
+        assert rows == SweepRunner().run(_ECHO_CONFIGS)
+        assert backend.last_stats["completed"] == len(_ECHO_CONFIGS)
 
 
 # --------------------------------------------------------------------------- #

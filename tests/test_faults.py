@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.runner.testing  # noqa: F401  (registers testing.* sweep tasks)
 from repro.cli import main
 from repro.experiments import e3_benign
 from repro.runner import (
@@ -54,6 +53,7 @@ from repro.runner.journal import (
     sweep_identity,
 )
 from repro.scenarios import Scenario
+from sweep_support import SUBPROCESS_ENV, completions, submit
 
 #: tests/test_faults.py -> repository root (for subprocess cwd).
 ROOT = Path(__file__).resolve().parents[1]
@@ -226,6 +226,10 @@ def _configs(n=3):
     return [SweepConfig("testing.sleep_echo", {"value": i}) for i in range(n)]
 
 
+def _canonicals(configs):
+    return [config.canonical() for config in configs]
+
+
 #: The two roles a journal serves -- (file name, identity key, restart
 #: counter, role-specific fields) -- as the sweep runner and the hub write
 #: them.  Tests of an assertion both roles share run it over each role.
@@ -239,7 +243,7 @@ def _role_journal(role, directory, configs):
     """``role``'s journal of ``configs`` under ``directory``, its glob, and
     a ``begin(restart=False)`` writing that role's keys."""
     file_name, id_key, counter, fields = JOURNAL_ROLES[role]
-    identity = sweep_identity(configs)
+    identity = sweep_identity(_canonicals(configs))
     journal = SweepJournal(directory / file_name.format(identity), id_key, identity)
     tasks = [{"index": index, "task": c.task} for index, c in enumerate(configs)]
 
@@ -269,14 +273,31 @@ def _umask():
 
 class TestSweepJournal:
     def test_identity_depends_on_content_and_order(self):
-        configs = _configs()
-        assert sweep_identity(configs) == sweep_identity(list(configs))
-        assert sweep_identity(configs) != sweep_identity(configs[::-1])
-        assert sweep_identity(configs) != sweep_identity(configs[:2])
+        canonicals = _canonicals(_configs())
+        assert sweep_identity(canonicals) == sweep_identity(list(canonicals))
+        assert sweep_identity(canonicals) != sweep_identity(canonicals[::-1])
+        assert sweep_identity(canonicals) != sweep_identity(canonicals[:2])
+
+    def test_artifact_key_and_journal_identity_are_pinned(self, tmp_path):
+        # Artifact and journal file names are these hashes: a change to
+        # either breaks every cache and --resume already on disk.
+        first = SweepConfig(
+            "e3.trial", {"n": 48, "seed": 7, "scale": [1, 2.5], "name": "x"}
+        )
+        second = SweepConfig("testing.sleep_echo", {"value": 1})
+        assert first.key() == "7d47c1542f28253f55d1"
+        assert second.key() == "d88fbce9c56de7c03b6a"
+        assert sweep_identity(_canonicals([first, second])) == "70dbe254cbdad15b"
+        # The runner derives both from one canonical JSON per config.
+        runner = SweepRunner(artifact_dir=tmp_path)
+        runner.run([second])
+        assert runner.last_journal_path.name == "sweep-c93a155a56a8e030.journal.json"
+        assert (tmp_path / "testing.sleep_echo" / "d88fbce9c56de7c03b6a.json").is_file()
 
     def test_lifecycle(self, tmp_path):
         configs = _configs()
-        runner_path = SweepJournal.for_configs(tmp_path / "runner", configs).path
+        runner_dir = tmp_path / "runner"
+        runner_path = SweepJournal.for_sweep(runner_dir, _canonicals(configs)).path
         for role, (_, id_key, _, fields) in JOURNAL_ROLES.items():
             directory = tmp_path / role
             journal, pattern, begin = _role_journal(role, directory, configs)
@@ -386,7 +407,7 @@ class TestSweepJournal:
         SweepRunner(artifact_dir=tmp_path).run(configs[: size // 3])
         writes = _count_document_writes(monkeypatch)
         SweepRunner(artifact_dir=tmp_path).run(configs)
-        journal = SweepJournal.for_configs(tmp_path, configs)
+        journal = SweepJournal.for_sweep(tmp_path, _canonicals(configs))
         assert writes == [journal.path] * 2
         assert not journal.log_path.exists()
         state = journal.load()
@@ -468,7 +489,7 @@ class TestSweepJournal:
 
     def test_runner_reads_and_resumes_a_parent_format_journal(self, tmp_path, capsys):
         configs = _configs()
-        sweep_id = sweep_identity(configs)
+        sweep_id = sweep_identity(_canonicals(configs))
         # Exactly the key set the sweep runner's journal has always had.
         document = {
             "version": 1,
@@ -510,7 +531,7 @@ class TestSweepJournal:
 
     def test_hub_readopts_a_parent_format_state_file(self, tmp_path):
         configs = _configs()
-        identity = sweep_identity(configs)
+        identity = sweep_identity(_canonicals(configs))
         # Exactly the key set the hub's state file has always had.
         document = {
             "version": 1,
@@ -526,7 +547,7 @@ class TestSweepJournal:
                     "index": index,
                     "task": c.task,
                     "params": c.params,
-                    "module": "repro.runner.testing",
+                    "module": "sweep_support",
                 }
                 for index, c in enumerate(configs)
             ],
@@ -586,7 +607,7 @@ class TestResume:
         configs = _configs()
         runner = SweepRunner(artifact_dir=tmp_path)
         runner.run(configs)
-        state = SweepJournal.for_configs(tmp_path, configs).load()
+        state = SweepJournal.for_sweep(tmp_path, _canonicals(configs)).load()
         assert state["complete"] and state["done"] == [0, 1, 2]
         assert state["tasks"][0]["key"] == configs[0].key()
         resumed = SweepRunner(artifact_dir=tmp_path, resume=True)
@@ -612,7 +633,7 @@ class TestResume:
         )
         with pytest.raises(InjectedBrokerCrash, match="--resume"):
             chaos.run(configs)
-        journal = SweepJournal.for_configs(tmp_path, configs)
+        journal = SweepJournal.for_sweep(tmp_path, _canonicals(configs))
         state = journal.load()
         assert not state["complete"] and "InjectedBrokerCrash" in state["error"]
         persisted = [
@@ -634,19 +655,19 @@ class TestResume:
         # done before the first result reaches the crash site, so no task
         # is outstanding, yet one completion is never published.
         items = [
-            (i, "testing.sleep_echo", {"value": i}, "repro.runner.testing")
+            (i, "testing.sleep_echo", {"value": i}, "sweep_support")
             for i in range(2)
         ]
         broker = Broker(
             injector=FaultInjector(FaultPlan(seed=0, crash_broker=1.0), salt="broker"),
         )
-        sweep = broker.submit(items)
+        sweep = submit(broker, items)
         with broker._lock:
             broker._mark_done_locked(broker._states[1])
         broker._on_result({"type": "result", "id": 0, "result": {"value": 0}, "meta": {}})
         assert isinstance(sweep.failure, InjectedBrokerCrash)
         with pytest.raises(InjectedBrokerCrash):
-            list(sweep.results())
+            list(completions(sweep))
 
 
 # --------------------------------------------------------------------------- #
@@ -729,7 +750,7 @@ def _scenario_run(spec, artifacts, flags, *, resume=False):
         stderr=subprocess.PIPE,
         text=True,
         cwd=str(ROOT),
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env=SUBPROCESS_ENV,
         start_new_session=True,
     )
 
@@ -759,8 +780,8 @@ class TestSigkillResume:
         else:
             flags = ["--connect", request.getfixturevalue("hub_address")]
         artifacts = tmp_path / "artifacts"
-        journal = SweepJournal.for_configs(
-            artifacts, Scenario.from_dict(KILL_SCENARIO).compile()
+        journal = SweepJournal.for_sweep(
+            artifacts, _canonicals(Scenario.from_dict(KILL_SCENARIO).compile())
         )
 
         sweep = _scenario_run(spec, artifacts, flags)
@@ -846,7 +867,7 @@ class TestChaosEquivalence:
             return docs
 
         assert documents(serial_dir) == documents(chaos_dir)
-        state = SweepJournal.for_configs(chaos_dir, configs).load()
+        state = SweepJournal.for_sweep(chaos_dir, _canonicals(configs)).load()
         assert state["complete"] and len(state["done"]) == len(configs)
 
 
@@ -864,7 +885,7 @@ class TestBrokerEvents:
         assert runner.last_events == backend.last_events
         for event in backend.last_events:
             assert isinstance(event["t"], float)
-        state = SweepJournal.for_configs(tmp_path, configs).load()
+        state = SweepJournal.for_sweep(tmp_path, _canonicals(configs)).load()
         assert state["events"] == backend.last_events
         assert state["stats"] == backend.last_stats
 

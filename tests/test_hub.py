@@ -9,7 +9,7 @@ accounting in sweep stats and journals, the ResultsDB query layer, the
 
 Workers here run as in-thread :class:`WorkerDaemon` instances (the
 subprocess fleet is exercised by ``tests/test_distributed.py`` and
-``tests/test_hub_ha.py``); tasks live in :mod:`repro.runner.testing` so they
+``tests/test_hub_ha.py``); tasks live in ``tests/sweep_support.py`` so they
 resolve anywhere.
 """
 
@@ -19,7 +19,6 @@ import threading
 
 import pytest
 
-import repro.runner.testing  # noqa: F401  (registers testing.* sweep tasks)
 from repro.cli import main
 from repro.runner import (
     ArtifactStore,
@@ -32,6 +31,7 @@ from repro.runner import (
     WorkerDaemon,
 )
 from repro.runner.hub.client import HubSubmission, query_hub_status
+from sweep_support import completions, submit
 
 
 def _items(values, *, sleep_s=0.0, start=0):
@@ -40,7 +40,7 @@ def _items(values, *, sleep_s=0.0, start=0):
         {"value": v, "sleep_s": sleep_s} if sleep_s else {"value": v}
     )
     return [
-        (start + offset, "testing.sleep_echo", params(value), "repro.runner.testing")
+        (start + offset, "testing.sleep_echo", params(value), "sweep_support")
         for offset, value in enumerate(values)
     ]
 
@@ -152,11 +152,11 @@ class TestHubSubmissions:
         """With one worker and chunk_size=1, two equal-priority sweeps must
         alternate lease grants (least-recently-granted wins)."""
         with running_hub(tmp_path, chunk_size=1) as (hub, address):
-            sweep_a = hub.submit(_items(range(3)), name="a")
-            sweep_b = hub.submit(_items(range(10, 13)), name="b")
+            sweep_a = submit(hub, _items(range(3)), name="a")
+            sweep_b = submit(hub, _items(range(10, 13)), name="b")
             with running_worker(address):
-                assert len(list(sweep_a.results())) == 3
-                assert len(list(sweep_b.results())) == 3
+                assert len(list(completions(sweep_a))) == 3
+                assert len(list(completions(sweep_b))) == 3
             grants = [
                 event["sweep"]
                 for event in hub.events
@@ -170,11 +170,11 @@ class TestHubSubmissions:
         """A higher-priority sweep submitted to the same hub is granted
         before an earlier lower-priority one."""
         with running_hub(tmp_path, chunk_size=1) as (hub, address):
-            low = hub.submit(_items(range(3)), name="low", priority=0)
-            high = hub.submit(_items(range(10, 13)), name="high", priority=5)
+            low = submit(hub, _items(range(3)), name="low", priority=0)
+            high = submit(hub, _items(range(10, 13)), name="high", priority=5)
             with running_worker(address):
-                assert len(list(high.results())) == 3
-                assert len(list(low.results())) == 3
+                assert len(list(completions(high))) == 3
+                assert len(list(completions(low))) == 3
             grants = [
                 event["sweep"]
                 for event in hub.events
@@ -206,7 +206,7 @@ class TestGracefulShutdown:
         finishes the sweep."""
         items = _items(range(6), sleep_s=0.2)
         broker = Broker(lease_ttl_s=30.0, chunk_size=6)
-        sweep = broker.submit(items)
+        sweep = submit(broker, items)
         address = broker.start()
         completed = []
         try:
@@ -215,7 +215,7 @@ class TestGracefulShutdown:
             )
             thread = threading.Thread(target=daemon.run, daemon=True)
             thread.start()
-            results_iter = sweep.results()
+            results_iter = completions(sweep)
             completed.append(next(results_iter))
             daemon.request_shutdown()
             thread.join(timeout=20)

@@ -21,7 +21,6 @@ speed.
 
 import contextlib
 import json
-import os
 import re
 import signal
 import socket
@@ -33,7 +32,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.runner.testing  # noqa: F401  (registers testing.* sweep tasks)
 from repro.cli import main
 from repro.runner import (
     ArtifactStore,
@@ -57,6 +55,7 @@ from repro.runner.distributed.protocol import (
 from repro.runner.faults import CRASH_EXIT_CODE
 from repro.runner.hub.client import HubSubmission
 from repro.runner.journal import HUB_FILE, incomplete_journals, read_journal
+from sweep_support import SUBPROCESS_ENV
 
 #: tests/test_hub_ha.py -> repository root (for subprocess cwd).
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,7 +67,7 @@ def _items(values, *, sleep_s=0.0, start=0):
         {"value": v, "sleep_s": sleep_s} if sleep_s else {"value": v}
     )
     return [
-        (start + offset, "testing.sleep_echo", params(value), "repro.runner.testing")
+        (start + offset, "testing.sleep_echo", params(value), "sweep_support")
         for offset, value in enumerate(values)
     ]
 
@@ -462,7 +461,7 @@ def _start_hub_process(artifact_dir, state_dir, *, port=0):
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         cwd=str(ROOT),
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env=SUBPROCESS_ENV,
     )
     assert process.stdout is not None
     deadline = time.monotonic() + 30.0

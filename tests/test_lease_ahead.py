@@ -24,7 +24,6 @@ import time
 
 import pytest
 
-import repro.runner.testing  # noqa: F401  (registers testing.* sweep tasks)
 from repro.runner import ArtifactStore, Broker, WorkerDaemon
 from repro.runner import registry
 from repro.runner.distributed import worker as worker_module
@@ -34,6 +33,7 @@ from repro.runner.distributed.protocol import (
     reader_for,
     send_message,
 )
+from sweep_support import completions, submit
 
 
 def _items(values, *, sleep_s=0.0):
@@ -43,7 +43,7 @@ def _items(values, *, sleep_s=0.0):
             index,
             "testing.sleep_echo",
             {"value": value, "sleep_s": sleep_s} if sleep_s else {"value": value},
-            "repro.runner.testing",
+            "sweep_support",
         )
         for index, value in enumerate(values)
     ]
@@ -86,7 +86,9 @@ def _results(sweep, timeout_s=60.0):
     def check():
         assert time.monotonic() < deadline, "sweep did not complete"
 
-    return sorted((index, result) for index, result, _meta in sweep.results(poll=check))
+    return sorted(
+        (index, result) for index, result, _meta in completions(sweep, poll=check)
+    )
 
 
 def _drain(broker, sweep, **daemon_options):
@@ -154,7 +156,7 @@ class _Probe:
 class TestWorkerLeaseAhead:
     def test_serial_worker_holds_at_most_one_lease_ahead(self):
         broker = _LeaseCounter()
-        sweep = broker.submit(_items(range(6), sleep_s=0.02))
+        sweep = submit(broker, _items(range(6), sleep_s=0.02))
         _daemon, completed = _drain(broker, sweep)
         assert completed == [(v, {"value": v}) for v in range(6)]
         # Every lease after the first was granted while the worker still
@@ -165,7 +167,7 @@ class TestWorkerLeaseAhead:
 
     def test_pool_worker_asks_ahead_once_per_lease(self):
         broker = _LeaseCounter()
-        sweep = broker.submit(_items(range(8), sleep_s=0.02))
+        sweep = submit(broker, _items(range(8), sleep_s=0.02))
         daemon, completed = _drain(broker, sweep, procs=2)
         assert completed == [(v, {"value": v}) for v in range(8)]
         assert max(broker.held_at_grant) == 2
@@ -182,7 +184,7 @@ class TestWorkerLeaseAhead:
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         broker = Broker()
-        sweep = broker.submit(_items(range(12)))
+        sweep = submit(broker, _items(range(12)))
         daemon, completed = _drain(broker, sweep)
         assert len(completed) == 12 and daemon.tasks_run == 12
         heartbeats = [
@@ -196,7 +198,8 @@ class TestWorkerLeaseAhead:
         # is not read until the first ends, 2 s later: only the session
         # heartbeat keeps that 0.8 s lease alive.
         broker = _LeaseCounter(lease_ttl_s=0.8, max_retries=0)
-        sweep = broker.submit(
+        sweep = submit(
+            broker,
             [
                 (0, "testing.sleep_echo", {"value": 0, "sleep_s": 2.0}, None),
                 (1, "testing.sleep_echo", {"value": 1}, None),
@@ -220,7 +223,7 @@ class TestWorkerLeaseAhead:
             (index, "testing.sleep_echo", {"value": index}, None) for index in (1, 2)
         ]
         broker = Broker()
-        sweep = broker.submit(items)
+        sweep = submit(broker, items)
         host, port = broker.start()
         draining = WorkerDaemon(host, port)
         thread = threading.Thread(target=draining.run, daemon=True)
@@ -266,7 +269,8 @@ class TestWorkerLeaseAhead:
         monkeypatch.setattr(worker_module, "read_message", recording)
         broker = Broker(store=ArtifactStore(tmp_path))
         x, y = {"value": 1}, {"value": 2}
-        sweep = broker.submit(
+        sweep = submit(
+            broker,
             [(i, "testing.sleep_echo", p, None) for i, p in enumerate((x, x, y))]
         )
         _daemon, completed = _drain(
@@ -293,7 +297,8 @@ class TestBrokerLeaseAhead:
     def test_grant_pops_past_dedupe_hits(self, tmp_path):
         broker = Broker(store=ArtifactStore(tmp_path))
         x, y = {"value": 1}, {"value": 2}
-        broker.submit([(i, "testing.sleep_echo", p, None) for i, p in enumerate((x, x, y))])
+        items = [(i, "testing.sleep_echo", p, None) for i, p in enumerate((x, x, y))]
+        submit(broker, items)
         address = broker.start()
         probe = _Probe(address)
         try:
@@ -313,7 +318,7 @@ class TestBrokerLeaseAhead:
     def test_lease_ahead_is_not_granted_an_in_flight_duplicate(self, tmp_path):
         broker = Broker(store=ArtifactStore(tmp_path))
         x = {"value": 1}
-        broker.submit([(i, "testing.sleep_echo", x, None) for i in range(2)])
+        submit(broker, [(i, "testing.sleep_echo", x, None) for i in range(2)])
         address = broker.start()
         probe = _Probe(address)
         try:
@@ -331,7 +336,9 @@ class TestBrokerLeaseAhead:
     def test_without_a_store_a_lease_ahead_gets_the_duplicate(self):
         # Nothing can dedupe it, so holding it back would only idle a worker.
         broker = Broker()
-        broker.submit([(i, "testing.sleep_echo", {"value": 1}, None) for i in range(2)])
+        submit(
+            broker, [(i, "testing.sleep_echo", {"value": 1}, None) for i in range(2)]
+        )
         address = broker.start()
         probe = _Probe(address)
         try:
@@ -344,7 +351,7 @@ class TestBrokerLeaseAhead:
     @pytest.mark.parametrize("reported", [False, True])
     def test_disconnect_charges_only_a_started_lease(self, reported):
         broker = Broker(max_retries=2)
-        sweep = broker.submit(_items(range(3)))
+        sweep = submit(broker, _items(range(3)))
         address = broker.start()
         probe = _Probe(address)
         try:
