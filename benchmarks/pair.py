@@ -232,13 +232,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 tree = base_tree if side == "base" else ROOT
                 docs[side] = run_perfbench(tree, args.workload, args.seed, seconds)
             pairs.append((docs["base"], docs["change"]))
-            rates = {side: doc["metrics"].get("cells_per_s", {}).get("value")
-                     for side, doc in docs.items()}
-            # Attempted cells are the table size times the passes a run fitted.
+            rates, rss = (
+                {side: doc["metrics"].get(name, {}).get("value") for side, doc in docs.items()}
+                for name in ("cells_per_s", "peak_rss_mb")
+            )
+            # Attempted cells are the table size times the passes a run
+            # fitted; peak_rss_mb grows with the passes on sweep-mixed.
             print(f"[bench-pair] pair {index + 1}/{args.pairs} ({order[0]} first): "
                   f"cells_per_s base {rates['base']} change {rates['change']} "
                   f"attempted base {docs['base'].get('attempted')} "
-                  f"change {docs['change'].get('attempted')}", flush=True)
+                  f"change {docs['change'].get('attempted')} "
+                  f"peak_rss_mb base {rss['base']} change {rss['change']}", flush=True)
     print(f"[bench-pair] base={args.base} workload={args.workload} seed={args.seed} "
           f"pairs={args.pairs} seconds={seconds:g}")
     print(render(summarize(pairs, spec["end_to_end"]), failures(pairs)))

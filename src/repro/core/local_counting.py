@@ -19,6 +19,18 @@ Theorem 1: on a bounded-degree graph with constant vertex expansion and up to
 
 Implementation notes
 --------------------
+* **Decision order.**  A round computes only what its decision reads.  A
+  malformed message or a mute neighbor decides the round whatever the view
+  would learn, so :meth:`LocalCountingProtocol.on_round` decides on them
+  before integrating the inbox.  After integrating, an inconsistency and
+  Line (4) (from round 2 on, the view learned no vertex) decide before
+  anything is derived.  Only then does the expansion check derive the BFS
+  layers, test every layer prefix, and derive the interior only if every
+  prefix expanded.  The decision is the same as in the pseudocode's order,
+  where every step runs before any decides
+  (``tests/local_protocol_reference.py`` is that order, and
+  ``tests/test_local_protocol_oracle.py`` runs both on the engine); a
+  decided node halts and never reads its view again.
 * **Expansion check family.**  Line 9 of the pseudocode checks *every* subset
   of the local view -- exponential local computation, which the LOCAL model
   permits but a simulator cannot afford for views of thousands of vertices.
@@ -78,11 +90,14 @@ Implementation notes
   for it unless the view's small override dict says otherwise, which only
   happens for nodes with conflicting claims.  The BFS layers, interior and
   out-boundary the expansion check reads are derived from those, at most
-  once per round, when the check asks: a BFS layer reads one mask per
-  settled vertex with symmetric claims, and the interior pass finds the
-  candidates still waiting on an unsettled vertex as one OR of the
-  unsettled vertices' reverse masks.  Byzantine claim entries are parsed
-  once per entry object, honest ones once per claim value.
+  once per round and each only when the check gets to it: a BFS layer
+  reads one mask per settled vertex with symmetric claims, and the
+  interior pass finds the candidates still waiting on an unsettled vertex
+  as one OR of the unsettled vertices' reverse masks.  Every such OR and
+  sum over a mask's slots or record ids selects the values with
+  :meth:`ClaimInterner.select`, one C-level pass for a dense mask.
+  Byzantine claim entries are parsed once per entry object, honest ones
+  once per claim value.
 """
 
 from __future__ import annotations
@@ -92,7 +107,7 @@ import math
 from functools import reduce
 from itertools import compress, groupby
 from operator import attrgetter, or_
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.estimate import CountingOutcome, ProtocolRun
 from repro.core.parameters import LocalParameters
@@ -124,11 +139,10 @@ _BIT = attrgetter("bit")
 _SLOT = attrgetter("slot")
 _VMASK = attrgetter("vmask")
 _ENTRY = attrgetter("entry")
-
-
-def _is_delta(payload) -> bool:
-    """Whether ``payload`` is an honest masked delta (exactly that type)."""
-    return type(payload) is _Delta
+_RECORDS = attrgetter("records")
+_SLOTS = attrgetter("slots")
+_NODES = attrgetter("nodes")
+_SPAN = attrgetter("span")
 
 
 def _claim_accounting(node_id: int, edges: Sequence[int]) -> Tuple[int, int]:
@@ -214,10 +228,10 @@ class _Delta(LazyTuple):
         self.span = span
 
     def build(self) -> TopologyDelta:
-        interner = self._interner
+        select = self._interner.select
         return (
-            tuple(map(interner.entries.__getitem__, interner.bits(self.records))),
-            tuple(map(interner.ids.__getitem__, interner.bits(self.slots))),
+            tuple(select(self._interner.entries, self.records)),
+            tuple(select(self._interner.ids, self.slots)),
         )
 
 
@@ -257,7 +271,12 @@ class ClaimInterner:
     view can settle is ``first`` of its slot, the one ``grev`` recorded,
     so views read their adjacency off ``cmask``, ``asym`` and ``grev`` and
     only treat conflicted nodes claim by claim (see
-    :meth:`LocalView._derive`).
+    :meth:`LocalView._derive_layers`).
+
+    Per-slot and per-record lists (``grev``, ``cmask``, ``asym``,
+    ``vertex_bits``, ``costs``, ``entries``, ``ids``, ``records``) are
+    read over a mask with :meth:`select`, which yields the values at the
+    mask's set bits without listing the positions first.
 
     ``cmask[j]`` is written once, at slot ``j``'s first valid claim, so the
     OR of ``cmask`` over a mask of claimed slots never changes again:
@@ -303,23 +322,29 @@ class ClaimInterner:
         # ``claims_union`` results by slot mask (see the class docstring).
         self.unions: Dict[int, int] = {}
 
-    def bits(self, mask: int) -> Iterable[int]:
-        """Positions of the set bits of a slot or record-id ``mask``, lowest
-        first.
+    def select(self, values: Sequence, mask: int) -> Iterable:
+        """``values[i]`` for every set bit ``i`` of ``mask``, lowest first.
 
-        A sparse mask (under one set bit in ten positions) is peeled one
-        top bit at a time; any other is scanned by a C-level pass over
-        every position up to its highest bit.
+        ``values`` is a per-slot or per-record-id list at least as long as
+        ``mask``'s highest bit.  A sparse mask (under one set bit in ten
+        positions) is peeled one top bit at a time; any other is selected
+        by one C-level ``compress`` of ``values`` by the mask's binary
+        digits, without materializing the positions.
         """
         if mask.bit_count() * 10 < mask.bit_length():
             found = []
             while mask:
                 top = mask.bit_length() - 1
-                found.append(top)
+                found.append(values[top])
                 mask ^= 1 << top
             found.reverse()
             return found
-        return compress(self.positions, bin(mask)[:1:-1].encode().translate(_BIT_DIGITS))
+        return compress(values, bin(mask)[:1:-1].encode().translate(_BIT_DIGITS))
+
+    def bits(self, mask: int) -> Iterable[int]:
+        """Positions of the set bits of a slot or record-id ``mask``, lowest
+        first."""
+        return self.select(self.positions, mask)
 
     def claims_union(self, mask: int) -> int:
         """OR of ``cmask`` over the slots of ``mask``, memoized for the run.
@@ -329,7 +354,7 @@ class ClaimInterner:
         """
         union = self.unions.get(mask)
         if union is None:
-            union = self.unions[mask] = reduce(or_, map(self.cmask.__getitem__, self.bits(mask)), 0)
+            union = self.unions[mask] = reduce(or_, self.select(self.cmask, mask), 0)
         return union
 
     def slot(self, node_id: int) -> int:
@@ -469,17 +494,21 @@ class LocalView:
     They start as ``B̂(u, 1)``: the owner's own claim and its neighbors.
 
     Everything Algorithm 1 checks is derived from them lazily, once per
-    change, when :meth:`expansion_check_candidates` (or another query) asks:
-    the symmetric adjacency (a settled vertex's claim, read off the run's
-    ``cmask`` unless the node has conflicting claims, plus the settled
-    claimers of a vertex, read off the run's ``asym`` masks for a settled
-    vertex and its ``grev`` masks otherwise, plus an exact pass over
-    conflicted settled claimers), the BFS layers from the owner, the
-    interior set (grown by a reverse-mask pass over the unsettled
-    vertices), and the interior's out-boundary.  Layer and boundary sizes
-    are popcounts.  The dict/set views (``vertices``, ``adjacency()``,
-    ``layer_prefixes()``, ``interior_set()``, ``edge_sets``) are built on
-    demand for tests and the exhaustive check;
+    change and only when a query reads it, in two independent passes: the
+    BFS layers (:meth:`_derive_layers`) and the interior with its
+    out-boundary (:meth:`_derive_interior`).  :meth:`expansion_check_candidates`
+    yields the layer prefixes first and runs the interior pass only when
+    iterated past them; a skipped interior pass costs nothing later, since
+    the carried interior only depends on the settled claims.  Both passes
+    read the symmetric adjacency off the run's masks: a settled vertex's
+    claim from ``cmask`` unless the node has conflicting claims, the
+    settled claimers of a vertex from ``asym`` for a settled vertex and
+    ``grev`` otherwise, plus an exact pass over conflicted settled
+    claimers.  The interior grows by a reverse-mask pass over the
+    unsettled vertices.  Layer and boundary sizes are popcounts.  The
+    dict/set views (``vertices``, ``adjacency()``, ``layer_prefixes()``,
+    ``interior_set()``, ``edge_sets``) are built on demand for tests and
+    the exhaustive check;
     ``tests/local_view_reference.py``'s ``SetBasedLocalView`` is the
     independent set-based implementation they are tested against.
     """
@@ -515,9 +544,11 @@ class LocalView:
         self.delta_vertices = own.mask
         self.delta_nodes = own.bit
         self.delta_span = own.vmask
-        # Bumped whenever the view changes; derived state is tagged with it.
+        # Bumped whenever the view changes; the BFS layers and the interior
+        # are each tagged with the epoch they were derived at.
         self._epoch = 1
-        self._derived_epoch = 0
+        self._layers_epoch = 0
+        self._interior_epoch = 0
         self._layers: List[int] = []
         # Interior mask and the union of its members' claim masks.  Both
         # only grow while claims are only ever added, so they carry over
@@ -579,8 +610,8 @@ class LocalView:
         payloads = inbox
         if reported_edges or reported_vertices:
             payloads = (*inbox, (reported_edges, reported_vertices))
-        for masked, run in groupby(payloads, _is_delta):
-            if masked:
+        for kind, run in groupby(payloads, type):
+            if kind is _Delta:
                 inconsistent |= self._merge_deltas(list(run), max_degree, allow_updates)
                 continue
             for entries, vertices in run:
@@ -594,12 +625,10 @@ class LocalView:
         self, deltas: List[_Delta], max_degree: int, allow_updates: bool
     ) -> bool:
         """Integrate honest delta payloads by their OR-ed masks."""
-        records = slots = nodes = span = 0
-        for payload in deltas:
-            records |= payload.records
-            slots |= payload.slots
-            nodes |= payload.nodes
-            span |= payload.span
+        records = reduce(or_, map(_RECORDS, deltas))
+        slots = reduce(or_, map(_SLOTS, deltas))
+        nodes = reduce(or_, map(_NODES, deltas))
+        span = reduce(or_, map(_SPAN, deltas))
         interner = self._interner
         new = records & ~self._seen
         if nodes & interner.conflicted or interner.max_size > max_degree:
@@ -640,7 +669,7 @@ class LocalView:
         allow_updates: bool,
     ) -> bool:
         """Integrate honest delta payloads claim by claim (``new`` unseen)."""
-        claims = list(map(self._interner.records.__getitem__, self._interner.bits(new)))
+        claims = list(self._interner.select(self._interner.records, new))
         claim_slots = list(map(_SLOT, claims))
         if len(set(claim_slots)) < len(claim_slots):
             # Two unseen claims for one node: arrival order decides.
@@ -857,7 +886,7 @@ class LocalView:
     # -- derived structure ---------------------------------------------- #
     def _mask_ids(self, mask: int) -> List[int]:
         """Materialize the node ids of the set bits of ``mask``."""
-        return list(map(self._interner.ids.__getitem__, self._interner.bits(mask)))
+        return list(self._interner.select(self._interner.ids, mask))
 
     def _conflicted_claims(self) -> List[_ClaimRecord]:
         """Settled claims of the nodes the run has seen conflicting claims for."""
@@ -866,8 +895,8 @@ class LocalView:
             return []
         return list(map(self._record, self._interner.bits(mask)))
 
-    def _derive(self) -> None:
-        """Recompute BFS layers, interior and out-boundary if the view changed.
+    def _derive_layers(self) -> None:
+        """Recompute the BFS layers from the owner if the view changed.
 
         A vertex's neighbors in the view are its settled claim plus the
         settled nodes claiming it.  For a settled *plain* vertex ``j`` (its
@@ -878,29 +907,20 @@ class LocalView:
         slots, ``asym`` over those of them in ``asym_slots`` and ``grev``
         over the rest (unsettled or conflicted).  On a run whose claims are
         all symmetric that is one lookup per settled slot.
-
-        A plain candidate for the interior is blocked iff it claims an
-        unsettled vertex, i.e. iff it is in ``grev`` of one, so the blocked
-        candidates are one OR over the unsettled slots.  A blocked node is
-        in the out-boundary iff it claims an interior vertex: either that
-        vertex's claim names it back (then it is in ``interior_claims``) or
-        it is in ``asym`` of a plain interior vertex or ``grev`` of a
-        conflicted one.
         """
-        if self._derived_epoch == self._epoch:
+        if self._layers_epoch == self._epoch:
             return
         interner = self._interner
         grev = interner.grev
         claims_union = interner.claims_union
         asym = interner.asym
         asym_slots = interner.asym_slots
-        bits = interner.bits
-        settled = self._settled
+        select = interner.select
         conflicted = self._conflicted_claims()
         # Settled nodes whose only claim in the run is the one settled here:
         # ``cmask`` holds that claim, and ``grev`` names exactly those of
         # them that claim a given vertex.
-        plain = settled & ~interner.conflicted
+        plain = self._settled & ~interner.conflicted
         # BFS from the owner: a frontier vertex reaches its own claim's
         # neighbors and every settled node claiming it.  Every vertex of a
         # settled claim is known, so the search ends once it has visited
@@ -913,10 +933,10 @@ class LocalView:
             rest = frontier ^ own
             reach = 0
             if rest:
-                reach = reduce(or_, map(grev.__getitem__, bits(rest)))
+                reach = reduce(or_, select(grev, rest))
             lone = own & asym_slots
             if lone:
-                reach = reduce(or_, map(asym.__getitem__, bits(lone)), reach)
+                reach = reduce(or_, select(asym, lone), reach)
             reach &= plain
             if own:
                 reach |= claims_union(own)
@@ -931,22 +951,48 @@ class LocalView:
             visited |= frontier
             layers.append(frontier)
         self._layers = layers
+        self._layers_epoch = self._epoch
+
+    def _derive_interior(self) -> None:
+        """Grow the interior and recompute its out-boundary if the view changed.
+
+        The interior only grows while claims are only added, so a pass
+        starts from the carried interior and may be skipped for any number
+        of changes: membership depends only on the settled claims.  A plain
+        candidate for the interior is blocked iff it claims an unsettled
+        vertex, i.e. iff it is in ``grev`` of one, so the blocked
+        candidates are one OR over the unsettled slots.  A blocked node is
+        in the out-boundary iff it claims an interior vertex: either that
+        vertex's claim names it back (then it is in ``interior_claims``) or
+        it is in ``asym`` of a plain interior vertex or ``grev`` of a
+        conflicted one.
+        """
+        if self._interior_epoch == self._epoch:
+            return
+        interner = self._interner
+        grev = interner.grev
+        asym = interner.asym
+        asym_slots = interner.asym_slots
+        select = interner.select
+        settled = self._settled
+        conflicted = self._conflicted_claims()
+        plain = settled & ~interner.conflicted
         # Interior: settled vertices whose claim is all settled (claimed
         # vertices are known).  Its out-boundary is settled too: the claim
         # neighbors of interior vertices, plus settled vertices claiming an
         # interior vertex.
         interior = self._interior
         interior_claims = self._interior_claims
-        unsettled = known & ~settled
+        unsettled = self._known & ~settled
         candidates = settled & ~interior
         ready = candidates & plain
         blocked = 0
         if ready and unsettled:
-            blocked = reduce(or_, map(grev.__getitem__, bits(unsettled))) & ready
+            blocked = reduce(or_, select(grev, unsettled)) & ready
             ready &= ~blocked
         if ready:
             interior |= ready
-            interior_claims |= claims_union(ready)
+            interior_claims |= interner.claims_union(ready)
         pending: List[_ClaimRecord] = []
         for record in conflicted:
             if not record.bit & candidates:
@@ -962,10 +1008,10 @@ class LocalView:
             claimers = 0
             lone = interior & asym_slots
             if lone:
-                claimers = reduce(or_, map(asym.__getitem__, bits(lone)))
+                claimers = reduce(or_, select(asym, lone))
             odd = interior & interner.conflicted
             if odd:
-                claimers = reduce(or_, map(grev.__getitem__, bits(odd)), claimers)
+                claimers = reduce(or_, select(grev, odd), claimers)
             out |= waiting & claimers
         for record in pending:
             if record.mask & interior:
@@ -973,7 +1019,7 @@ class LocalView:
         self._interior = interior
         self._interior_claims = interior_claims
         self._interior_out = out
-        self._derived_epoch = self._epoch
+        self._interior_epoch = self._epoch
 
     # -- structure queries ---------------------------------------------- #
     @property
@@ -1011,7 +1057,7 @@ class LocalView:
         The ``adj`` argument is retained for backwards compatibility and
         ignored (the prefixes always describe this view's own adjacency).
         """
-        self._derive()
+        self._derive_layers()
         prefixes: List[FrozenSet[int]] = []
         running = 0
         for layer in self._layers:
@@ -1021,8 +1067,8 @@ class LocalView:
 
     def layer_sizes(self) -> List[int]:
         """Sizes of the (contiguous, nonempty) BFS layers from the owner."""
-        self._derive()
-        return [layer.bit_count() for layer in self._layers]
+        self._derive_layers()
+        return list(map(int.bit_count, self._layers))
 
     def interior_set(self) -> Set[int]:
         """Settled vertices all of whose claimed neighbors are settled.
@@ -1032,27 +1078,28 @@ class LocalView:
         region ``R`` of Lemma 5; its out-boundary is then exactly the layer of
         vertices the adversary is still expanding.
         """
-        self._derive()
+        self._derive_interior()
         return set(self._mask_ids(self._interior))
 
-    def expansion_check_candidates(self) -> List[Tuple[int, int]]:
+    def expansion_check_candidates(self) -> Iterator[Tuple[int, int]]:
         """``(|S|, |Out(S)|)`` for every subset the practical check inspects.
 
-        Lists every BFS-layer prefix (whose out-boundary in the view graph is
-        exactly the next BFS layer) followed by the interior set and its
-        out-boundary.  All counts are popcounts of the derived masks.
+        Yields every BFS-layer prefix (whose out-boundary in the view graph
+        is exactly the next BFS layer), then the interior set and its
+        out-boundary if the interior is not empty.  All counts are
+        popcounts of the derived masks.  The interior is derived only when
+        the iteration gets past the prefixes, so a caller that stops at the
+        first failing prefix never pays for the interior pass.
         """
-        candidates: List[Tuple[int, int]] = []
         sizes = self.layer_sizes()
         prefix = 0
-        last = len(sizes) - 1
-        for j, layer_size in enumerate(sizes):
-            prefix += layer_size
-            candidates.append((prefix, sizes[j + 1] if j < last else 0))
+        for size, out_size in zip(sizes, [*sizes[1:], 0]):
+            prefix += size
+            yield prefix, out_size
+        self._derive_interior()
         interior = self._interior
         if interior:
-            candidates.append((interior.bit_count(), self._interior_out.bit_count()))
-        return candidates
+            yield interior.bit_count(), self._interior_out.bit_count()
 
     @staticmethod
     def expansion_of(adj: Dict[int, Set[int]], subset: Set[int]) -> float:
@@ -1136,9 +1183,9 @@ class LocalCountingProtocol(Protocol):
         records, slots = view.delta_records, view.delta_vertices
         payload = _Delta(interner, records, slots, view.delta_nodes, view.delta_span | slots)
         view.delta_records = view.delta_vertices = view.delta_nodes = view.delta_span = 0
-        packed = sum(map(interner.costs.__getitem__, interner.bits(records)))
+        packed = sum(interner.select(interner.costs, records))
         edge_sum = packed & 0xFFFFFFFF
-        vertex_sum = sum(map(interner.vertex_bits.__getitem__, interner.bits(slots)))
+        vertex_sum = sum(interner.select(interner.vertex_bits, slots))
         size_bits = (edge_sum if edge_sum else 1) + 2 + (vertex_sum if vertex_sum else 1) + 2
         num_ids = (packed >> 32) + slots.bit_count()
         return Message(kind="topology", payload=payload, size_bits=size_bits, num_ids=num_ids)
@@ -1148,13 +1195,13 @@ class LocalCountingProtocol(Protocol):
         self._estimate = float(round_number)
         self._decision_round = round_number
 
-    def _expansion_check_fails(self, newly_added: int, round_number: int) -> bool:
-        """Line 9-13: does some checked subset of the view fail to expand?"""
+    def _expansion_check_fails(self) -> bool:
+        """Lines 9-13: does some checked subset of the view fail to expand?"""
         view = self.view
         total = view.size()
         alpha_prime = self.params.alpha_prime
 
-        # (3) Optional exhaustive check for tiny views (test cross-validation):
+        # Optional exhaustive check for tiny views (test cross-validation):
         # materializes the actual subsets, so it takes the slow path.
         if self.params.exhaustive_subset_check and total <= 16:
             adj = view.adjacency()
@@ -1171,21 +1218,15 @@ class LocalCountingProtocol(Protocol):
                     continue
                 if view.expansion_of(adj, subset) < alpha_prime:
                     return True
-        else:
-            # (1) BFS-layer prefixes (the sets of Lemma 3) and (2) the
-            # interior set (the practical stand-in for Lemma 5's R), both
-            # read off the view's incremental counters: ``|Out(S)|/|S|``
-            # without touching a single edge.
-            for size, out_size in view.expansion_check_candidates():
-                if size >= total:
-                    continue
-                if out_size / size < alpha_prime:
-                    return True
-
-        # (4) The view stopped growing entirely: Out(B̂(u, i)) = ∅, which is
-        # the situation that forces the decision at diam(G) + 1 in Lemma 5.
-        if round_number >= 2 and newly_added == 0:
-            return True
+            return False
+        # (1) BFS-layer prefixes (the sets of Lemma 3), then (2) the interior
+        # set (the practical stand-in for Lemma 5's R), read off the view's
+        # masks: ``|Out(S)|/|S|`` without touching a single edge.  The
+        # first failure decides, so the interior is derived only when every
+        # prefix expands.
+        for size, out_size in view.expansion_check_candidates():
+            if size < total and out_size / size < alpha_prime:
+                return True
         return False
 
     # -- engine callbacks ------------------------------------------------ #
@@ -1197,27 +1238,27 @@ class LocalCountingProtocol(Protocol):
             return {}
         round_number = ctx.round
 
-        inconsistent = False
-        newly_added = 0
-        # Which neighbors spoke this round?  (Line 5: "some neighbor is mute".)
+        # Lines 5-7 first: a malformed message or a mute neighbor decides
+        # the round whatever the view would learn, and a decided node
+        # never reads its view again, so neither case integrates.
         speakers = set()
         payloads: List[TopologyDelta] = []
         for message in inbox:
-            if message.kind != "topology":
-                # Unexpected message kinds from a neighbor are malformed
-                # information: treat as an inconsistency.
-                inconsistent = True
-                continue
-            speakers.add(message.sender)
             payload = message.payload
-            if type(payload) is not _Delta and (
-                not isinstance(payload, tuple)
-                or len(payload) != 2
-                or not isinstance(payload[0], tuple)
-                or not isinstance(payload[1], tuple)
+            if message.kind != "topology" or (
+                type(payload) is not _Delta
+                and (
+                    not isinstance(payload, tuple)
+                    or len(payload) != 2
+                    or not isinstance(payload[0], tuple)
+                    or not isinstance(payload[1], tuple)
+                )
             ):
-                inconsistent = True
-                continue
+                # An unexpected kind or payload shape from a neighbor is
+                # malformed information: an inconsistency.
+                self._decide(round_number)
+                return {}
+            speakers.add(message.sender)
             payloads.append(payload)
         if self._dynamic:
             known = self._known_neighbors
@@ -1231,8 +1272,11 @@ class LocalCountingProtocol(Protocol):
                 known.intersection_update(ctx.neighbors)
         else:
             mute_neighbor = not speakers.issuperset(ctx.neighbors)
+        if mute_neighbor:
+            self._decide(round_number)
+            return {}
         try:
-            bad, newly_added = self.view.integrate(
+            inconsistent, newly_added = self.view.integrate(
                 inbox=payloads,
                 max_degree=self.params.max_degree,
                 allow_updates=self._dynamic,
@@ -1240,18 +1284,17 @@ class LocalCountingProtocol(Protocol):
         except (TypeError, ValueError):
             # A raising entry leaves the view part-integrated, but the node
             # decides this round, so the view is never read again.
-            inconsistent = True
-        else:
-            inconsistent = inconsistent or bad
-
-        if inconsistent or mute_neighbor:
+            inconsistent, newly_added = True, 0
+        # Line (4) before any derivation: the view stopped growing entirely,
+        # Out(B̂(u, i)) = ∅, which forces the decision at diam(G) + 1 in
+        # Lemma 5.  Only then Lines 9-13.
+        if (
+            inconsistent
+            or (round_number >= 2 and not newly_added)
+            or self._expansion_check_fails()
+        ):
             self._decide(round_number)
             return {}
-
-        if self._expansion_check_fails(newly_added, round_number):
-            self._decide(round_number)
-            return {}
-
         return Broadcast(self._delta_message(), ctx.neighbors)
 
     def on_topology_change(

@@ -102,6 +102,22 @@ PERSIST_ATTEMPTS = 5
 HISTORY_CAP = 50
 
 
+def _shutdown(sock: Optional[socket.socket], how: int) -> None:
+    """Shut ``sock`` down for ``how``, closing it after ``SHUT_RDWR``;
+    errors (a socket already closed) are ignored."""
+    if sock is None:
+        return
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass
+    if how == socket.SHUT_RDWR:
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -372,6 +388,8 @@ class Broker:
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
         self._connections: List[socket.socket] = []
+        #: Per-connection ``_serve`` threads (finished ones pruned on accept).
+        self._serve_threads: List[threading.Thread] = []
         self.stats: Dict[str, int] = {
             "connections": 0,
             "leases": 0,
@@ -536,16 +554,7 @@ class Broker:
                     self._fail_queue_locked(
                         sweep, BrokerError("broker stopped with sweep incomplete")
                     )
-        self._close_listener()
-        with self._lock:
-            connections = list(self._connections)
-        for conn in connections:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
+        self._close_sockets(graceful=True)
 
     def crash(self) -> None:
         """Die abruptly, the way a SIGKILLed process would.
@@ -558,35 +567,34 @@ class Broker:
         """
         self.crashed.set()
         self._stop.set()
-        self._close_listener()
+        self._close_sockets(graceful=False)
+
+    def _close_sockets(self, *, graceful: bool) -> None:
+        """Shut the listener and every connection down, join the accept,
+        reaper and serve threads within one bound (skipping the calling
+        thread: a serve thread may crash its own broker), then close the
+        connections.
+
+        ``close()`` alone wakes neither a thread blocked in ``accept()`` on
+        Linux nor a serve thread reading its connection: the ``makefile``
+        reader keeps the descriptor open, so the broker would go on
+        answering that peer.  ``shutdown`` ends both at once.  A graceful
+        stop shuts only the reading side down first, so a worker's serve
+        thread can still send its farewell (see :meth:`_serve`).
+        """
         with self._lock:
             connections = list(self._connections)
+            threads = [*self._threads, *self._serve_threads]
+        _shutdown(self._listener, socket.SHUT_RDWR)
         for conn in connections:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _shutdown(conn, socket.SHUT_RD if graceful else socket.SHUT_RDWR)
         current = threading.current_thread()
-        for thread in self._threads:
+        deadline = time.monotonic() + 2.0
+        for thread in threads:
             if thread is not current:
-                thread.join(timeout=2.0)
-
-    def _close_listener(self) -> None:
-        """Close the listener, waking the accept thread blocked on it.
-
-        ``close()`` alone leaves a thread blocked in ``accept()`` asleep on
-        Linux; ``shutdown`` makes that ``accept()`` fail at once.
-        """
-        if self._listener is None:
-            return
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        for conn in connections:
+            _shutdown(conn, socket.SHUT_RDWR)
 
     # ------------------------------------------------------------------ #
     # Status (the hub side)
@@ -617,10 +625,16 @@ class Broker:
             set_nodelay(conn)
             close_in_forked_children(conn)
             with self._lock:
+                if self._stop.is_set():
+                    # Accepted after ``_close_sockets`` took its snapshot.
+                    conn.close()
+                    return
                 self._connections.append(conn)
                 self.stats["connections"] += 1
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            thread.start()
+                thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+                self._serve_threads = [t for t in self._serve_threads if t.is_alive()]
+                self._serve_threads.append(thread)
+                thread.start()
 
     def _reaper_loop(self) -> None:
         interval = max(0.05, self.lease_ttl_s / 4.0)
@@ -715,6 +729,15 @@ class Broker:
             pass  # connection lost / garbage on the wire: clean up below
         finally:
             with self._lock:
+                # A gracefully stopping broker tells a worker what its next
+                # lease request would hear, so a one-shot worker that has
+                # not asked since the last sweep drained still exits.
+                farewell = (
+                    is_worker
+                    and self._stop.is_set()
+                    and not self.crashed.is_set()
+                    and self._drained_locked()
+                )
                 if is_worker:
                     # Fast path for a killed worker: its unfinished leases
                     # are requeued the moment the connection drops, without
@@ -739,10 +762,12 @@ class Broker:
                             del self._workers[worker_id]
                 if conn in self._connections:
                     self._connections.remove(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
+            if farewell:
+                try:
+                    send_message(conn, {"type": "empty", "done": True})
+                except OSError:
+                    pass
+            _shutdown(conn, socket.SHUT_RDWR)
 
     def _serve_client(self, conn: socket.socket, reader: Any, message: Dict[str, Any]) -> None:
         """A connection whose first message is not a worker hello.
@@ -867,16 +892,20 @@ class Broker:
                     conn_leases.add(reply["lease"])
                     break
                 if not candidates:
-                    queues = self._queues.values()
-                    done = self.done_when_drained and bool(queues) and all(
-                        q.outstanding == 0 or q.failure is not None for q in queues
-                    )
-                    reply = {"type": "empty", "done": done}
+                    reply = {"type": "empty", "done": self._drained_locked()}
                     break
         for state, item in publish:
             state.sweep.publish(item)
             self._task_completed(state, cached=True)
         send_message(conn, reply, injector=self.injector)
+
+    def _drained_locked(self) -> bool:
+        """Whether an ``empty`` lease reply says ``done``: every registered
+        sweep has drained or failed (see ``done_when_drained``)."""
+        queues = self._queues.values()
+        return self.done_when_drained and bool(queues) and all(
+            q.outstanding == 0 or q.failure is not None for q in queues
+        )
 
     def _in_flight_keys_locked(self) -> Set[str]:
         """Config keys of every leased task not yet reported."""

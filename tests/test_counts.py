@@ -80,7 +80,7 @@ def _count_against_baseline(*names):
 def test_extra_passes_fail_the_golden_naming_their_layer(fresh, monkeypatch):
     # ``fresh`` only starts the fresh interpreters, to overlap this count.
     handle_beacons = CongestCountingProtocol._handle_beacons
-    derive = LocalView._derive
+    derive = LocalView._derive_layers
 
     def handle_with_extra_pass(self, ctx, inbox, position):
         for message in inbox:
@@ -88,7 +88,7 @@ def test_extra_passes_fail_the_golden_naming_their_layer(fresh, monkeypatch):
         return handle_beacons(self, ctx, inbox, position)
 
     def derive_with_extra_pass(self):
-        if self._derived_epoch != self._epoch:
+        if self._layers_epoch != self._epoch:
             mask = self._settled
             while mask:
                 mask &= mask - 1
@@ -97,7 +97,7 @@ def test_extra_passes_fail_the_golden_naming_their_layer(fresh, monkeypatch):
     rows = ("e3-congest-n64", SMALLEST)
     assert _count_against_baseline(*rows) == []
     monkeypatch.setattr(CongestCountingProtocol, "_handle_beacons", handle_with_extra_pass)
-    monkeypatch.setattr(LocalView, "_derive", derive_with_extra_pass)
+    monkeypatch.setattr(LocalView, "_derive_layers", derive_with_extra_pass)
     lines = _count_against_baseline(*rows)
     assert _moved(lines) == {
         ("e3-congest-n64", "opcodes.congest"),

@@ -16,6 +16,7 @@ resolve anywhere.
 import contextlib
 import json
 import threading
+import time
 
 import pytest
 
@@ -29,6 +30,13 @@ from repro.runner import (
     SweepHub,
     SweepRunner,
     WorkerDaemon,
+)
+from repro.runner.distributed.protocol import (
+    PROTOCOL_VERSION,
+    connect,
+    read_message,
+    reader_for,
+    send_message,
 )
 from repro.runner.hub.client import HubSubmission, query_hub_status
 from sweep_support import completions, submit
@@ -236,6 +244,31 @@ class TestGracefulShutdown:
     def test_lease_capacity_validation(self):
         with pytest.raises(ValueError, match="lease_capacity"):
             WorkerDaemon("127.0.0.1", 1, lease_capacity=0)
+
+
+class TestStoppedHubStopsServing:
+    def test_stop_closes_worker_connections_and_joins_serve_threads(self):
+        """A worker connected to a hub reads EOF once ``stop()`` returns,
+        even if it asks for a lease afterwards, and no serve thread is left."""
+        hub = SweepHub()
+        address = hub.start()
+        sock = connect(address, timeout=5.0)
+        try:
+            reader = reader_for(sock)
+            send_message(sock, {"type": "hello", "protocol": PROTOCOL_VERSION, "worker_id": "probe"})
+            assert read_message(reader)["type"] == "welcome"
+            hub.stop()
+            assert not any(thread.is_alive() for thread in hub._serve_threads)
+            time.sleep(0.3)
+            with contextlib.suppress(OSError):
+                send_message(sock, {"type": "lease", "capacity": 1})
+            try:
+                reply = read_message(reader)
+            except ConnectionResetError:
+                reply = None
+            assert reply is None
+        finally:
+            sock.close()
 
 
 # --------------------------------------------------------------------------- #

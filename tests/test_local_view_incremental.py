@@ -85,7 +85,7 @@ def assert_matches_scratch(view):
     expected = [(len(p), len(out_boundary(adj, p))) for p in prefixes]
     if interior:
         expected.append((len(interior), len(out_boundary(adj, interior))))
-    assert view.expansion_check_candidates() == expected
+    assert list(view.expansion_check_candidates()) == expected
 
     # Layer sizes are the prefix-size deltas.
     sizes = view.layer_sizes()
@@ -171,6 +171,29 @@ class TestIncrementalMatchesScratch:
                 view.integrate(entries, vertices, max_degree=MAX_DEGREE)
                 assert_matches_scratch(view)
 
+    def test_interior_derived_only_past_the_prefixes(self):
+        # The interior pass runs only when the candidates are iterated past
+        # the prefixes; skipping it for any number of steps keeps the
+        # carried interior exact.
+        for seed in range(25):
+            rng = random.Random(seed)
+            view = LocalView(100, [101, 102, 103])
+            for step in range(20):
+                entries = [
+                    random_edge_entry(rng, view, fresh_base=2000 + 100 * step)
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                view.integrate(entries, [], max_degree=MAX_DEGREE)
+                derived_at = view._interior_epoch
+                candidates = view.expansion_check_candidates()
+                next(candidates)
+                assert view._interior_epoch == derived_at
+                if rng.random() < 0.3:
+                    list(candidates)
+                    assert view._interior_epoch == view._epoch
+                    assert_matches_scratch(view)
+            assert_matches_scratch(view)
+
     def test_malformed_only_sequences_do_not_corrupt(self):
         rng = random.Random(99)
         view = LocalView(100, [101, 102])
@@ -233,7 +256,7 @@ def assert_views_equal(bitset: LocalView, reference: SetBasedLocalView):
     ]
     assert bitset.layer_sizes() == reference.layer_sizes()
     assert bitset.interior_set() == reference.interior_set()
-    assert bitset.expansion_check_candidates() == reference.expansion_check_candidates()
+    assert list(bitset.expansion_check_candidates()) == reference.expansion_check_candidates()
 
 
 def drive_both(bitset, reference, entries, vertices, max_degree=MAX_DEGREE):
